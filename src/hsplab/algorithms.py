@@ -225,12 +225,6 @@ def _recover_period(
     )
 
 
-def _resolve_bound(instance: OracleInstance, params: SolverParams) -> int | None:
-    if params.period_bound is not None:
-        return params.period_bound
-    return None
-
-
 def _run_with_doubling(instance, params, route, generator) -> OrderResult:
     guess = 2
     cap = instance.codomain_size  # the period never exceeds the label count
@@ -250,7 +244,7 @@ def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
     evaluations; denominators from continued fractions are lcm-combined
     until f(r) = f(0) verifies, then stripped to the least verified period.
     """
-    bound = _resolve_bound(instance, params)
+    bound = params.period_bound
     if bound is None:
         if params.doubling:
             return _run_with_doubling(instance, params, None, 0)
@@ -260,7 +254,7 @@ def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
 
 def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
     """Period finding through plain oracle queries only (no shift maps)."""
-    bound = _resolve_bound(instance, params)
+    bound = params.period_bound
     if bound is None:
         if params.doubling:
             return _run_with_doubling(instance, params, "oracle", 0)

@@ -185,27 +185,26 @@ def _load_config(args) -> dict:
 
 
 def _truth_report(solver: str, instance) -> dict:
-    """Ground truth from independent brute-force oracles (uncounted)."""
-    with instance.uncounted():
-        if solver in ("order", "period"):
-            desc = instance.descriptor
-            if desc.get("kind") == "order":
-                return {"period": classical_order(desc["base"], desc["modulus"])}
-            return {"period": classical_least_period(instance, instance.truth.period)}
-        if solver == "robust-period":
-            return {"period": classical_least_period(instance, instance.truth.period)}
-        if solver in ("simon", "deutsch", "hsp"):
-            return {"subgroup": classical_invariance_subgroup(instance).to_json()}
-        if solver == "robust-hsp":
-            return {"subgroup": classical_invariance_subgroup(instance).to_json()}
-        if solver == "dlog":
-            spec = instance.domain
-            r = spec.moduli[0]
-            base_of = {}
-            for t in range(r):
-                base_of.setdefault(instance._raw((0, t)), t)
-            m = base_of[instance._raw((1, 0))]
-            return {"exponent": m}
+    """Ground truth from independent brute-force oracles (bills nothing)."""
+    if solver in ("order", "period"):
+        desc = instance.descriptor
+        if desc.get("kind") == "order":
+            return {"period": classical_order(desc["base"], desc["modulus"])}
+        return {"period": classical_least_period(instance, instance.truth.period)}
+    if solver == "robust-period":
+        return {"period": classical_least_period(instance, instance.truth.period)}
+    if solver in ("simon", "deutsch", "hsp"):
+        return {"subgroup": classical_invariance_subgroup(instance).to_json()}
+    if solver == "robust-hsp":
+        return {"subgroup": classical_invariance_subgroup(instance).to_json()}
+    if solver == "dlog":
+        spec = instance.domain
+        r = spec.moduli[0]
+        base_of = {}
+        for t in range(r):
+            base_of.setdefault(instance._raw((0, t)), t)
+        m = base_of[instance._raw((1, 0))]
+        return {"exponent": m}
     return {}
 
 

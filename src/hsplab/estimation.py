@@ -16,9 +16,13 @@ register by a single recycled qubit measured between steps, with each
 measured bit feeding a rotation into the next step; its outcome law is
 identical to the register route's, which tests pin down to rounding error.
 
-Distribution calculators here are analysis tools: they run circuits under
-``instance.uncounted()`` and do not consume oracle budget.  Samplers and
-single runs count one query per circuit execution.
+The register and coset-sampler laws come from one computation,
+`level_set_law`: the control law depends only on the level sets of the label
+table the circuit writes into the target (Mosca-Ekert), so it is the summed
+power spectrum of their indicators.  The dense joint state stays as the
+reference that tests compare the laws against.  Laws describe the instance
+rather than query it and bill nothing; samplers bill one query per draw, the
+register runner one per circuit and the semiclassical runner one per step.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ from fractions import Fraction
 import numpy as np
 
 from .amplitudes import (
+    CapExceeded,
     QuantumState,
     RegisterLayout,
     apply_on_register,
     basis_state,
+    dimension_cap,
     from_amplitudes,
     l2_distance,
-    marginal_distribution,
     measure_register,
 )
 from .oracles import OracleInstance, apply_oracle, apply_shift
@@ -91,7 +96,7 @@ def _identity_point(instance: OracleInstance):
     return 0 if instance.domain is None else instance.domain.identity()
 
 
-def _target_vector(instance: OracleInstance, target, counted: bool) -> np.ndarray:
+def _target_vector(instance: OracleInstance, target) -> np.ndarray:
     """Resolve a target argument to an amplitude vector over the codomain."""
     x_size = instance.codomain_size
     if isinstance(target, EigenstateHandle):
@@ -102,11 +107,7 @@ def _target_vector(instance: OracleInstance, target, counted: bool) -> np.ndarra
     if isinstance(target, np.ndarray):
         vec = target.astype(np.complex128)
         return vec / np.linalg.norm(vec)
-    if target is None:
-        point = _identity_point(instance)
-        label = instance.evaluate(point) if counted else instance._raw(point)
-    else:
-        label = int(target)
+    label = instance._raw(_identity_point(instance)) if target is None else int(target)
     vec = np.zeros(x_size, dtype=np.complex128)
     vec[label] = 1.0
     return vec
@@ -130,8 +131,9 @@ def _pre_measurement_state(
     route: str,
     generator: int,
     target,
-    counted: bool,
 ) -> QuantumState:
+    """The joint control-target state just before the control is measured,
+    built densely on n x |X| amplitudes.  Bills no query."""
     n = int(register_size)
     x_size = instance.codomain_size
     layout = RegisterLayout.of((n, x_size), ("control", "target"))
@@ -140,7 +142,7 @@ def _pre_measurement_state(
         state = apply_fourier(state, 0)
         state = apply_oracle(state, [0], 1, instance)
     else:
-        vec = _target_vector(instance, target, counted)
+        vec = _target_vector(instance, target)
         amps = np.zeros((n, x_size), dtype=np.complex128)
         amps[0] = vec
         state = from_amplitudes(layout, amps.reshape(-1))
@@ -163,10 +165,13 @@ def phase_estimate_register(
     `target` selects the shift route's starting target: None (query f at the
     identity), an integer label, an amplitude vector, or an EigenstateHandle
     kept from a previous run.  Costs one oracle query for the circuit plus
-    one `evaluate` when the default target is requested.
+    one `evaluate` when the shift route's default target is requested.
     """
     route = _resolve_route(instance, route)
-    state = _pre_measurement_state(instance, register_size, route, generator, target, True)
+    if route == "shift" and target is None:
+        target = instance.evaluate(_identity_point(instance))
+    state = _pre_measurement_state(instance, register_size, route, generator, target)
+    instance.counter.add(1)
     record, collapsed = measure_register(state, 0, seed)
     sample = PhaseSample(record.outcome, int(register_size), record.probability, seed)
     return EstimationRun(sample, collapsed, 0, 1, route, generator)
@@ -201,6 +206,58 @@ def keep_target_after_measurement(run: EstimationRun, decomposition=None) -> Eig
 # --- exact outcome laws ------------------------------------------------------
 
 
+def _level_set_spectra(table) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied labels of an integer table over the control points, and the
+    Fourier spectra of their indicators: row i is FFT(1[table == labels[i]])
+    / N, shaped like the table."""
+    table = np.asarray(table, dtype=np.int64)
+    labels = np.unique(table)
+    size = labels.size * table.size
+    if size > dimension_cap():
+        raise CapExceeded(f"label-table law needs {size} amplitudes, above cap {dimension_cap()}")
+    onehot = (table == labels.reshape((-1,) + (1,) * table.ndim)).astype(np.complex128)
+    axes = tuple(range(1, onehot.ndim))
+    return labels, np.fft.fftn(onehot, axes=axes, norm="forward", out=onehot)
+
+
+def level_set_law(table) -> np.ndarray:
+    """Outcome law of the control registers after the inverse Fourier
+    transform, when their points t are entangled with target labels
+    table[t]: the sum over labels of |FFT(1[table == label])|^2 / N^2,
+    shaped like the table.  Raises CapExceeded when the labels x points
+    one-hot array exceeds the dimension cap."""
+    _, spectra = _level_set_spectra(table)
+    return (spectra.real**2 + spectra.imag**2).sum(axis=0)
+
+
+def _label_table(instance: OracleInstance, shape: tuple[int, ...]) -> np.ndarray:
+    """f at every control point of the given shape; an integer domain reads
+    its single coordinate."""
+    if instance.domain is None:
+        values = [instance._raw(t) for t in range(shape[0])]
+    else:
+        values = [instance._raw(x) for x in np.ndindex(shape)]
+    return np.array(values, dtype=np.int64).reshape(shape)
+
+
+def _shift_orbit(instance: OracleInstance, label: int, generator: int, n: int) -> np.ndarray:
+    """Target labels the shift route's control points t < n write: label
+    moved by t unit shifts along the generator.  Shifts compose additively,
+    so this is the cycle of label under one unit-shift permutation, tiled;
+    the cycle has at most |X| labels."""
+    if not 0 <= label < instance.codomain_size:
+        raise ValueError(f"target label {label} outside the codomain")
+    spec = instance.domain
+    perm = instance.shift_permutation(1 if spec is None else spec.generator(generator))
+    orbit = [label]
+    for _ in range(min(n, instance.codomain_size) - 1):
+        label = int(perm[label])
+        if label == orbit[0]:
+            break
+        orbit.append(label)
+    return np.resize(np.asarray(orbit, dtype=np.int64), n)
+
+
 def control_distribution(
     instance: OracleInstance,
     register_size: int,
@@ -209,22 +266,27 @@ def control_distribution(
     target=None,
     route: str | None = None,
 ) -> np.ndarray:
-    """Exact control-register law of the estimation circuit (uncounted).
+    """Exact control-register law of the estimation circuit.  Bills nothing.
 
-    Cached on the instance for basis-state targets, since the circuit before
-    measurement is deterministic.
+    The shift route's target must be a basis label (None means f at the
+    identity).  Cached on the instance, since the circuit before measurement
+    is deterministic.
     """
     route = _resolve_route(instance, route)
-    cacheable = target is None or isinstance(target, int)
+    if target is not None and not isinstance(target, (int, np.integer)):
+        raise ValueError("control laws take a basis-label target or None")
     key = ("control", route, int(register_size), int(generator), target)
-    if cacheable and key in instance._dist_cache:
+    if key in instance._dist_cache:
         return instance._dist_cache[key]
-    with instance.uncounted():
-        state = _pre_measurement_state(instance, register_size, route, generator, target, False)
-        probs = marginal_distribution(state, 0)
+    n = int(register_size)
+    if route == "oracle":
+        table = _label_table(instance, (n,))
+    else:
+        label = instance._raw(_identity_point(instance)) if target is None else int(target)
+        table = _shift_orbit(instance, label, int(generator), n)
+    probs = level_set_law(table)
     probs.setflags(write=False)
-    if cacheable:
-        instance._dist_cache[key] = probs
+    instance._dist_cache[key] = probs
     return probs
 
 
@@ -267,23 +329,15 @@ def _hsp_layout(instance: OracleInstance) -> RegisterLayout:
 def hsp_control_distribution(instance: OracleInstance) -> np.ndarray:
     """Exact joint law over all coordinate controls of the coset sampler.
 
-    Returned flattened in row-major coordinate order (uncounted, cached).
+    Returned flattened in row-major coordinate order.  Bills nothing; cached.
     """
     key = ("hsp",)
     if key in instance._dist_cache:
         return instance._dist_cache[key]
     spec = instance.domain
-    layout = _hsp_layout(instance)
-    with instance.uncounted():
-        state = basis_state(layout, (0,) * spec.rank + (0,))
-        for j in range(spec.rank):
-            state = apply_fourier(state, j)
-        state = apply_oracle(state, list(range(spec.rank)), spec.rank, instance)
-        for j in range(spec.rank):
-            state = apply_fourier(state, j, inverse=True)
-    joint = np.abs(state.amplitudes.reshape(layout.dims)) ** 2
-    law = joint.sum(axis=-1).reshape(-1)
-    law = law / law.sum()
+    if spec is None:
+        raise ValueError("hidden-subgroup sampling needs a finite group domain")
+    law = level_set_law(_label_table(instance, tuple(spec.moduli))).reshape(-1)
     law.setflags(write=False)
     instance._dist_cache[key] = law
     return law
@@ -310,34 +364,34 @@ def verify_main_equality(instance: OracleInstance, register_size: int | None = N
     Route one queries the oracle on a uniform control; route two starts the
     target at |f(identity)> and applies the controlled shift ladder along
     each coordinate.  Exact arithmetic should agree to rounding error.
+    Bills no query.
     """
     if not instance.homomorphism_available:
         raise ValueError("dual-route comparison needs shift maps")
     spec = instance.domain
-    with instance.uncounted():
-        if spec is None:
-            if register_size is None:
-                register_size = instance.truth.period
-            if register_size is None:
-                raise ValueError("integer-domain comparison needs a register size")
-            layout = RegisterLayout.of((int(register_size), instance.codomain_size))
-            controls = [0]
-        else:
-            layout = _hsp_layout(instance)
-            controls = list(range(spec.rank))
-        target = len(controls)
+    if spec is None:
+        if register_size is None:
+            register_size = instance.truth.period
+        if register_size is None:
+            raise ValueError("integer-domain comparison needs a register size")
+        layout = RegisterLayout.of((int(register_size), instance.codomain_size))
+        controls = [0]
+    else:
+        layout = _hsp_layout(instance)
+        controls = list(range(spec.rank))
+    target = len(controls)
 
-        via_oracle = basis_state(layout, (0,) * len(controls) + (0,))
-        for j in controls:
-            via_oracle = apply_fourier(via_oracle, j)
-        via_oracle = apply_oracle(via_oracle, controls, target, instance)
+    via_oracle = basis_state(layout, (0,) * len(controls) + (0,))
+    for j in controls:
+        via_oracle = apply_fourier(via_oracle, j)
+    via_oracle = apply_oracle(via_oracle, controls, target, instance)
 
-        f0 = instance._raw(_identity_point(instance))
-        via_shifts = basis_state(layout, (0,) * len(controls) + (f0,))
-        for j in controls:
-            via_shifts = apply_fourier(via_shifts, j)
-        for j in controls:
-            via_shifts = apply_shift(via_shifts, j, target, instance, generator=j, step=1)
+    f0 = instance._raw(_identity_point(instance))
+    via_shifts = basis_state(layout, (0,) * len(controls) + (f0,))
+    for j in controls:
+        via_shifts = apply_fourier(via_shifts, j)
+    for j in controls:
+        via_shifts = apply_shift(via_shifts, j, target, instance, generator=j, step=1)
     return l2_distance(via_oracle, via_shifts)
 
 
@@ -352,48 +406,26 @@ class EigenbasisDecomposition:
         self.codomain_size = instance.codomain_size
         spec = instance.domain
         self.moduli = None if spec is None else tuple(spec.moduli)
-        tol = 1e-12
         if spec is None:
             r = period or instance.truth.period
             if r is None:
                 raise ValueError("integer-domain decomposition needs the period")
             self.period = int(r)
-            with instance.uncounted():
-                labels = [instance._raw(t) for t in range(self.period)]
-            onehot = np.zeros((self.period, self.codomain_size), dtype=np.complex128)
-            for t, lab in enumerate(labels):
-                onehot[t, lab] = 1.0
-            k = np.arange(self.period)
-            phases = np.exp(-2j * np.pi * np.outer(k, k) / self.period) / self.period
-            mat = phases @ onehot
-            self.keys = [int(kk) for kk in k]
-            self._vectors = {int(kk): mat[kk] for kk in k}
-            self._labels = labels
+            shape = (self.period,)
         else:
             self.period = None
-            dims = tuple(spec.moduli)
-            with instance.uncounted():
-                grids = {}
-                for coords in np.ndindex(dims):
-                    lab = instance._raw(coords)
-                    if lab not in grids:
-                        grids[lab] = np.zeros(dims, dtype=np.complex128)
-                    grids[lab][coords] = 1.0
-            order = spec.order
-            spectra = {lab: np.fft.fftn(g) / order for lab, g in grids.items()}
-            self.keys = []
-            self._vectors = {}
-            for t in np.ndindex(dims):
-                vec = np.zeros(self.codomain_size, dtype=np.complex128)
-                for lab, spectrum in spectra.items():
-                    vec[lab] = spectrum[t]
-                if np.linalg.norm(vec) > tol:
-                    key = tuple(int(v) for v in t)
-                    self.keys.append(key)
-                    self._vectors[key] = vec
-            self._labels = None
-        for v in self._vectors.values():
-            v.setflags(write=False)
+            shape = self.moduli
+        labels, spectra = _level_set_spectra(_label_table(instance, shape))
+        self.keys = []
+        self._vectors = {}
+        for t in np.ndindex(shape):
+            vec = np.zeros(self.codomain_size, dtype=np.complex128)
+            vec[labels] = spectra[(slice(None),) + t]
+            if np.linalg.norm(vec) > 1e-12:
+                key = int(t[0]) if spec is None else tuple(int(v) for v in t)
+                self.keys.append(key)
+                self._vectors[key] = vec
+                vec.setflags(write=False)
 
     def vector(self, key) -> np.ndarray:
         return self._vectors[key]
@@ -428,15 +460,14 @@ class EigenbasisDecomposition:
         """Largest L2 error of re-assembling any |f(x)> from the stored
         eigenvector components."""
         worst = 0.0
-        with instance.uncounted():
-            if self.period is not None:
-                points = range(self.period)
-            else:
-                points = list(np.ndindex(self.moduli))
-            for x in points:
-                want = np.zeros(self.codomain_size, dtype=np.complex128)
-                want[instance._raw(x)] = 1.0
-                worst = max(worst, float(np.linalg.norm(self.reconstruct(x) - want)))
+        if self.period is not None:
+            points = range(self.period)
+        else:
+            points = list(np.ndindex(self.moduli))
+        for x in points:
+            want = np.zeros(self.codomain_size, dtype=np.complex128)
+            want[instance._raw(x)] = 1.0
+            worst = max(worst, float(np.linalg.norm(self.reconstruct(x) - want)))
         return worst
 
 
@@ -500,7 +531,9 @@ def phase_estimate_semiclassical(
         raise ValueError("semiclassical route needs shift maps")
     x_size = instance.codomain_size
     layout = RegisterLayout.of((2, x_size), ("control", "target"))
-    vec = _target_vector(instance, target, True)
+    if target is None:
+        target = instance.evaluate(_identity_point(instance))
+    vec = _target_vector(instance, target)
     rng = np.random.default_rng(seed)
 
     v = 0
@@ -514,6 +547,7 @@ def phase_estimate_semiclassical(
         state = from_amplitudes(layout, amps.reshape(-1))
         state = apply_on_register(state, 0, _HADAMARD)
         state = apply_shift(state, 0, 1, instance, generator=generator, step=power)
+        instance.counter.add(1)
         if turns:
             state = apply_on_register(state, 0, _rotation(turns))
         state = apply_on_register(state, 0, _HADAMARD)
@@ -537,23 +571,22 @@ def semiclassical_outcome_distribution(
     generator: int = 0,
     target=None,
 ) -> np.ndarray:
-    """Exact outcome law of the semiclassical cascade (uncounted).
+    """Exact outcome law of the semiclassical cascade.  Bills nothing.
 
     Walks the full binary branch tree, carrying unnormalized target vectors
     whose squared norms are the path probabilities.
     """
     n_bits = int(n_bits)
     x_size = instance.codomain_size
-    with instance.uncounted():
-        vec = _target_vector(instance, target, False)
-        perms = {}
-        for s in range(n_bits):
-            power = 1 << (n_bits - 1 - s)
-            if instance.domain is None:
-                g = power
-            else:
-                g = instance.domain.scale(power, instance.domain.generator(generator))
-            perms[s] = instance.shift_permutation(g)
+    vec = _target_vector(instance, target)
+    perms = {}
+    for s in range(n_bits):
+        power = 1 << (n_bits - 1 - s)
+        if instance.domain is None:
+            g = power
+        else:
+            g = instance.domain.scale(power, instance.domain.generator(generator))
+        perms[s] = instance.shift_permutation(g)
     probs = np.zeros(1 << n_bits, dtype=np.float64)
     branches: list[tuple[int, np.ndarray]] = [(0, vec)]
     for s in range(n_bits):

@@ -370,11 +370,6 @@ def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
     return SubgroupGenerators.of(spec, gens)
 
 
-def spans_full_character_group(samples, spec: GroupSpec, planted: SubgroupGenerators) -> bool:
-    """True when the samples already pin the kernel down to the planted K."""
-    return subgroups_equal(character_kernel(samples, spec), planted)
-
-
 # --- CRT decomposition -----------------------------------------------------
 
 

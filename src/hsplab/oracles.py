@@ -14,16 +14,17 @@ together with flags solvers may rely on:
 Ground truth (the planted subgroup / period / exponent) rides along in
 `truth` for verification and reporting code; solver code treats instances
 as black boxes and touches only `evaluate`, the shift maps, and the flags.
-Every quantum-side application of the function (apply_oracle, apply_shift)
-and every classical `evaluate` call increments the instance's QueryCounter
-by one.
+Queries are billed where circuits run, to the instance's QueryCounter:
+one per classical `evaluate` call, per sampler draw, per register-estimation
+circuit and per semiclassical step.  The gate-level maps (apply_oracle,
+apply_shift) and the exact outcome laws bill nothing; they describe the
+instance rather than query it.
 """
 
 from __future__ import annotations
 
 import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
 
@@ -106,7 +107,8 @@ class OracleInstance:
         return self.domain.reduce(x)
 
     def _raw(self, x) -> int:
-        """Uncounted evaluation; internal plumbing for unitary construction."""
+        """Unbilled evaluation: plumbing for gates, exact laws and reference
+        checks, which describe the instance rather than query it."""
         return int(self._eval_fn(self._coerce(x)))
 
     def evaluate(self, x) -> int:
@@ -114,25 +116,11 @@ class OracleInstance:
         self.counter.add(1)
         return self._raw(x)
 
-    @contextmanager
-    def uncounted(self):
-        """Suspend query counting (analysis and verification tools only).
-
-        Distribution calculators and brute-force checkers re-run the same
-        circuits solvers do, but describe the instance rather than query it;
-        they wrap their work in this so solver-side counts stay honest.
-        """
-        active = self.counter
-        self.counter = QueryCounter()
-        try:
-            yield
-        finally:
-            self.counter = active
-
     def shift_permutation(self, g) -> np.ndarray:
         """Label permutation sending |f(y)> to |f(y+g)>, total on [0, |X|).
 
-        Constructing the map is free; *applying* it is what costs a query.
+        Constructing the map is free; a circuit that applies it is billed by
+        the runner that executes the circuit.
         """
         if self._shift_fn is None:
             raise ValueError("instance has no computable shift maps")
@@ -586,7 +574,8 @@ def apply_oracle(
     Control registers supply the domain coordinates (a single register
     holding t for integer domains); the target register must be at least
     |X| wide, and basis values beyond |X| ride along unchanged so the map
-    stays a permutation.  Counts one oracle query.
+    stays a permutation.  Bills nothing: the runner executing the circuit
+    does.
     """
     dims = state.layout.dims
     target_dim = dims[int(target_register)]
@@ -609,7 +598,6 @@ def apply_oracle(
     ys = np.arange(target_dim, dtype=np.int64)
     idx = np.where(ys[None, :] < x_size, (ys[None, :] - fvals[:, None]) % x_size, ys[None, :])
     out = np.take_along_axis(cube, idx[:, None, :], axis=2)
-    instance.counter.add(1)
     return _scatter_axes(out, order, moved_shape, state.layout)
 
 
@@ -623,7 +611,8 @@ def apply_shift(
 ) -> QuantumState:
     """Controlled shift: for control value x, the target undergoes the label
     permutation of a shift by x*step along the given domain generator (or by
-    the integer x*step for integer domains).  Counts one oracle query.
+    the integer x*step for integer domains).  Bills nothing: the runner
+    executing the circuit does.
 
     Shifts compose additively, so a ladder of these with step = 2^t is the
     usual controlled-power cascade.
@@ -651,7 +640,6 @@ def apply_shift(
 
     cube, order, moved_shape = _gather_axes(state, [control_register], target_register)
     out = np.take_along_axis(cube, rows[:, None, :], axis=2)
-    instance.counter.add(1)
     return _scatter_axes(out, order, moved_shape, state.layout)
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -72,22 +70,3 @@ def best_denominator_bounded(x: int, n: int, bound: int) -> Fraction:
             break
     assert best is not None  # denominator-1 convergent always qualifies
     return best
-
-
-def combine_denominators(candidates: Iterable[int], verifier: Callable[[int], bool]) -> int:
-    """Fold candidate denominators by running lcm, returning the first
-    accumulated value the verifier accepts.
-
-    Every intermediate divides the returned value, so a caller combining
-    divisors of r can only ever halt at r itself.
-    """
-    acc = 1
-    any_candidate = False
-    for c in candidates:
-        any_candidate = True
-        acc = lcm(acc, int(c))
-        if verifier(acc):
-            return acc
-    if not any_candidate:
-        raise ValueError("no candidates to combine")
-    raise ValueError(f"no verified value within candidate list (last lcm {acc})")

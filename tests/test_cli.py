@@ -266,10 +266,10 @@ def test_dump_cap_violation_is_config_error(capsys):
 def test_env_cap_applies_and_validates(capsys, monkeypatch):
     instance = json.dumps({"kind": "order", "modulus": 15, "base": 4})
     default_cap = amplitudes.dimension_cap()
-    monkeypatch.setenv("HSPLAB_CAP", "64")
+    monkeypatch.setenv("HSPLAB_CAP", "8")
     code, _, _ = run(capsys, "dump", "--kind", "register-pe",
                      "--instance", instance, "--bits", "3")
-    assert code == 2  # 8 * 16 joint state exceeds the tiny cap
+    assert code == 2  # the 2 labels x 8 points law array exceeds the tiny cap
 
     monkeypatch.setenv("HSPLAB_CAP", "banana")
     code, _, err = run(capsys, "dump", "--kind", "estimator", "--phi", "1/2")

@@ -213,13 +213,13 @@ def test_query_accounting_per_run():
     inst = make_order_instance(15, 2)
     before = inst.query_count
     phase_estimate_register(inst, 8, seed=1)
-    assert inst.query_count - before >= 1
+    assert inst.query_count - before == 2  # one circuit plus the default target
     before = inst.query_count
     sample_control(inst, 8, 7, seed=2)
     assert inst.query_count - before == 7
     before = inst.query_count
     control_distribution(inst, 16)
-    assert inst.query_count == before  # analysis tool, uncounted
+    assert inst.query_count == before  # exact laws bill nothing
 
 
 # --- collapsed-target reuse -----------------------------------------------------

@@ -23,7 +23,6 @@ from hsplab.groups import (
     crt_recombine,
     join_subgroups,
     orthogonality_holds,
-    spans_full_character_group,
     split_subgroup,
     subgroup_enumerate,
     subgroups_equal,
@@ -226,14 +225,14 @@ def test_kernel_matches_enumeration_for_every_subgroup(moduli):
 def test_spans_full_character_group_examples():
     spec = GroupSpec.of([2, 2, 2])
     planted = SubgroupGenerators.of(spec, [(1, 0, 1)])
-    assert spans_full_character_group([(0, 1, 0), (1, 0, 1), (1, 1, 1)], spec, planted)
-    assert not spans_full_character_group([(0, 0, 0)], spec, planted)
+    assert subgroups_equal(character_kernel([(0, 1, 0), (1, 0, 1), (1, 1, 1)], spec), planted)
+    assert not subgroups_equal(character_kernel([(0, 0, 0)], spec), planted)
     # the full character group of G/K: every tuple annihilating K
     all_t = [t for t in spec.elements() if orthogonality_holds(spec, t, planted)]
-    assert spans_full_character_group(all_t, spec, planted)
+    assert subgroups_equal(character_kernel(all_t, spec), planted)
     # {000} spans only for K = G
     whole = SubgroupGenerators.of(spec, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert spans_full_character_group([(0, 0, 0)], spec, whole)
+    assert subgroups_equal(character_kernel([(0, 0, 0)], spec), whole)
 
 
 # --- CRT decomposition -------------------------------------------------------

@@ -8,6 +8,8 @@ never trusted from the builders' own bookkeeping.
 
 from __future__ import annotations
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +18,11 @@ from numpy.testing import assert_allclose
 
 from hsplab.amplitudes import RegisterLayout, basis_state, l2_distance, uniform_state
 from hsplab.groups import GroupSpec, SubgroupGenerators, subgroup_enumerate, subgroups_equal
+from hsplab.estimation import (
+    phase_estimate_register,
+    phase_estimate_semiclassical,
+    verify_main_equality,
+)
 from hsplab.oracles import (
     OracleInstance,
     apply_oracle,
@@ -425,8 +432,7 @@ def test_apply_shift_additivity():
     # P(x1) . P(x2) = P(x1 + x2) on the realized label permutations
     inst = make_order_instance(21, 2)
     layout = RegisterLayout.of([8, 21])
-    with inst.uncounted():
-        tables = {x: shift_action_table(inst, x, layout) for x in range(5)}
+    tables = {x: shift_action_table(inst, x, layout) for x in range(5)}
     for x1 in range(3):
         for x2 in range(2):
             composed = [tables[x1][tables[x2][lab]] for lab in range(21)]
@@ -450,18 +456,44 @@ def test_counter_counts_evaluate_and_applications():
     assert inst.query_count == 1
     layout = RegisterLayout.of([4, 15])
     apply_oracle(basis_state(layout, [0, 0]), [0], 1, inst)
-    assert inst.query_count == 2
     apply_shift(basis_state(layout, [1, 1]), 0, 1, inst)
+    assert inst.query_count == 1  # gates bill nothing; the runners do
+    phase_estimate_register(inst, 8, seed=0, target=1)
+    assert inst.query_count == 2  # one circuit
+    phase_estimate_register(inst, 8, seed=0, route="oracle")
     assert inst.query_count == 3
+    phase_estimate_register(inst, 8, seed=0)
+    assert inst.query_count == 5  # one circuit plus the default target
+    phase_estimate_semiclassical(inst, 3, seed=0, target=1)
+    assert inst.query_count == 8  # one per step
+    phase_estimate_semiclassical(inst, 3, seed=0)
+    assert inst.query_count == 12  # three steps plus the default target
 
 
-def test_uncounted_scope_restores_counter():
+def test_counter_exact_while_verifier_runs():
+    # the dual-route verifier bills nothing and must not hide queries that
+    # another thread makes on the same instance meanwhile
     inst = make_order_instance(15, 2)
-    inst.evaluate(1)
-    with inst.uncounted():
-        inst.evaluate(2)
-        inst.evaluate(3)
-    assert inst.query_count == 1
+    stop = threading.Event()
+
+    def verify_loop():
+        while not stop.is_set():
+            verify_main_equality(inst, 64)
+
+    k = 20_000
+    interval = sys.getswitchinterval()
+    worker = threading.Thread(target=verify_loop)
+    sys.setswitchinterval(1e-5)
+    try:
+        worker.start()
+        for t in range(k):
+            inst.evaluate(t)
+    finally:
+        stop.set()
+        worker.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert inst.query_count == k
 
 
 def test_classical_scans_do_not_bill_queries():

@@ -16,7 +16,6 @@ import pytest
 
 from hsplab.postprocess import (
     best_denominator_bounded,
-    combine_denominators,
     continued_fractions,
 )
 
@@ -90,46 +89,3 @@ def test_best_denominator_uniqueness_window():
         for k in range(r):
             x = round(n * k / r) % n
             assert best_denominator_bounded(x, n, r) == Fraction(k, r)
-
-
-def test_combine_single_candidate():
-    assert combine_denominators([4], lambda r: pow(2, r, 15) == 1) == 4
-
-
-def test_combine_lcm_chain():
-    assert combine_denominators([2, 3], lambda r: r == 6) == 6
-
-
-def test_combine_constant_function():
-    assert combine_denominators([1], lambda r: True) == 1
-
-
-def test_combine_rejects_unverified():
-    with pytest.raises(ValueError):
-        combine_denominators([2, 4], lambda r: r == 3)
-    with pytest.raises(ValueError):
-        combine_denominators([], lambda r: True)
-
-
-def test_combine_intermediates_divide_result():
-    seen = []
-
-    def verifier(r):
-        seen.append(r)
-        return r == 12
-
-    assert combine_denominators([4, 6, 5], verifier) == 12
-    assert seen == [4, 12]
-    for inter in seen:
-        assert 12 % inter == 0 or inter == 12
-
-
-def test_combine_stops_at_first_success():
-    calls = []
-
-    def verifier(r):
-        calls.append(r)
-        return r >= 6
-
-    assert combine_denominators([6, 7], verifier) == 6
-    assert calls == [6]
