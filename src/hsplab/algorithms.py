@@ -31,8 +31,6 @@ from .groups import (
     SubgroupGenerators,
     _factorize,
     character_kernel,
-    coprime_split,
-    join_subgroups,
     subgroup_enumerate,
 )
 from .oracles import OracleInstance, make_order_instance
@@ -161,20 +159,21 @@ def _register_size_for(params: SolverParams, bound: int) -> int:
     return choose_register_size(2 * bound * bound, params.epsilon)
 
 
-def _derived_instance(parent: OracleInstance, domain, eval_fn, cache_key, kind: str) -> OracleInstance:
-    """A view of `parent` (dilation or component restriction) that bills its
-    queries to the parent's counter and keeps a persistent law cache."""
+def _dilated_view(parent: OracleInstance, acc: int) -> OracleInstance:
+    """The integer-domain function t -> f(acc * t), billing its queries to
+    the parent's counter and keeping its laws in a persistent cache slot of
+    the parent, so later attempts at the same dilation reuse them."""
     view = OracleInstance(
-        domain=domain,
+        domain=None,
         codomain_size=parent.codomain_size,
-        eval_fn=eval_fn,
+        eval_fn=lambda t: parent._eval_fn(acc * t),
         shift_fn=None,
         multiplicity_bound=parent.multiplicity_bound,
         truth=parent.truth,
-        descriptor={"kind": kind, "inner": parent.to_json()},
+        descriptor={"kind": "dilated_view", "inner": parent.to_json()},
     )
     view.counter = parent.counter
-    view._dist_cache = parent._dist_cache.setdefault(cache_key, {})
+    view._dist_cache = parent._dist_cache.setdefault(("dilation", acc), {})
     return view
 
 
@@ -262,20 +261,6 @@ def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
     return _recover_period(instance, params, bound, "oracle", 0)
 
 
-def reduce_finitely_generated(instances: list[OracleInstance], params: SolverParams) -> list[int]:
-    """Period of f along each generator's integer line.
-
-    Input: one integer-domain restriction instance per generator.  The
-    returned k_j let a finitely generated domain be treated as the finite
-    group Z_{k_1} x ... x Z_{k_l}.
-    """
-    out = []
-    for j, inst in enumerate(instances):
-        res = find_period(inst, replace(params, seed=params.seed + 7919 * j))
-        out.append(res.value)
-    return out
-
-
 def factor_via_order(n: int, params: SolverParams) -> int:
     """Split an odd composite (not a prime power) via even orders."""
     n = int(n)
@@ -307,21 +292,20 @@ def factor_via_order(n: int, params: SolverParams) -> int:
     raise BudgetExhausted(f"no factor of {n} within {params.trials} attempts")
 
 
-def solve_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
-    """Hidden subgroup over a prime-power-form group.
+def solve_hsp_general(instance: OracleInstance, params: SolverParams) -> HspResult:
+    """Hidden subgroup over any finite Abelian group.
 
-    Batches of coset-sampler outcomes (4·rank + 10 per batch) feed the
-    character-kernel solver; every generator of the candidate kernel is then
-    checked against the function at a random point — exact for an honest
-    promise, since f is constant on K-cosets and distinct across them.  A
-    generator that fails means the samples do not yet span, so another batch
-    is drawn.
+    Batches of coset-sampler outcomes (4·rank + 10 per batch) over the whole
+    group feed the character-kernel solver, which splits each sampled
+    character into its prime components; every generator of the candidate
+    kernel is then checked against the function at a random point — exact
+    for an honest promise, since f is constant on K-cosets and distinct
+    across them.  A generator that fails means the samples do not yet span,
+    so another batch is drawn.
     """
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup solving needs a finite group domain")
-    if not spec.is_prime_power_form:
-        raise ValueError("prime-power form required; see solve_hsp_general")
     count = 4 * spec.rank + 10
     rng = np.random.default_rng(params.seed)
     memo: dict[Element, int] = {}
@@ -348,35 +332,6 @@ def solve_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
         f"claimed coset shift {failing[0]} changes f at {failing[1]}: "
         "samples never stabilized on a subgroup the function honors"
     )
-
-
-def solve_hsp_general(instance: OracleInstance, params: SolverParams) -> HspResult:
-    """Arbitrary finite Abelian domain: split into coprime prime-power
-    components, solve each on the restricted function, and reassemble the
-    subgroup through the Chinese remainder embedding."""
-    spec = instance.domain
-    if spec is None:
-        raise ValueError("hidden-subgroup solving needs a finite group domain")
-    if spec.is_prime_power_form:
-        return solve_hsp(instance, params)
-    components = coprime_split(spec)
-    parts: list[SubgroupGenerators] = []
-    lifted_samples: list[Element] = []
-    trials = 0
-    for comp in components:
-        view = _derived_instance(
-            instance,
-            comp.spec,
-            lambda x, c=comp: instance._eval_fn(c.lift(x, spec)),
-            ("component", comp.prime),
-            "component_view",
-        )
-        part = solve_hsp(view, params)
-        parts.append(part.value)
-        lifted_samples.extend(comp.lift(t, spec) for t in part.samples)
-        trials += part.trials_used
-    value = join_subgroups(spec, components, parts)
-    return HspResult(value, trials, lifted_samples, True)
 
 
 def _merge_congruence(a1: int, n1: int, a2: int, n2: int) -> tuple[int, int] | None:
@@ -520,10 +475,7 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
                 candidate, scan_evals = tail_scan(acc, min(m * m, level_bound))
                 break
             n = choose_register_size(2 * level_bound * level_bound, eps_amp)
-            view = _derived_instance(
-                instance, None, lambda t, a=acc: instance._eval_fn(a * t),
-                ("dilation", acc), "dilated_view",
-            )
+            view = _dilated_view(instance, acc)
             sample = sample_control(
                 view, n, 1, seed=params.seed + 5000 * attempt + steps, route="oracle"
             )[0]
@@ -561,18 +513,17 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
     Sampler support always lies inside the annihilator of the function's
     true invariance subgroup, so the sampled kernel only ever over-states
     it; an exhaustive pass over the kernel's elements against the full
-    function table then pins the invariance subgroup exactly.  Domains
-    smaller than m² skip sampling entirely and go straight to the
-    exhaustive test.
+    function table then pins the invariance subgroup exactly.  Any finite
+    Abelian domain works: the kernel step splits the sampled characters
+    into prime components, never the merged function.  Domains smaller
+    than m² skip sampling entirely and go straight to the exhaustive test.
     """
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup solving needs a finite group domain")
-    if not spec.is_prime_power_form:
-        raise ValueError("prime-power form required")
     m = _multiplicity(instance, params)
     if m <= 1:
-        return solve_hsp(instance, params)
+        return solve_hsp_general(instance, params)
 
     memo: dict[Element, int] = {}
 

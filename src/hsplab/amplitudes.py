@@ -28,7 +28,7 @@ _dimension_cap = DEFAULT_DIMENSION_CAP
 
 
 class CapExceeded(ValueError):
-    """A layout or tensor product would exceed the dimension cap."""
+    """A layout or an outcome-law array would exceed the dimension cap."""
 
 
 def dimension_cap() -> int:
@@ -82,9 +82,6 @@ class RegisterLayout:
         for d in self.dims:
             out *= d
         return out
-
-    def concat(self, other: "RegisterLayout") -> "RegisterLayout":
-        return RegisterLayout.of(self.dims + other.dims, self.labels + other.labels)
 
 
 @dataclass(frozen=True)
@@ -152,13 +149,6 @@ def basis_state(layout: RegisterLayout, values: Sequence[int]) -> QuantumState:
 def uniform_state(layout: RegisterLayout) -> QuantumState:
     n = layout.total_dimension
     amps = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
-    return QuantumState(layout, _freeze(amps))
-
-
-def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
-    """Product state on the concatenated layout (a's registers first)."""
-    layout = a.layout.concat(b.layout)  # cap re-checked here
-    amps = np.kron(a.amplitudes, b.amplitudes)
     return QuantumState(layout, _freeze(amps))
 
 

@@ -10,8 +10,11 @@ and the wall-clock duration.  Trials run on a worker pool with derived
 seeds (master seed + trial index), so scheduling order cannot leak into the
 output.
 
-Exit codes: 0 success and all trials match; 1 solver failure; 2 config
-error; 3 verification mismatch.
+Exit codes: 0 success and all trials match; 1 solver failure in some trial
+(budget exhausted or promise violated; the report is still emitted, with
+the error in that trial's entry); 2 config error, or a resource limit
+(dimension cap) hit, reported as "resource limit: ..."; 3 verification
+mismatch.  Exit 1 wins over 3.
 """
 
 from __future__ import annotations
@@ -268,6 +271,26 @@ def _run_single_trial(solver: str, config: dict, params: SolverParams, index: in
     }
 
 
+def _run_trial_or_failure(solver: str, config: dict, params: SolverParams, index: int) -> dict:
+    """One trial's report entry; a solver failure becomes that trial's error."""
+    try:
+        return _run_single_trial(solver, config, params, index)
+    except (BudgetExhausted, PromiseViolation) as exc:
+        return {
+            "trial": index,
+            "seed": config["seed"] + index,
+            "error": f"{type(exc).__name__}: {exc}",
+            "match": False,
+        }
+
+
+def _input_error(exc: Exception) -> int:
+    """Exit 2: a bad config, or a dimension cap the run could not stay under."""
+    kind = "resource limit" if isinstance(exc, amplitudes.CapExceeded) else "config error"
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _run_command(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
@@ -275,23 +298,21 @@ def _run_command(args) -> int:
         config = _load_config(args)
         params = SolverParams.from_json(config.get("params", {}))
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
 
     solver = config["solver"]
     trials = int(config["trials"])
     try:
         with ThreadPoolExecutor(max_workers=min(trials, os.cpu_count() or 1)) as pool:
             results = list(
-                pool.map(lambda i: _run_single_trial(solver, config, params, i), range(trials))
+                pool.map(lambda i: _run_trial_or_failure(solver, config, params, i), range(trials))
             )
-    except (BudgetExhausted, PromiseViolation) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 1
     except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
 
+    failures = [t for t in results if "error" in t]
+    for t in failures:
+        print(f"solver failure: trial {t['trial']}: {t['error']}", file=sys.stderr)
     all_match = all(t["match"] for t in results)
     report = {
         "schema": SCHEMA,
@@ -302,6 +323,8 @@ def _run_command(args) -> int:
         "timestamp": {"started": started, "wall_seconds": round(time.monotonic() - t0, 6)},
     }
     _emit(report, getattr(args, "json_out", None))
+    if failures:
+        return 1
     return 0 if all_match else 3
 
 
@@ -327,11 +350,7 @@ def _dump_command(args) -> int:
                        "instance": instance.to_json(),
                        "probs": [float(p) for p in law]}
     except (ConfigError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except amplitudes.CapExceeded as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     payload["schema"] = SCHEMA
     _emit(payload, getattr(args, "json_out", None))
     return 0

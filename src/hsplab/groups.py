@@ -1,21 +1,19 @@
 """Finite Abelian groups presented as products of cyclic factors, their
 subgroups, and the character arithmetic behind hidden-subgroup sampling.
 
-A group is Z_{d_1} x ... x Z_{d_l}; elements are coordinate tuples reduced
-mod the respective d_j.  The quantum sampler operates on groups in
-prime-power form, where every d_j = p^{m_j} for one prime p and the
-exponents ascend (m_1 <= ... <= m_l = m).  In that form a measured tuple
-t = (t_1, ..., t_l) pins down the hidden subgroup K through the relation
+A group is G = Z_{d_1} x ... x Z_{d_l}; elements are coordinate tuples
+reduced mod the respective d_j.  A coset-sampler outcome t is a character
+of G, pairing with h as sum_j t_j * h_j / d_j (mod 1).  Every sample
+annihilates the hidden subgroup K, and K is recovered as the joint kernel
+of the characters seen so far.
 
-    sum_j p^(m - m_j) * h_j * t_j == 0  (mod p^m)   for every h in K,
-
-i.e. each sample is a character of G/K and K is the joint kernel of the
-characters seen so far.  Solving for that kernel happens over Z_{p^m},
-which is a local ring, so Gaussian elimination pivots on entries of
-minimal p-adic valuation rather than on nonzero entries.
-
-Composite moduli are handled by CRT: `coprime_split` decomposes the group
-into prime components, subgroups split and recombine componentwise.
+Kernel solving splits the samples, not the group's elements: `coprime_split`
+decomposes G into prime components, each sample maps to a character of
+every component, and each component is solved on its own.  The split is
+exact because a product of roots of unity of coprime orders is 1 only when
+every factor is.  Over a component of exponent p^m the system lives in
+Z_{p^m}, a local ring, so Gaussian elimination pivots on entries of minimal
+p-adic valuation rather than on nonzero entries.
 
 Generating sets carry a canonical form (Hermite-style row reduction of the
 generator matrix stacked on the modulus relations), so equality of
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iterproduct
-from math import gcd
+from math import lcm
 
 ENUMERATION_CAP = 10**6
 FACTOR_LIMIT = 1 << 31
@@ -89,32 +87,16 @@ class GroupSpec:
     def rank(self) -> int:
         return len(self.moduli)
 
-    def prime_power(self, any_order: bool = False) -> tuple[int, tuple[int, ...]]:
-        """Return (p, exponents) if in prime-power form, else raise.
-
-        Prime-power form: every modulus a positive power of one prime and
-        exponents sorted ascending.  Character arithmetic is insensitive to
-        the coordinate order, so those callers pass `any_order` and accept
-        e.g. (4, 2); the solver entry points stay strict.
-        """
+    def prime_power(self) -> tuple[int, tuple[int, ...]]:
+        """Return (p, exponents) if every modulus is a positive power of one
+        prime p, else raise.  Exponents follow the coordinate order."""
         pps = [_prime_power(d) for d in self.moduli]
         if any(pp is None for pp in pps):
             raise ValueError(f"moduli {self.moduli} are not all prime powers")
         primes = {p for p, _ in pps}
         if len(primes) != 1:
             raise ValueError(f"moduli {self.moduli} mix primes {sorted(primes)}")
-        exps = tuple(e for _, e in pps)
-        if not any_order and any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
-            raise ValueError(f"exponents {exps} not ascending")
-        return pps[0][0], exps
-
-    @property
-    def is_prime_power_form(self) -> bool:
-        try:
-            self.prime_power()
-            return True
-        except ValueError:
-            return False
+        return pps[0][0], tuple(e for _, e in pps)
 
     def reduce(self, coords) -> Element:
         if len(coords) != self.rank:
@@ -278,11 +260,10 @@ class CharacterSample:
 
 
 def character_phase_numerator(spec: GroupSpec, t: Element, h: Element) -> int:
-    """sum_j p^(m-m_j) * h_j * t_j mod p^m — the pairing the sampler fixes."""
-    p, exps = spec.prime_power(any_order=True)
-    m = max(exps)
-    pm = p**m
-    return sum(p ** (m - mj) * hj * tj for mj, hj, tj in zip(exps, h, t)) % pm
+    """sum_j (L/d_j) * h_j * t_j mod L, with L = lcm(d_1, ..., d_l): the
+    pairing the sampler fixes, as a numerator over L (0 iff t annihilates h)."""
+    big = lcm(*spec.moduli)
+    return sum(big // d * hj * tj for d, hj, tj in zip(spec.moduli, h, t)) % big
 
 
 def orthogonality_holds(spec: GroupSpec, t: Element, subgroup: SubgroupGenerators) -> bool:
@@ -303,26 +284,46 @@ def _val(a: int, p: int, m: int) -> int:
 
 
 def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
-    """Generators of {h in G : every sample annihilates h}.
+    """Generators of {h in G : every sample annihilates h}, for any finite
+    Abelian G.  An empty sample list yields all of G.
+
+    Each sample t is split into one character per prime component: on
+    component coordinate (j, q) it reads t_j * u mod q with
+    u = (d_j/q)^(-1) mod q.  The unit enters because `lift` embeds v as
+    v * (d_j/q) * u, so t pairs with the lift of v as sum t_j * u * v / q.
+    The component kernels then join into the kernel over G.
+    """
+    ts = []
+    for s in samples:
+        t = s.t if isinstance(s, CharacterSample) else tuple(s)
+        if len(t) != spec.rank:
+            raise ValueError("sample arity does not match group rank")
+        ts.append(t)
+    components = coprime_split(spec)
+    parts = []
+    for comp in components:
+        units = [(j, q, pow(spec.moduli[j] // q, -1, q)) for j, q in comp.positions]
+        local = [[t[j] * u % q for j, q, u in units] for t in ts]
+        parts.append(_local_kernel(local, comp.spec))
+    return join_subgroups(spec, components, parts)
+
+
+def _local_kernel(samples: list[list[int]], spec: GroupSpec) -> SubgroupGenerators:
+    """Kernel over a group whose moduli are all powers of one prime p.
 
     Linear system over Z_{p^m}: row per sample, column per factor, entry
     p^(m-m_j) * t_j.  Diagonalize by row/column operations pivoting on the
     entry of minimal p-adic valuation (its unit part is invertible in the
     local ring); a diagonal p^v frees solutions p^(m-v) * Z along the
     transformed coordinate.  Column operations are recorded so solutions
-    map back to original coordinates.  An empty sample list yields all of G.
+    map back to original coordinates.
     """
-    p, exps = spec.prime_power(any_order=True)
+    p, exps = spec.prime_power()
     m = max(exps)
     pm = p**m
     l = spec.rank
 
-    rows: list[list[int]] = []
-    for s in samples:
-        t = s.t if isinstance(s, CharacterSample) else tuple(s)
-        if len(t) != l:
-            raise ValueError("sample arity does not match group rank")
-        rows.append([(p ** (m - mj) * tj) % pm for mj, tj in zip(exps, t)])
+    rows = [[(p ** (m - mj) * tj) % pm for mj, tj in zip(exps, t)] for t in samples]
 
     v_matrix = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
     nrows = len(rows)
@@ -412,7 +413,7 @@ def coprime_split(spec: GroupSpec) -> list[CoprimeComponent]:
     """Decompose Z_{d_1} x ... x Z_{d_l} into prime-power components.
 
     Each component collects the p-parts of all moduli divisible by p,
-    sorted so exponents ascend (prime-power form).  Factors equal to 1
+    sorted so exponents ascend.  Factors equal to 1
     contribute nothing; a fully trivial group yields an empty list.
     """
     by_prime: dict[int, list[tuple[int, int]]] = {}
@@ -425,25 +426,6 @@ def coprime_split(spec: GroupSpec) -> list[CoprimeComponent]:
         comp_spec = GroupSpec.of([q for _, q in positions])
         components.append(CoprimeComponent(prime=p, spec=comp_spec, positions=tuple(positions)))
     return components
-
-
-def crt_recombine(spec: GroupSpec, components: list[CoprimeComponent], parts: list[Element]) -> Element:
-    """Reassemble an ambient element from its per-component projections."""
-    coords = [0] * spec.rank
-    mods = [1] * spec.rank
-    for comp, part in zip(components, parts):
-        for (j, q), v in zip(comp.positions, part):
-            coords[j] = _crt_pair(coords[j], mods[j], v % q, q)
-            mods[j] *= q
-    return spec.reduce(coords)
-
-
-def split_subgroup(subgroup: SubgroupGenerators, components: list[CoprimeComponent]) -> list[SubgroupGenerators]:
-    """Project a subgroup onto each coprime component (K = prod K_p)."""
-    return [
-        SubgroupGenerators.of(comp.spec, [comp.project(g) for g in subgroup.generators])
-        for comp in components
-    ]
 
 
 def join_subgroups(spec: GroupSpec, components: list[CoprimeComponent], parts: list[SubgroupGenerators]) -> SubgroupGenerators:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import QuantumState, apply_on_register, from_amplitudes
+from .amplitudes import QuantumState, from_amplitudes
 
 DISTRIBUTION_TOL = 1e-12
 CLOSEST_LOWER_BOUND = 4.0 / math.pi**2

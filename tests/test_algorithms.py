@@ -20,11 +20,9 @@ from hsplab.algorithms import (
     factor_via_order,
     find_order,
     find_period,
-    reduce_finitely_generated,
     robust_hsp,
     robust_period,
     solve_dlog,
-    solve_hsp,
     solve_hsp_general,
 )
 from hsplab.estimation import hsp_control_distribution
@@ -175,29 +173,6 @@ def test_stage_one_samples_uniform_over_k():
     assert chi2 < CHI2_CRIT_DF3_P01
 
 
-# --- finitely generated reduction ---------------------------------------------
-
-
-def test_reduce_constant_direction():
-    ks = reduce_finitely_generated([make_period_instance(1)], SolverParams(seed=0, period_bound=8))
-    assert ks == [1]
-
-
-def test_reduce_single_generator_is_order():
-    ks = reduce_finitely_generated(
-        [make_order_instance(15, 2)], SolverParams(seed=1, period_bound=15)
-    )
-    assert ks == [4]
-
-
-def test_reduce_mixed_directions():
-    ks = reduce_finitely_generated(
-        [make_period_instance(6, relabel_seed=1), make_period_instance(2, relabel_seed=2)],
-        SolverParams(seed=2, period_bound=12),
-    )
-    assert ks == [6, 2]
-
-
 # --- factoring ----------------------------------------------------------------
 
 
@@ -220,14 +195,14 @@ def test_factor_rejects_bad_inputs():
 def test_hsp_constant_function_full_group():
     spec = GroupSpec.of([2, 2])
     inst = make_hidden_subgroup_instance(spec, [(1, 0), (0, 1)], relabel_seed=0)
-    res = solve_hsp(inst, SolverParams(seed=1))
+    res = solve_hsp_general(inst, SolverParams(seed=1))
     assert subgroups_equal(res.value, inst.truth.subgroup)
     assert all(t == (0, 0) for t in res.samples)
 
 
 def test_hsp_simon_example():
     inst = make_simon_instance(3, (1, 0, 1))
-    res = solve_hsp(inst, SolverParams(seed=2))
+    res = solve_hsp_general(inst, SolverParams(seed=2))
     assert subgroup_enumerate(res.value) == frozenset({(0, 0, 0), (1, 0, 1)})
     for t in res.samples:
         assert (t[0] * 1 + t[1] * 0 + t[2] * 1) % 2 == 0
@@ -237,22 +212,20 @@ def test_hsp_mixed_exponents_exact():
     spec = GroupSpec.of([2, 4])
     planted = [(0, 2), (1, 0)]
     inst = make_hidden_subgroup_instance(spec, planted, relabel_seed=5)
-    res = solve_hsp(inst, SolverParams(seed=3))
+    res = solve_hsp_general(inst, SolverParams(seed=3))
     assert subgroups_equal(res.value, SubgroupGenerators.of(spec, planted))
 
 
-def test_hsp_requires_ascending_prime_power_form():
+def test_hsp_solves_descending_prime_power_form():
+    # exponents need not ascend: the kernel pairing ignores coordinate order
     inst = make_hidden_subgroup_instance(GroupSpec.of([4, 2]), [(2, 0)], relabel_seed=0)
-    with pytest.raises(ValueError):
-        solve_hsp(inst, SolverParams(seed=0))
-    # the general entry point handles the reordering
     res = solve_hsp_general(inst, SolverParams(seed=0))
     assert subgroups_equal(res.value, inst.truth.subgroup)
 
 
 def test_hsp_oversampling_batch_size():
     inst = make_simon_instance(3, (0, 1, 1))
-    res = solve_hsp(inst, SolverParams(seed=4))
+    res = solve_hsp_general(inst, SolverParams(seed=4))
     # one batch of 4l + 10 samples suffices generically
     assert len(res.samples) >= 4 * 3 + 10
 
@@ -282,7 +255,7 @@ def test_hsp_detects_inconsistent_black_box():
     hsp_control_distribution(inst)  # freeze the law while the box is honest
     state["honest"] = False
     with pytest.raises(PromiseViolation):
-        solve_hsp(inst, SolverParams(seed=5, trials=3))
+        solve_hsp_general(inst, SolverParams(seed=5, trials=3))
 
 
 @pytest.mark.parametrize(
@@ -297,7 +270,7 @@ def test_hsp_exactness_battery_scaled(moduli):
     for k in all_subgroups(spec):
         for relabel_seed in (0, 1, 2):
             inst = make_hidden_subgroup_instance(spec, list(k.generators), relabel_seed=relabel_seed)
-            res = solve_hsp(inst, SolverParams(seed=11 + relabel_seed))
+            res = solve_hsp_general(inst, SolverParams(seed=11 + relabel_seed))
             assert subgroups_equal(res.value, k), (moduli, k.generators, relabel_seed)
 
 
@@ -470,7 +443,10 @@ def test_robust_hsp_merge_enlarging_invariance_returns_enlargement():
     assert subgroup_enumerate(res.value) == frozenset({(0,), (2,), (4,), (6,)})
 
 
-@pytest.mark.parametrize("moduli,gens", [((2, 4), [(1, 2)]), ((9,), [(3,)]), ((2, 2, 2), [(1, 1, 0)])])
+@pytest.mark.parametrize(
+    "moduli,gens",
+    [((2, 4), [(1, 2)]), ((9,), [(3,)]), ((2, 2, 2), [(1, 1, 0)]), ((2, 6), [(0, 3)]), ((3, 6), [(1, 2)])],
+)
 def test_robust_hsp_random_merges_match_classical_truth(moduli, gens):
     spec = GroupSpec.of(moduli)
     inner = make_hidden_subgroup_instance(spec, gens, relabel_seed=1)
@@ -507,6 +483,6 @@ def test_result_json_shapes():
     assert blob["value"] == 4 and blob["verified"] is True
     assert isinstance(blob["samples"], list)
     inst = make_simon_instance(2, (1, 0))
-    hres = solve_hsp(inst, SolverParams(seed=2))
+    hres = solve_hsp_general(inst, SolverParams(seed=2))
     hblob = hres.to_json()
     assert hblob["value"]["generators"] == [list(g) for g in hres.value.generators]

@@ -1,4 +1,4 @@
-"""Dense state-vector layer: layouts, tensor products, unitaries, measurement.
+"""Dense state-vector layer: layouts, unitaries, measurement.
 
 The interesting guarantees here are exactness ones — norms stay pinned to 1
 through unitary pipelines, measurement marginals match the Born rule, and the
@@ -22,7 +22,6 @@ from hsplab.amplitudes import (
     marginal_distribution,
     measure_register,
     set_dimension_cap,
-    tensor,
     uniform_state,
 )
 
@@ -66,38 +65,6 @@ def test_from_amplitudes_rejects_unnormalized():
     layout = RegisterLayout.of([4])
     with pytest.raises(ValueError):
         from_amplitudes(layout, np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_basis_states():
-    s = tensor(qubit(0), qubit(0))
-    assert_allclose(s.amplitudes, [1, 0, 0, 0])
-
-
-def test_tensor_uniform_uniform():
-    u2 = uniform_state(RegisterLayout.of([2]))
-    s = tensor(u2, u2)
-    assert_allclose(s.amplitudes, np.full(4, 0.5))
-
-
-def test_tensor_plus_with_qutrit_one():
-    plus = from_amplitudes(RegisterLayout.of([2]), np.array([1, 1]) / np.sqrt(2))
-    one3 = basis_state(RegisterLayout.of([3]), [1])
-    s = tensor(plus, one3)
-    expected = np.zeros(6)
-    expected[0 * 3 + 1] = expected[1 * 3 + 1] = 1 / np.sqrt(2)
-    assert_allclose(s.amplitudes, expected)
-
-
-def test_tensor_associative_after_flattening():
-    rng = np.random.default_rng(7)
-    states = []
-    for d in (2, 3, 4):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        states.append(from_amplitudes(RegisterLayout.of([d]), v / np.linalg.norm(v)))
-    a, b, c = states
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
-    assert np.linalg.norm(left.amplitudes - right.amplitudes) < 1e-12
 
 
 def test_apply_identity_is_noop():

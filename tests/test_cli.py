@@ -1,6 +1,6 @@
 """Command-line harness: runs main() in-process and checks the JSON reports,
 the determinism contract, and the exit-code contract (0 match, 1 solver
-failure, 2 config error, 3 verification mismatch)."""
+failure, 2 config error or resource limit, 3 verification mismatch)."""
 
 from __future__ import annotations
 
@@ -94,6 +94,15 @@ def test_robust_hsp_run(capsys):
     code, report, _ = run(
         capsys, "robust-hsp", "--moduli", "2,2", "--generators", "1,1",
         "--multiplicity", "2", "--seed", "6",
+    )
+    assert code == 0 and report["match"] is True
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_robust_hsp_run_composite_group(capsys, seed):
+    code, report, _ = run(
+        capsys, "robust-hsp", "--moduli", "2,6", "--generators", "0,3",
+        "--multiplicity", "2", "--merge-seed", str(seed), "--seed", str(seed), "--trials", "2",
     )
     assert code == 0 and report["match"] is True
 
@@ -208,6 +217,28 @@ def test_budget_exhaustion_is_solver_failure(capsys, tmp_path):
     assert "solver failure" in err
 
 
+def test_failed_trial_keeps_finished_trials(capsys, tmp_path):
+    # one circuit per trial: solver seed 1 exhausts its budget, seed 2 solves
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"trials": 1}}))
+    argv = ("order", "--modulus", "21", "--base", "2", "--seed", "1", "--trials", "2",
+            "--config", str(cfg))
+    code, report, err = run(capsys, *argv)
+    assert code == 1
+    assert "solver failure" in err
+    failed, solved = report["results"]
+    assert failed == {
+        "trial": 0, "seed": 1, "match": False,
+        "error": "BudgetExhausted: no verified period within 1 trials (register 2205, bound 21)",
+    }
+    assert solved["seed"] == 2 and solved["match"] is True and solved["recovered"] == 6
+    assert report["match"] is False
+    _, again, _ = run(capsys, *argv)
+    report.pop("timestamp")
+    again.pop("timestamp")
+    assert again == report
+
+
 def test_truth_mismatch_exits_3(capsys, monkeypatch):
     # force the brute-force oracle to disagree; the report must flag it
     monkeypatch.setattr(cli, "classical_order", lambda a, n: 999)
@@ -261,6 +292,16 @@ def test_dump_cap_violation_is_config_error(capsys):
     code, _, err = run(capsys, "dump", "--kind", "register-pe",
                        "--instance", instance, "--bits", "6", "--cap", "16")
     assert code == 2 and "cap" in err
+
+
+def test_cap_exceeded_is_resource_limit(capsys):
+    instance = json.dumps({"kind": "order", "modulus": 15, "base": 4})
+    code, _, err = run(capsys, "dump", "--kind", "register-pe",
+                       "--instance", instance, "--bits", "6", "--cap", "16")
+    assert code == 2 and err.startswith("resource limit:")
+    code, report, err = run(capsys, "order", "--modulus", "15", "--base", "2", "--seed", "7",
+                            "--cap", "16")
+    assert code == 2 and report is None and err.startswith("resource limit:")
 
 
 def test_env_cap_applies_and_validates(capsys, monkeypatch):

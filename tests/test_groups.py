@@ -9,8 +9,11 @@ prime-power group.
 from __future__ import annotations
 
 from itertools import product
+from math import lcm, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hsplab.groups import (
     CharacterSample,
@@ -20,10 +23,8 @@ from hsplab.groups import (
     character_kernel,
     character_phase_numerator,
     coprime_split,
-    crt_recombine,
     join_subgroups,
     orthogonality_holds,
-    split_subgroup,
     subgroup_enumerate,
     subgroups_equal,
 )
@@ -41,19 +42,12 @@ def test_spec_validation():
     assert GroupSpec.of([4, 2]).rank == 2
 
 
-def test_prime_power_form_requires_ascending_exponents():
-    assert GroupSpec.of([2, 4]).is_prime_power_form
-    assert GroupSpec.of([2, 2, 8]).is_prime_power_form
-    assert not GroupSpec.of([4, 2]).is_prime_power_form  # descending
-    assert not GroupSpec.of([2, 3]).is_prime_power_form  # mixed primes
-    assert not GroupSpec.of([6]).is_prime_power_form
-
-
-def test_prime_power_any_order_accepts_descending():
-    p, exps = GroupSpec.of([4, 2]).prime_power(any_order=True)
-    assert p == 2 and exps == (2, 1)
-    with pytest.raises(ValueError):
-        GroupSpec.of([4, 2]).prime_power()
+def test_prime_power_accepts_descending_exponents():
+    assert GroupSpec.of([2, 2, 8]).prime_power() == (2, (1, 1, 3))
+    assert GroupSpec.of([4, 2]).prime_power() == (2, (2, 1))  # descending
+    for moduli in ([2, 3], [6]):  # mixed primes
+        with pytest.raises(ValueError):
+            GroupSpec.of(moduli).prime_power()
 
 
 def test_element_arithmetic():
@@ -235,6 +229,28 @@ def test_spans_full_character_group_examples():
     assert subgroups_equal(character_kernel([(0, 0, 0)], spec), whole)
 
 
+# Composite moduli sharing a prime across coordinates with different
+# cofactors: only these make the CRT unit of the character split differ from 1.
+SHARED_PRIME_GROUPS = [(3, 6), (6, 12), (10, 20), (2, 6), (6, 4), (6,)]
+RANDOM_GROUPS = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 15]), min_size=1, max_size=3).filter(
+    lambda m: prod(m) <= 600
+)
+
+
+@given(data=st.data(), moduli=st.one_of(st.sampled_from(SHARED_PRIME_GROUPS), RANDOM_GROUPS))
+def test_kernel_matches_brute_force_annihilator(data, moduli):
+    """Any finite Abelian group: the kernel equals every h with
+    sum_j t_j * h_j * (L/d_j) == 0 mod L, L = lcm(moduli), for each sample t."""
+    spec = GroupSpec.of(moduli)
+    samples = data.draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in moduli)), max_size=4))
+    big = lcm(*moduli)
+    expected = frozenset(
+        h for h in spec.elements()
+        if all(sum(tj * hj * (big // d) for tj, hj, d in zip(t, h, moduli)) % big == 0 for t in samples)
+    )
+    assert subgroup_enumerate(character_kernel(samples, spec)) == expected
+
+
 # --- CRT decomposition -------------------------------------------------------
 
 
@@ -259,7 +275,7 @@ def test_coprime_split_descending_input_reorders():
     comps = coprime_split(GroupSpec.of([4, 2]))
     assert len(comps) == 1
     assert comps[0].spec.moduli == (2, 4)
-    assert comps[0].spec.is_prime_power_form
+    assert comps[0].spec.prime_power() == (2, (1, 2))
 
 
 @pytest.mark.parametrize("moduli", [(6,), (12, 2), (4, 2), (60,), (10, 12), (30, 30)])
@@ -269,8 +285,6 @@ def test_crt_round_trip_is_isomorphism(moduli):
     seen = set()
     for x in spec.elements():
         parts = [c.project(x) for c in comps]
-        back = crt_recombine(spec, comps, parts)
-        assert back == x
         seen.add(tuple(parts))
     assert len(seen) == spec.order  # injective, hence bijective
     # homomorphism property on a few pairs
@@ -297,7 +311,7 @@ def test_subgroup_split_join_round_trip(moduli, gens):
     spec = GroupSpec.of(moduli)
     k = SubgroupGenerators.of(spec, gens)
     comps = coprime_split(spec)
-    parts = split_subgroup(k, comps)
+    parts = [SubgroupGenerators.of(c.spec, [c.project(g) for g in k.generators]) for c in comps]
     joined = join_subgroups(spec, comps, parts)
     assert subgroups_equal(k, joined)
 
