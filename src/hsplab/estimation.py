@@ -19,8 +19,14 @@ identical to the register route's, which tests pin down to rounding error.
 The register and coset-sampler laws come from one computation,
 `level_set_law`: the control law depends only on the level sets of the label
 table the circuit writes into the target (Mosca-Ekert), so it is the summed
-power spectrum of their indicators.  The dense joint state stays as the
-reference that tests compare the laws against.  Laws describe the instance
+power spectrum of their indicators.  When a one-dimensional table cycles
+through L distinct labels, as honest order and period tables and every
+shift-route orbit do, the level sets are the residue classes mod L and the
+law is the 1/L-weighted mixture of estimator laws at the eigenphases k/L: two
+Dirichlet kernels, computed in closed form in O(n) time and memory.  Merged
+labels, aperiodic tables and multi-register tables take the general path, one
+FFT over the (labels x points) indicator array.  The dense joint state stays
+as the reference that tests compare the laws against.  Laws describe the instance
 rather than query it and bill nothing; samplers bill one query per draw, the
 register runner one per circuit and the semiclassical runner one per step.
 """
@@ -214,30 +220,89 @@ def _level_set_spectra(table) -> tuple[np.ndarray, np.ndarray]:
     labels = np.unique(table)
     size = labels.size * table.size
     if size > dimension_cap():
-        raise CapExceeded(f"label-table law needs {size} amplitudes, above cap {dimension_cap()}")
+        raise CapExceeded(f"label-table law over {size} amplitudes exceeds cap {dimension_cap()}")
     onehot = (table == labels.reshape((-1,) + (1,) * table.ndim)).astype(np.complex128)
     axes = tuple(range(1, onehot.ndim))
     return labels, np.fft.fftn(onehot, axes=axes, norm="forward", out=onehot)
+
+
+def _label_period(table: np.ndarray) -> int | None:
+    """The least L with table[t + L] == table[t] for all t whose first L
+    labels are distinct, or None when the table has no such period."""
+    n = table.size
+    repeats = table[1:] == table[0]
+    period = int(repeats.argmax()) + 1 if repeats.any() else n
+    if not np.array_equal(table[period:], table[: n - period]):
+        return None
+    if np.unique(table[:period]).size != period:
+        return None
+    return period
+
+
+def _sin_squared(y: np.ndarray, n: int) -> np.ndarray:
+    """sin^2(pi y / n) for residues y mod n, folded onto [0, n/2] first,
+    where the value is unchanged and the angle is most accurate."""
+    angle = np.minimum(y, n - y) * (np.pi / n)
+    np.sin(angle, out=angle)
+    angle *= angle
+    return angle
+
+
+def _periodic_law(n: int, period: int) -> np.ndarray:
+    """level_set_law of an n-point table whose level sets are the residue
+    classes mod `period`.  With n = Q * period + s, s classes have Q + 1
+    points and the others Q, each spaced `period` apart, so the law is
+    (s K_{Q+1} + (period - s) K_Q) / n^2 with the Dirichlet kernel
+    K_c(x) = sin^2(pi c y / n) / sin^2(pi y / n), y = x * period mod n, and
+    K_c = c^2 where y == 0."""
+    q, s = divmod(n, period)
+    y = np.arange(n, dtype=np.int64)
+    y *= period
+    y %= n
+    zero = y == 0
+    denominator = _sin_squared(y, n)
+    denominator[zero] = 1.0
+    law = np.zeros(n)
+    for count, weight in ((q, period - s), (q + 1, s)):
+        if weight:
+            kernel = _sin_squared(count * y % n, n)
+            kernel /= denominator
+            kernel[zero] = count * count
+            kernel *= weight
+            law += kernel
+    law /= float(n) * n
+    return law
 
 
 def level_set_law(table) -> np.ndarray:
     """Outcome law of the control registers after the inverse Fourier
     transform, when their points t are entangled with target labels
     table[t]: the sum over labels of |FFT(1[table == label])|^2 / N^2,
-    shaped like the table.  Raises CapExceeded when the labels x points
-    one-hot array exceeds the dimension cap."""
+    shaped like the table.
+
+    A one-dimensional table raises CapExceeded when its N points exceed the
+    dimension cap, and takes the O(N) closed form of `_periodic_law` when it
+    cycles through distinct labels.  Any other table takes one FFT over the
+    labels x points one-hot array and raises CapExceeded when that does."""
+    table = np.asarray(table, dtype=np.int64)
+    if table.ndim == 1:
+        if table.size > dimension_cap():
+            raise CapExceeded(f"label-table law over {table.size} points exceeds cap {dimension_cap()}")
+        period = _label_period(table)
+        if period is not None:
+            return _periodic_law(table.size, period)
     _, spectra = _level_set_spectra(table)
     return (spectra.real**2 + spectra.imag**2).sum(axis=0)
 
 
 def _label_table(instance: OracleInstance, shape: tuple[int, ...]) -> np.ndarray:
-    """f at every control point of the given shape; an integer domain reads
-    its single coordinate."""
+    """f at every control point of the given shape: one vectorised call on an
+    integer domain, one call per coordinate tuple on a finite domain."""
     if instance.domain is None:
-        values = [instance._raw(t) for t in range(shape[0])]
+        values = instance._eval_fn(np.arange(shape[0], dtype=np.int64))
     else:
         values = [instance._raw(x) for x in np.ndindex(shape)]
-    return np.array(values, dtype=np.int64).reshape(shape)
+    return np.asarray(values, dtype=np.int64).reshape(shape)
 
 
 def _shift_orbit(instance: OracleInstance, label: int, generator: int, n: int) -> np.ndarray:
@@ -279,6 +344,8 @@ def control_distribution(
     if key in instance._dist_cache:
         return instance._dist_cache[key]
     n = int(register_size)
+    if n > dimension_cap():  # before the n-point table is built
+        raise CapExceeded(f"control law over {n} points exceeds cap {dimension_cap()}")
     if route == "oracle":
         table = _label_table(instance, (n,))
     else:

@@ -68,6 +68,14 @@ class PlantedTruth:
 
 
 class OracleInstance:
+    """A black-box f with its flags, ground truth and query counter.
+
+    `eval_fn` receives coerced points: a coordinate tuple on a finite domain,
+    an integer on the integers.  On the integers it must also map an int64
+    array elementwise to an integer array of labels, so that the exact laws
+    read a whole label table in one call; `_raw` is the scalar wrapper.
+    """
+
     def __init__(
         self,
         *,
@@ -153,7 +161,12 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
     a %= n
     if gcd(a, n) != 1:
         raise ValueError(f"base {a} is not a unit mod {n}")
-    order = _multiplicative_order(a, n)
+    powers, v = [1], a
+    while v != 1:
+        powers.append(v)
+        v = v * a % n
+    order = len(powers)
+    power_table = np.array(powers, dtype=np.int64)
 
     def shift(g: int) -> np.ndarray:
         return (np.arange(n, dtype=np.int64) * pow(a, g, n)) % n
@@ -161,11 +174,11 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
     return OracleInstance(
         domain=None,
         codomain_size=n,
-        eval_fn=lambda t: pow(a, t, n),
+        eval_fn=lambda t: power_table[t % order],
         shift_fn=shift,
         truth=PlantedTruth(period=order),
         descriptor={"kind": "order", "modulus": n, "base": a},
-        cosets_per_label={pow(a, t, n): 1 for t in range(order)},
+        cosets_per_label={p: 1 for p in powers},
     )
 
 
@@ -182,11 +195,12 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
     relab = [int(v) for v in relabeling]
     if sorted(relab) != list(range(r)):
         raise ValueError("relabeling must be a permutation of [0, r)")
+    relab_arr = np.array(relab, dtype=np.int64)
 
     return OracleInstance(
         domain=None,
         codomain_size=r,
-        eval_fn=lambda t: relab[t % r],
+        eval_fn=lambda t: relab_arr[t % r],
         shift_fn=None,
         truth=PlantedTruth(period=r),
         descriptor={"kind": "period", "period": r, "relabeling": relab},
@@ -474,7 +488,7 @@ def wrap_many_to_one(
     wrapped = OracleInstance(
         domain=inner.domain,
         codomain_size=new_size,
-        eval_fn=lambda x: int(table[inner._eval_fn(x)]),
+        eval_fn=lambda x: table[inner._eval_fn(x)],
         shift_fn=None,
         multiplicity_bound=multiplicity,
         truth=inner.truth,

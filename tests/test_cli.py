@@ -309,8 +309,8 @@ def test_env_cap_applies_and_validates(capsys, monkeypatch):
     default_cap = amplitudes.dimension_cap()
     monkeypatch.setenv("HSPLAB_CAP", "8")
     code, _, _ = run(capsys, "dump", "--kind", "register-pe",
-                     "--instance", instance, "--bits", "3")
-    assert code == 2  # the 2 labels x 8 points law array exceeds the tiny cap
+                     "--instance", instance, "--bits", "4")
+    assert code == 2  # the 16-point law exceeds the tiny cap
 
     monkeypatch.setenv("HSPLAB_CAP", "banana")
     code, _, err = run(capsys, "dump", "--kind", "estimator", "--phi", "1/2")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hsplab.amplitudes import CapExceeded
 from hsplab.estimation import (
     control_distribution,
     eigenbasis_decompose,
@@ -182,6 +183,14 @@ def test_register_oracle_route_for_period_instance():
     inst = make_period_instance(6, relabel_seed=3)
     law = control_distribution(inst, 16)
     assert_allclose(law, mixture_law(inst, 16), atol=1e-10)
+
+
+def test_register_law_checks_cap_before_building_its_table():
+    # a 2^40-point table would need 8 TiB; the cap must stop it first
+    inst = make_order_instance(15, 2)
+    for route in ("oracle", "shift"):
+        with pytest.raises(CapExceeded):
+            control_distribution(inst, 1 << 40, route=route)
 
 
 def test_register_routes_match_per_seed():

@@ -5,7 +5,12 @@ from the level sets of f's label table alone.  Here each law is compared with
 the Born-rule marginal of the dense joint state the circuit would build, over
 random small instances: order finding on both routes and off-orbit basis
 targets, period finding, many-to-one merges, discrete logs along either
-generator, and hidden subgroups of random groups.
+generator, and hidden subgroups of random groups.  The closed form for tables
+that cycle through distinct labels is pinned separately over every shape of
+register (shorter than a period, whole periods, a remainder, and registers
+large enough that a float zero test would misfire), as is the one-hot path
+that merged and aperiodic tables take, and the vectorised label tables of
+every integer-domain instance kind against their scalar evaluations.
 """
 
 from __future__ import annotations
@@ -18,15 +23,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsplab.amplitudes import basis_state, marginal_distribution
+from hsplab.algorithms import _dilated_view
 from hsplab.estimation import (
     _hsp_layout,
+    _label_period,
+    _label_table,
     _pre_measurement_state,
     control_distribution,
     hsp_control_distribution,
 )
 from hsplab.groups import GroupSpec
 from hsplab.oracles import (
+    OracleInstance,
     apply_oracle,
+    instance_from_json,
     make_dlog_instance,
     make_hidden_subgroup_instance,
     make_order_instance,
@@ -140,3 +150,99 @@ def test_coset_law_matches_dense(inst, merge, data):
         inst = merged(inst, data)
     law = hsp_control_distribution(inst)
     assert np.abs(law - dense_coset_law(inst)).max() <= TOL
+
+
+@st.composite
+def periodic_registers(draw):
+    """(period L, register size n) over every shape the closed form splits:
+    n < L, n = L, L = 1, n a multiple of L, n = QL + s with 0 < s < L, and
+    n > 40,000 with gcd(L, n) = 1, where sin^2(pi y / n) at y = 1 is below
+    the 1e-8 a float zero test would call zero."""
+    shape = draw(st.sampled_from(["short", "one period", "constant", "multiple", "remainder", "large"]))
+    if shape == "large":
+        period = draw(st.integers(2, 6))
+        return period, period * draw(st.integers(40_000 // period, 50_000 // period)) + 1
+    period = 1 if shape == "constant" else draw(st.integers(2, 24))
+    if shape == "short":
+        return period, draw(st.integers(1, period - 1))
+    if shape == "one period":
+        return period, period
+    q = draw(st.integers(1, 6))
+    if shape == "remainder":
+        return period, q * period + draw(st.integers(1, period - 1))
+    return period, q * period
+
+
+@given(periodic_registers(), st.integers(0, 1000))
+def test_closed_form_matches_dense_on_distinct_label_cycles(case, relabel_seed):
+    period, n = case
+    inst = make_period_instance(period, relabel_seed=relabel_seed)
+    assert _label_period(_label_table(inst, (n,))) == min(period, n)
+    law = control_distribution(inst, n)
+    assert np.abs(law - dense_control_law(inst, n, "oracle")).max() <= TOL
+
+
+def table_instance(table) -> OracleInstance:
+    """An integer-domain instance that repeats the given label table."""
+    table = np.asarray(table, dtype=np.int64)
+    return OracleInstance(
+        domain=None,
+        codomain_size=int(table.max()) + 1,
+        eval_fn=lambda t: table[t % table.size],
+        descriptor={"kind": "table"},
+    )
+
+
+@st.composite
+def pair_merged_periods(draw):
+    """A period-L instance (L >= 3) with exactly two labels merged, paired
+    with L.  One period then holds L - 1 labels, one of them twice, so no
+    shorter period cycles through distinct labels."""
+    period = draw(st.integers(3, 16))
+    inner = make_period_instance(period, relabel_seed=draw(st.integers(0, 1000)))
+    a, b = draw(st.lists(st.integers(0, period - 1), min_size=2, max_size=2, unique=True))
+    merge = [a if v == b else v for v in range(period)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return wrap_many_to_one(inner, merge, 2), period
+
+
+aperiodic_tables = (
+    st.lists(st.integers(0, 3), min_size=2, max_size=40)
+    .filter(lambda t: _label_period(np.asarray(t)) is None)
+    .map(lambda t: (table_instance(t), len(t)))
+)
+
+
+@given(pair_merged_periods() | aperiodic_tables, registers)
+def test_merged_and_aperiodic_tables_take_the_one_hot_path(case, n):
+    inst, visible = case
+    n = max(n, visible)  # the register sees the merge or the whole table
+    assert _label_period(_label_table(inst, (n,))) is None
+    law = control_distribution(inst, n)
+    assert np.abs(law - dense_control_law(inst, n, "oracle")).max() <= TOL
+
+
+@given(
+    order_instances() | period_instances,
+    st.booleans(),
+    st.integers(1, 6),
+    registers,
+    st.lists(st.integers(-(2**62), 2**62), max_size=20),
+    st.data(),
+)
+def test_vectorised_tables_match_scalar_evaluation(inst, merge, acc, n, points, data):
+    if merge:
+        inst = merged(inst, data)
+    rebuilt = instance_from_json(inst.to_json())
+    for view in (inst, rebuilt, _dilated_view(inst, acc)):
+        assert _label_table(view, (n,)).tolist() == [view._raw(t) for t in range(n)]
+    for view in (inst, rebuilt):
+        labels = view._eval_fn(np.asarray(points, dtype=np.int64))
+        assert np.asarray(labels).tolist() == [view._raw(t) for t in points]
+
+
+@given(order_instances(), st.integers(-(10**30), 10**30))
+def test_order_labels_at_any_integer(inst, t):
+    d = inst.to_json()
+    assert inst._raw(t) == pow(d["base"], t, d["modulus"])
