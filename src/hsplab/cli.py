@@ -20,6 +20,7 @@ mismatch.  Exit 1 wins over 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -449,8 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     cap = getattr(args, "cap", None)
     env_cap = os.environ.get("HSPLAB_CAP")

@@ -19,16 +19,20 @@ identical to the register route's, which tests pin down to rounding error.
 The register and coset-sampler laws come from one computation,
 `level_set_law`: the control law depends only on the level sets of the label
 table the circuit writes into the target (Mosca-Ekert), so it is the summed
-power spectrum of their indicators.  When a one-dimensional table cycles
-through L distinct labels, as honest order and period tables and every
-shift-route orbit do, the level sets are the residue classes mod L and the
-law is the 1/L-weighted mixture of estimator laws at the eigenphases k/L: two
-Dirichlet kernels, computed in closed form in O(n) time and memory.  Merged
-labels, aperiodic tables and multi-register tables take the general path, one
-FFT over the (labels x points) indicator array.  The dense joint state stays
-as the reference that tests compare the laws against.  Laws describe the instance
-rather than query it and bill nothing; samplers bill one query per draw, the
-register runner one per circuit and the semiclassical runner one per step.
+power spectrum of their indicators.  A one-dimensional table of period L is
+folded onto one period when 2L <= n, or when it cycles through L distinct
+labels, as honest order and period tables and every shift-route orbit do.
+Its level sets are then unions of residue classes mod L, so the law is a
+mixture over the eigenphases k/L fixed by the same-label pairs of one period
+counted by lag: two Dirichlet kernels weight those counts' spectra, in O(n)
+memory.  An m-to-1 merge of labels only changes the counts; distinct labels
+pair only with themselves and give the closed form of two kernels.
+Multi-register tables and aperiodic tables take the general path, one FFT
+over the (labels x points) indicator array.  The dense joint state stays as
+the reference that tests compare the laws against.  Laws describe the
+instance rather than query it and bill nothing; samplers bill one query per
+draw, the register runner one per circuit and the semiclassical runner one
+per step.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .amplitudes import (
 from .oracles import OracleInstance, apply_oracle, apply_shift
 from .qft import apply_fourier
 
+_BLOCK = 1 << 16  # control points per pass of `_periodic_law`
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
@@ -227,49 +232,138 @@ def _level_set_spectra(table) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _label_period(table: np.ndarray) -> int | None:
-    """The least L with table[t + L] == table[t] for all t whose first L
-    labels are distinct, or None when the table has no such period."""
+    """The least L with table[t + L] == table[t] for all t, provided 2L <= N
+    or the first L labels are distinct; None otherwise.
+
+    Every period repeats table[0], so a first repeat of table[0] that is a
+    period is the least one.  Otherwise the least period L <= N/2 is also
+    the least period of every prefix whose length lies in [2L, N] (Fine and
+    Wilf).  So the least periods of prefixes of doubling length, shorter
+    than 4L, come from one failure-function pass each and are checked on
+    the whole table: at most log2(N) O(N) comparisons."""
     n = table.size
     repeats = table[1:] == table[0]
-    period = int(repeats.argmax()) + 1 if repeats.any() else n
-    if not np.array_equal(table[period:], table[: n - period]):
+    first = int(repeats.argmax()) + 1 if repeats.any() else n
+    if np.array_equal(table[first:], table[: n - first]):
+        if 2 * first <= n or np.unique(table[:first]).size == first:
+            return first
         return None
-    if np.unique(table[:period]).size != period:
+    if 2 * first > n:
         return None
-    return period
+    width = 2 * first
+    while True:
+        width = min(width, n)
+        period = _least_period(table[:width].tolist())
+        if 2 * period > n:  # a prefix's least period never exceeds the table's
+            return None
+        if np.array_equal(table[period:], table[: n - period]):
+            return period
+        width *= 2
 
 
-def _sin_squared(y: np.ndarray, n: int) -> np.ndarray:
-    """sin^2(pi y / n) for residues y mod n, folded onto [0, n/2] first,
+def _least_period(labels: list) -> int:
+    """Least period of a sequence: its length minus its longest proper
+    border (the Knuth-Morris-Pratt failure function)."""
+    border = [0] * len(labels)
+    k = 0
+    for i in range(1, len(labels)):
+        while k and labels[i] != labels[k]:
+            k = border[k - 1]
+        if labels[i] == labels[k]:
+            k += 1
+        border[i] = k
+    return len(labels) - k
+
+
+def _sin_turns(r: np.ndarray, n: int) -> np.ndarray:
+    """sin(pi r / n) for integers r in [0, n], folded onto [0, n/2] first,
     where the value is unchanged and the angle is most accurate."""
-    angle = np.minimum(y, n - y) * (np.pi / n)
-    np.sin(angle, out=angle)
-    angle *= angle
-    return angle
+    folded = n - r
+    np.minimum(folded, r, out=folded)
+    angle = folded * (np.pi / n)
+    return np.sin(angle, out=angle)
 
 
-def _periodic_law(n: int, period: int) -> np.ndarray:
-    """level_set_law of an n-point table whose level sets are the residue
-    classes mod `period`.  With n = Q * period + s, s classes have Q + 1
-    points and the others Q, each spaced `period` apart, so the law is
-    (s K_{Q+1} + (period - s) K_Q) / n^2 with the Dirichlet kernel
-    K_c(x) = sin^2(pi c y / n) / sin^2(pi y / n), y = x * period mod n, and
-    K_c = c^2 where y == 0."""
+def _pair_spectra(table: np.ndarray, period: int) -> tuple:
+    """P_AA, P_BB and P_AB at the n control points of `_periodic_law`.
+
+    Each P is the n-point spectrum sum_d h(d) exp(-2 pi i x d / n) of the
+    same-label pairs (a, b) of one period counted by lag d = a - b: all pairs
+    (AA), pairs with a, b < s (BB) and pairs with b < s (AB), n = Q L + s.
+    The counts come from a labels x 2L one-hot of one period.  Distinct
+    labels pair only with themselves, so every count then sits at lag 0 and
+    the spectra are the constants L, s and s, with no FFT."""
+    n = table.size
+    s = n % period
+    if np.unique(table[:period]).size == period:
+        return float(period), float(s), float(s)
+    labels, inverse = np.unique(table[:period], return_inverse=True)
+    size = labels.size * 2 * period
+    if size > dimension_cap():
+        raise CapExceeded(f"label-period law over {size} amplitudes exceeds cap {dimension_cap()}")
+    onehot = np.zeros((labels.size, 2 * period))
+    onehot[inverse, np.arange(period)] = 1.0
+    whole = np.fft.rfft(onehot, axis=1)
+    onehot[:, s:] = 0.0
+    head = np.fft.rfft(onehot, axis=1)
+    spectra = np.zeros((2, n), dtype=np.complex128)
+    for row, unit, left, right in ((0, 1, whole, whole), (0, 1j, head, head), (1, 1, whole, head)):
+        counts = np.rint(np.fft.irfft((left * right.conj()).sum(axis=0), 2 * period))
+        spectra[row, :period] += unit * counts[:period]  # lags d >= 0; 2L <= n keeps
+        spectra[row, n - period + 1 :] += unit * counts[period + 1 :]  # d < 0 apart
+    # AA and BB counts are symmetric in d, so one FFT returns P_AA + i P_BB
+    np.fft.fft(spectra, axis=1, out=spectra)
+    return spectra[0].real, spectra[0].imag, spectra[1]
+
+
+def _periodic_law(table: np.ndarray, period: int) -> np.ndarray:
+    """level_set_law of a one-dimensional table of period L = `period`.
+
+    With n = Q L + s, a level set holds the points a + k L with a < L and
+    k < Q, and k = Q too when a < s.  So its indicator's spectrum is
+    A(x) D_Q(x) + B(x) w^(Q y), with w = exp(-2 pi i / n), y = x L mod n,
+    D_Q = sum_{k<Q} w^(k y), and A, B the sums of w^(x a) over its points
+    a < L and a < s of one period.  Summed over labels, n^2 times the law is
+        K_Q P_AA + P_BB + 2 Re(conj(E) P_AB)
+    with the pair spectra of `_pair_spectra`, the Dirichlet kernel
+    K_Q = S_Q^2, S_Q = sin(pi Q y / n) / sin(pi y / n) (Q where y == 0), and
+    E = sum_{k=1..Q} w^(k y) = exp(-i pi (Q + 1) y / n) S_Q.  Arguments are
+    reduced in int64: with Q y = k n + r, S_Q is (-1)^k sin(pi r / n) /
+    sin(pi y / n), and the sign turns E's phase by k pi, which makes
+    conj(E) = exp(i pi (y + r) / n) sin(pi r / n) / sin(pi y / n).  Points
+    are taken in blocks, so the memory beyond the law is that of the
+    spectra: none for distinct labels, where the law is
+    (s K_{Q+1} + (L - s) K_Q) / n^2."""
+    n = table.size
     q, s = divmod(n, period)
-    y = np.arange(n, dtype=np.int64)
-    y *= period
-    y %= n
-    zero = y == 0
-    denominator = _sin_squared(y, n)
-    denominator[zero] = 1.0
-    law = np.zeros(n)
-    for count, weight in ((q, period - s), (q + 1, s)):
-        if weight:
-            kernel = _sin_squared(count * y % n, n)
-            kernel /= denominator
-            kernel[zero] = count * count
-            kernel *= weight
-            law += kernel
+    spectra = _pair_spectra(table, period)
+    law = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        p_aa, p_bb, p_ab = (p if np.ndim(p) == 0 else p[start:stop] for p in spectra)
+        y = np.arange(start * period, stop * period, period, dtype=np.int64)
+        y %= n
+        r = q * y
+        r %= n
+        zero = y == 0
+        denominator = _sin_turns(y, n)
+        denominator[zero] = 1.0
+        kernel = _sin_turns(r, n)
+        kernel /= denominator
+        kernel[zero] = q
+        out = law[start:stop]
+        np.multiply(kernel, p_aa, out=out)
+        if s:  # else no pair has b < s
+            r += y
+            angle = r * (np.pi / n)
+            cross = np.cos(angle) * p_ab.real
+            if np.iscomplexobj(p_ab):
+                cross -= np.sin(angle, out=angle) * p_ab.imag
+            cross *= 2.0
+            out += cross
+        out *= kernel
+        out += p_bb
+    np.maximum(law, 0.0, out=law)  # rounding can leave a zero a hair below 0
     law /= float(n) * n
     return law
 
@@ -281,16 +375,17 @@ def level_set_law(table) -> np.ndarray:
     shaped like the table.
 
     A one-dimensional table raises CapExceeded when its N points exceed the
-    dimension cap, and takes the O(N) closed form of `_periodic_law` when it
-    cycles through distinct labels.  Any other table takes one FFT over the
-    labels x points one-hot array and raises CapExceeded when that does."""
+    dimension cap, and takes `_periodic_law`, folded onto one period, when it
+    has a period L with 2L <= N or one that cycles through distinct labels.
+    Any other table takes one FFT over the labels x points one-hot array and
+    raises CapExceeded when that exceeds the cap."""
     table = np.asarray(table, dtype=np.int64)
     if table.ndim == 1:
         if table.size > dimension_cap():
             raise CapExceeded(f"label-table law over {table.size} points exceeds cap {dimension_cap()}")
         period = _label_period(table)
         if period is not None:
-            return _periodic_law(table.size, period)
+            return _periodic_law(table, period)
     _, spectra = _level_set_spectra(table)
     return (spectra.real**2 + spectra.imag**2).sum(axis=0)
 

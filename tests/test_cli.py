@@ -90,6 +90,16 @@ def test_robust_period_run(capsys):
     assert code == 0 and report["match"] is True
 
 
+def test_robust_period_run_folds_merged_labels(capsys):
+    # the merged-label law folds onto one period; a labels x points one-hot
+    # here would need 7,520,256 amplitudes, above the default cap
+    code, report, _ = run(
+        capsys, "robust-period", "--period", "96", "--multiplicity", "2",
+        "--merge-seed", "1", "--relabel-seed", "1", "--seed", "1", "--trials", "1",
+    )
+    assert code == 0 and report["match"] is True
+
+
 def test_robust_hsp_run(capsys):
     code, report, _ = run(
         capsys, "robust-hsp", "--moduli", "2,2", "--generators", "1,1",
@@ -136,6 +146,17 @@ def test_replay_identical_modulo_timestamp(capsys):
     first.pop("timestamp")
     second.pop("timestamp")
     assert first == second
+
+
+def test_reused_parser_keeps_no_state_between_runs(capsys):
+    first_argv = ("robust-period", "--period", "6", "--merge-seed", "4", "--seed", "2")
+    _, first, _ = run(capsys, *first_argv)
+    code, _, _ = run(capsys, "period", "--period", "6", "--relabel-seed", "5", "--seed", "9")
+    assert code == 0
+    _, again, _ = run(capsys, *first_argv)
+    first.pop("timestamp")
+    again.pop("timestamp")
+    assert again == first
 
 
 def test_json_out_file_matches_stdout(capsys, tmp_path):

@@ -8,9 +8,12 @@ targets, period finding, many-to-one merges, discrete logs along either
 generator, and hidden subgroups of random groups.  The closed form for tables
 that cycle through distinct labels is pinned separately over every shape of
 register (shorter than a period, whole periods, a remainder, and registers
-large enough that a float zero test would misfire), as is the one-hot path
-that merged and aperiodic tables take, and the vectorised label tables of
-every integer-domain instance kind against their scalar evaluations.
+large enough that a float zero test would misfire).  So is the law folded
+onto one period for merged views and repeated tables, with the one-hot path
+that tables with less than two periods in the register take, and the
+vectorised label tables of every integer-domain instance kind against their
+scalar evaluations.  Every law is checked to be a distribution: entries
+>= 0 that sum to 1 within the tolerance.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import warnings
 from math import gcd, prod
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,6 +40,7 @@ from hsplab.groups import GroupSpec
 from hsplab.oracles import (
     OracleInstance,
     apply_oracle,
+    classical_order,
     instance_from_json,
     make_dlog_instance,
     make_hidden_subgroup_instance,
@@ -56,6 +61,13 @@ period_instances = st.builds(
 def dense_control_law(instance, n, route, generator=0, target=None) -> np.ndarray:
     state = _pre_measurement_state(instance, n, route, generator, target)
     return marginal_distribution(state, 0)
+
+
+def assert_law(law, dense) -> None:
+    """law is a distribution, and matches the dense reference within TOL."""
+    assert law.min() >= 0.0
+    assert abs(law.sum() - 1.0) <= TOL
+    assert np.abs(law - dense).max() <= TOL
 
 
 def dense_coset_law(instance) -> np.ndarray:
@@ -89,8 +101,7 @@ def order_instances(draw):
 @given(order_instances(), registers)
 def test_order_law_matches_dense_on_both_routes(inst, n):
     for route in ("oracle", "shift"):
-        law = control_distribution(inst, n, route=route)
-        assert np.abs(law - dense_control_law(inst, n, route)).max() <= TOL
+        assert_law(control_distribution(inst, n, route=route), dense_control_law(inst, n, route))
 
 
 @given(order_instances(), registers, st.data())
@@ -98,20 +109,18 @@ def test_order_law_matches_dense_for_other_basis_targets(inst, n, data):
     f0 = inst.evaluate(0)
     target = data.draw(st.sampled_from([y for y in range(inst.codomain_size) if y != f0]))
     law = control_distribution(inst, n, route="shift", target=target)
-    assert np.abs(law - dense_control_law(inst, n, "shift", target=target)).max() <= TOL
+    assert_law(law, dense_control_law(inst, n, "shift", target=target))
 
 
 @given(period_instances, registers)
 def test_period_law_matches_dense(inst, n):
-    law = control_distribution(inst, n)
-    assert np.abs(law - dense_control_law(inst, n, "oracle")).max() <= TOL
+    assert_law(control_distribution(inst, n), dense_control_law(inst, n, "oracle"))
 
 
 @given(order_instances() | period_instances, registers, st.data())
 def test_merged_law_matches_dense(inner, n, data):
     inst = merged(inner, data)
-    law = control_distribution(inst, n)
-    assert np.abs(law - dense_control_law(inst, n, "oracle")).max() <= TOL
+    assert_law(control_distribution(inst, n), dense_control_law(inst, n, "oracle"))
 
 
 @st.composite
@@ -129,8 +138,7 @@ def dlog_instances(draw):
 def test_dlog_law_matches_dense_along_either_generator(inst, generator, n, data):
     target = data.draw(st.none() | st.integers(0, inst.codomain_size - 1))
     law = control_distribution(inst, n, generator=generator, target=target)
-    dense = dense_control_law(inst, n, "shift", generator=generator, target=target)
-    assert np.abs(law - dense).max() <= TOL
+    assert_law(law, dense_control_law(inst, n, "shift", generator=generator, target=target))
 
 
 @st.composite
@@ -148,8 +156,7 @@ def hidden_subgroup_instances(draw):
 def test_coset_law_matches_dense(inst, merge, data):
     if merge:
         inst = merged(inst, data)
-    law = hsp_control_distribution(inst)
-    assert np.abs(law - dense_coset_law(inst)).max() <= TOL
+    assert_law(hsp_control_distribution(inst), dense_coset_law(inst))
 
 
 @st.composite
@@ -178,8 +185,7 @@ def test_closed_form_matches_dense_on_distinct_label_cycles(case, relabel_seed):
     period, n = case
     inst = make_period_instance(period, relabel_seed=relabel_seed)
     assert _label_period(_label_table(inst, (n,))) == min(period, n)
-    law = control_distribution(inst, n)
-    assert np.abs(law - dense_control_law(inst, n, "oracle")).max() <= TOL
+    assert_law(control_distribution(inst, n), dense_control_law(inst, n, "oracle"))
 
 
 def table_instance(table) -> OracleInstance:
@@ -193,34 +199,67 @@ def table_instance(table) -> OracleInstance:
     )
 
 
+WIDE_ORDERS = [
+    (modulus, base)
+    for modulus in range(5, 41)
+    for base in range(2, modulus)
+    if gcd(base, modulus) == 1 and classical_order(base, modulus) >= 4
+]
+
+
 @st.composite
-def pair_merged_periods(draw):
-    """A period-L instance (L >= 3) with exactly two labels merged, paired
-    with L.  One period then holds L - 1 labels, one of them twice, so no
-    shorter period cycles through distinct labels."""
-    period = draw(st.integers(3, 16))
-    inner = make_period_instance(period, relabel_seed=draw(st.integers(0, 1000)))
-    a, b = draw(st.lists(st.integers(0, period - 1), min_size=2, max_size=2, unique=True))
-    merge = [a if v == b else v for v in range(period)]
+def merged_views(draw):
+    """A period or order instance of period r >= 4 whose orbit labels are
+    merged m-to-1 (m in {2, 3}), seen through `_dilated_view` at acc in
+    1..6, with the period r / gcd(r, acc) of the view before the merge."""
+    inner = draw(
+        st.sampled_from(WIDE_ORDERS).map(lambda pair: make_order_instance(*pair))
+        | st.builds(make_period_instance, st.integers(4, 24), relabel_seed=st.integers(0, 1000))
+    )
+    m = draw(st.sampled_from([2, 3]))
+    r = inner.truth.period
+    orbit = draw(st.permutations(sorted({inner._raw(t) for t in range(r)})))
+    merge = [orbit[0]] * inner.codomain_size  # labels off the orbit never occur
+    for i, label in enumerate(orbit):
+        merge[label] = orbit[i - i % m]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return wrap_many_to_one(inner, merge, 2), period
+        inst = wrap_many_to_one(inner, merge, m)
+    acc = draw(st.integers(1, 6))
+    return _dilated_view(inst, acc), r // gcd(r, acc)
 
 
-aperiodic_tables = (
-    st.lists(st.integers(0, 3), min_size=2, max_size=40)
-    .filter(lambda t: _label_period(np.asarray(t)) is None)
-    .map(lambda t: (table_instance(t), len(t)))
+repeated_tables = st.lists(st.integers(0, 3), min_size=1, max_size=40).map(
+    lambda t: (table_instance(t), len(t))
 )
 
 
-@given(pair_merged_periods() | aperiodic_tables, registers)
-def test_merged_and_aperiodic_tables_take_the_one_hot_path(case, n):
-    inst, visible = case
-    n = max(n, visible)  # the register sees the merge or the whole table
-    assert _label_period(_label_table(inst, (n,))) is None
-    law = control_distribution(inst, n)
-    assert np.abs(law - dense_control_law(inst, n, "oracle")).max() <= TOL
+def folded_register(shape: str, period: int, data) -> int:
+    """A register of whole periods (s = 0), periods and a remainder
+    (s != 0), about two periods, or more than 40,000 points."""
+    if shape == "large":
+        return data.draw(st.integers(40_001, 50_000))
+    if shape == "two periods":
+        return max(1, 2 * period + data.draw(st.integers(-1, 1)))
+    q = data.draw(st.integers(2, 6))
+    if shape == "remainder" and period > 1:
+        return q * period + data.draw(st.integers(1, period - 1))
+    return q * period
+
+
+@pytest.mark.parametrize("shape", ["whole", "remainder", "two periods", "large"])
+@given(merged_views() | repeated_tables, st.data())
+def test_periodic_tables_fold_onto_one_period(shape, case, data):
+    """Merged views and repeated tables of few labels (some aperiodic within
+    the register) take the folded law when two periods fit in the register
+    or one period's labels are distinct, and the one-hot law otherwise."""
+    inst, period = case
+    n = folded_register(shape, period, data)
+    table = _label_table(inst, (n,))
+    least = next(p for p in range(1, n + 1) if np.array_equal(table[p:], table[: n - p]))
+    distinct = np.unique(table[:least]).size == least
+    assert _label_period(table) == (least if 2 * least <= n or distinct else None)
+    assert_law(control_distribution(inst, n), dense_control_law(inst, n, "oracle"))
 
 
 @given(
