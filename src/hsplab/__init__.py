@@ -63,14 +63,12 @@ from .oracles import (
     wrap_many_to_one,
 )
 from .estimation import (
-    EigenbasisDecomposition,
     EigenstateHandle,
     EstimationRun,
     PhaseSample,
     SemiclassicalRun,
     SemiclassicalStep,
     control_distribution,
-    eigenbasis_decompose,
     hsp_control_distribution,
     hsp_sample_batch,
     keep_target_after_measurement,
@@ -78,7 +76,6 @@ from .estimation import (
     phase_estimate_register,
     phase_estimate_semiclassical,
     sample_control,
-    semiclassical_outcome_distribution,
     verify_main_equality,
 )
 from .postprocess import (

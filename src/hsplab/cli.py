@@ -45,10 +45,7 @@ from .algorithms import (
     solve_dlog,
     solve_hsp_general,
 )
-from .estimation import (
-    control_distribution,
-    semiclassical_outcome_distribution,
-)
+from .estimation import control_distribution
 from .groups import SubgroupGenerators, subgroups_equal
 from .oracles import (
     classical_invariance_subgroup,
@@ -190,16 +187,12 @@ def _load_config(args) -> dict:
 
 def _truth_report(solver: str, instance) -> dict:
     """Ground truth from independent brute-force oracles (bills nothing)."""
-    if solver in ("order", "period"):
+    if solver in ("order", "period", "robust-period"):
         desc = instance.descriptor
         if desc.get("kind") == "order":
             return {"period": classical_order(desc["base"], desc["modulus"])}
         return {"period": classical_least_period(instance, instance.truth.period)}
-    if solver == "robust-period":
-        return {"period": classical_least_period(instance, instance.truth.period)}
-    if solver in ("simon", "deutsch", "hsp"):
-        return {"subgroup": classical_invariance_subgroup(instance).to_json()}
-    if solver == "robust-hsp":
+    if solver in ("simon", "deutsch", "hsp", "robust-hsp"):
         return {"subgroup": classical_invariance_subgroup(instance).to_json()}
     if solver == "dlog":
         spec = instance.domain
@@ -345,8 +338,8 @@ def _dump_command(args) -> int:
             n_bits = args.bits
             if args.kind == "register-pe":
                 law = control_distribution(instance, 1 << n_bits)
-            else:
-                law = semiclassical_outcome_distribution(instance, n_bits)
+            else:  # the one-qubit cascade's law is the shift route's (Griffiths-Niu)
+                law = control_distribution(instance, 1 << n_bits, route="shift")
             payload = {"kind": args.kind, "bits": n_bits,
                        "instance": instance.to_json(),
                        "probs": [float(p) for p in law]}
@@ -457,19 +450,28 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A --cap or HSPLAB_CAP override holds for this run
+    only; the previous dimension cap is back in place on return."""
     args = _parser().parse_args(argv)
 
     cap = getattr(args, "cap", None)
     env_cap = os.environ.get("HSPLAB_CAP")
-    if cap is not None:
-        amplitudes.set_dimension_cap(cap)
-    elif env_cap:
-        try:
-            amplitudes.set_dimension_cap(int(env_cap))
-        except ValueError:
-            print(f"config error: bad HSPLAB_CAP {env_cap!r}", file=sys.stderr)
-            return 2
+    previous = amplitudes.dimension_cap()
+    try:
+        if cap is not None:
+            amplitudes.set_dimension_cap(cap)
+        elif env_cap:
+            try:
+                amplitudes.set_dimension_cap(int(env_cap))
+            except ValueError:
+                print(f"config error: bad HSPLAB_CAP {env_cap!r}", file=sys.stderr)
+                return 2
+        return _dispatch(args)
+    finally:
+        amplitudes.set_dimension_cap(previous)
 
+
+def _dispatch(args) -> int:
     if args.command == "dump":
         return _dump_command(args)
     if args.command == "verify":
@@ -485,7 +487,6 @@ def main(argv=None) -> int:
         if not solver:
             print("config error: verify config needs a 'solver' field", file=sys.stderr)
             return 2
-        return _run_command(args)
     return _run_command(args)
 
 

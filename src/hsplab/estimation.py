@@ -13,8 +13,10 @@ Two physically equivalent routes produce the same control-register law:
 On an n-level control, outcome x estimates a phase as x/n (exact Fourier
 transform over Z_n, any n).  The semiclassical variant replaces the control
 register by a single recycled qubit measured between steps, with each
-measured bit feeding a rotation into the next step; its outcome law is
-identical to the register route's, which tests pin down to rounding error.
+measured bit feeding a rotation into the next step.  Its outcome law is the
+shift route's register law on 2^bits levels (the Griffiths-Niu semiclassical
+Fourier transform), so `control_distribution` is its one law; tests check
+it against an independent walk of the cascade's binary branch tree.
 
 The register and coset-sampler laws come from one computation,
 `level_set_law`: the control law depends only on the level sets of the label
@@ -89,8 +91,6 @@ class EigenstateHandle:
     vector: np.ndarray
     register_size: int
     outcome: int
-    best_index: object | None = None
-    fidelity: float | None = None
 
 
 @dataclass
@@ -107,7 +107,7 @@ def _identity_point(instance: OracleInstance):
     return 0 if instance.domain is None else instance.domain.identity()
 
 
-def _target_vector(instance: OracleInstance, target) -> np.ndarray:
+def _target_amplitudes(instance: OracleInstance, target) -> np.ndarray:
     """Resolve a target argument to an amplitude vector over the codomain."""
     x_size = instance.codomain_size
     if isinstance(target, EigenstateHandle):
@@ -153,7 +153,7 @@ def _pre_measurement_state(
         state = apply_fourier(state, 0)
         state = apply_oracle(state, [0], 1, instance)
     else:
-        vec = _target_vector(instance, target)
+        vec = _target_amplitudes(instance, target)
         amps = np.zeros((n, x_size), dtype=np.complex128)
         amps[0] = vec
         state = from_amplitudes(layout, amps.reshape(-1))
@@ -188,39 +188,24 @@ def phase_estimate_register(
     return EstimationRun(sample, collapsed, 0, 1, route, generator)
 
 
-def keep_target_after_measurement(run: EstimationRun, decomposition=None) -> EigenstateHandle:
-    """Extract the collapsed target state from a finished run.
-
-    With a decomposition, also report which eigenvector the kept state is
-    closest to and the overlap with it.
-    """
+def keep_target_after_measurement(run: EstimationRun) -> EigenstateHandle:
+    """Extract the collapsed target state from a finished run."""
     dims = run.state.layout.dims
     arr = run.state.amplitudes.reshape(dims)
     vec = np.take(arr, run.sample.observed, axis=run.control_register).reshape(-1)
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise RuntimeError("collapsed target has no amplitude")
-    vec = vec / norm
-    handle = EigenstateHandle(vec, run.sample.register_size, run.sample.observed)
-    if decomposition is not None:
-        best, fid = None, -1.0
-        for key in decomposition.keys:
-            cand = decomposition.normalized(key)
-            overlap = abs(np.vdot(cand, vec)) ** 2
-            if overlap > fid:
-                best, fid = key, overlap
-        handle.best_index = best
-        handle.fidelity = float(fid)
-    return handle
+    return EigenstateHandle(vec / norm, run.sample.register_size, run.sample.observed)
 
 
 # --- exact outcome laws ------------------------------------------------------
 
 
-def _level_set_spectra(table) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied labels of an integer table over the control points, and the
-    Fourier spectra of their indicators: row i is FFT(1[table == labels[i]])
-    / N, shaped like the table."""
+def _level_set_spectra(table) -> np.ndarray:
+    """Fourier spectra of the level-set indicators of an integer table over
+    the control points: row i is FFT(1[table == labels[i]]) / N, shaped like
+    the table, for the occupied labels in increasing order."""
     table = np.asarray(table, dtype=np.int64)
     labels = np.unique(table)
     size = labels.size * table.size
@@ -228,7 +213,7 @@ def _level_set_spectra(table) -> tuple[np.ndarray, np.ndarray]:
         raise CapExceeded(f"label-table law over {size} amplitudes exceeds cap {dimension_cap()}")
     onehot = (table == labels.reshape((-1,) + (1,) * table.ndim)).astype(np.complex128)
     axes = tuple(range(1, onehot.ndim))
-    return labels, np.fft.fftn(onehot, axes=axes, norm="forward", out=onehot)
+    return np.fft.fftn(onehot, axes=axes, norm="forward", out=onehot)
 
 
 def _label_period(table: np.ndarray) -> int | None:
@@ -386,7 +371,7 @@ def level_set_law(table) -> np.ndarray:
         period = _label_period(table)
         if period is not None:
             return _periodic_law(table, period)
-    _, spectra = _level_set_spectra(table)
+    spectra = _level_set_spectra(table)
     return (spectra.real**2 + spectra.imag**2).sum(axis=0)
 
 
@@ -517,7 +502,7 @@ def hsp_sample_batch(instance: OracleInstance, count: int, seed: int = 0) -> lis
     return [tuple(int(c[i]) for c in coords) for i in range(int(count))]
 
 
-# --- dual-route and eigenbasis verification ----------------------------------
+# --- dual-route verification ---------------------------------------------------
 
 
 def verify_main_equality(instance: OracleInstance, register_size: int | None = None) -> float:
@@ -557,86 +542,6 @@ def verify_main_equality(instance: OracleInstance, register_size: int | None = N
     return l2_distance(via_oracle, via_shifts)
 
 
-class EigenbasisDecomposition:
-    """Shift eigenvectors of a planted instance, scaled so they resolve
-    |f(identity)> exactly: the stored vector for index k is the component of
-    |f(identity)> along the k-th eigenvector, and weighting by the character
-    value at x re-assembles |f(x)>.
-    """
-
-    def __init__(self, instance: OracleInstance, period: int | None = None) -> None:
-        self.codomain_size = instance.codomain_size
-        spec = instance.domain
-        self.moduli = None if spec is None else tuple(spec.moduli)
-        if spec is None:
-            r = period or instance.truth.period
-            if r is None:
-                raise ValueError("integer-domain decomposition needs the period")
-            self.period = int(r)
-            shape = (self.period,)
-        else:
-            self.period = None
-            shape = self.moduli
-        labels, spectra = _level_set_spectra(_label_table(instance, shape))
-        self.keys = []
-        self._vectors = {}
-        for t in np.ndindex(shape):
-            vec = np.zeros(self.codomain_size, dtype=np.complex128)
-            vec[labels] = spectra[(slice(None),) + t]
-            if np.linalg.norm(vec) > 1e-12:
-                key = int(t[0]) if spec is None else tuple(int(v) for v in t)
-                self.keys.append(key)
-                self._vectors[key] = vec
-                vec.setflags(write=False)
-
-    def vector(self, key) -> np.ndarray:
-        return self._vectors[key]
-
-    def normalized(self, key) -> np.ndarray:
-        v = self._vectors[key]
-        return v / np.linalg.norm(v)
-
-    def phase(self, key, generator: int = 0) -> Fraction:
-        """Eigenvalue phase (as a fraction of a turn) under a unit shift
-        along the given domain generator."""
-        if self.period is not None:
-            return Fraction(int(key), self.period)
-        d = self.moduli[generator]
-        return Fraction(int(key[generator]), d)
-
-    def character_value(self, key, x) -> complex:
-        if self.period is not None:
-            return np.exp(2j * np.pi * int(key) * int(x) / self.period)
-        acc = 0.0
-        for j, d in enumerate(self.moduli):
-            acc += key[j] * x[j] / d
-        return np.exp(2j * np.pi * acc)
-
-    def reconstruct(self, x) -> np.ndarray:
-        out = np.zeros(self.codomain_size, dtype=np.complex128)
-        for key in self.keys:
-            out += self.character_value(key, x) * self._vectors[key]
-        return out
-
-    def max_reconstruction_residual(self, instance: OracleInstance) -> float:
-        """Largest L2 error of re-assembling any |f(x)> from the stored
-        eigenvector components."""
-        worst = 0.0
-        if self.period is not None:
-            points = range(self.period)
-        else:
-            points = list(np.ndindex(self.moduli))
-        for x in points:
-            want = np.zeros(self.codomain_size, dtype=np.complex128)
-            want[instance._raw(x)] = 1.0
-            worst = max(worst, float(np.linalg.norm(self.reconstruct(x) - want)))
-        return worst
-
-
-def eigenbasis_decompose(instance: OracleInstance, period: int | None = None) -> EigenbasisDecomposition:
-    return EigenbasisDecomposition(instance, period)
-
-
 # --- semiclassical (single recycled control qubit) ---------------------------
 
 
@@ -653,7 +558,6 @@ class SemiclassicalRun:
     steps: tuple[SemiclassicalStep, ...]
     sample: PhaseSample
     live_dimension: int
-    target_vector: np.ndarray
 
     def to_json(self) -> dict:
         return {
@@ -682,7 +586,8 @@ def phase_estimate_semiclassical(
     shift ladder raised to 2^(n_bits-1-s), rotates the |1> branch back by
     the phase already pinned down by earlier bits, and measures after a
     Hadamard; bit s is the 2^s digit of the final outcome.  The outcome law
-    equals the register route's on 2^n_bits levels.  Live state never
+    is `control_distribution(instance, 2**n_bits, route="shift")`, the
+    register route's on 2^n_bits levels.  Live state never
     exceeds 2 * codomain levels.  Costs one query per step plus one
     `evaluate` when the default target is requested.
     """
@@ -695,7 +600,7 @@ def phase_estimate_semiclassical(
     layout = RegisterLayout.of((2, x_size), ("control", "target"))
     if target is None:
         target = instance.evaluate(_identity_point(instance))
-    vec = _target_vector(instance, target)
+    vec = _target_amplitudes(instance, target)
     rng = np.random.default_rng(seed)
 
     v = 0
@@ -717,53 +622,9 @@ def phase_estimate_semiclassical(
         bit = record.outcome
         total_probability *= record.probability
         vec = np.take(state.amplitudes.reshape(2, x_size), bit, axis=0)
-        norm = np.linalg.norm(vec)
-        vec = vec / norm
+        vec = vec / np.linalg.norm(vec)
         v += bit << s
         steps.append(SemiclassicalStep(s + 1, power, turns, bit))
 
     sample = PhaseSample(v, 1 << n_bits, total_probability, seed)
-    return SemiclassicalRun(tuple(steps), sample, 2 * x_size, vec)
-
-
-def semiclassical_outcome_distribution(
-    instance: OracleInstance,
-    n_bits: int,
-    *,
-    generator: int = 0,
-    target=None,
-) -> np.ndarray:
-    """Exact outcome law of the semiclassical cascade.  Bills nothing.
-
-    Walks the full binary branch tree, carrying unnormalized target vectors
-    whose squared norms are the path probabilities.
-    """
-    n_bits = int(n_bits)
-    x_size = instance.codomain_size
-    vec = _target_vector(instance, target)
-    perms = {}
-    for s in range(n_bits):
-        power = 1 << (n_bits - 1 - s)
-        if instance.domain is None:
-            g = power
-        else:
-            g = instance.domain.scale(power, instance.domain.generator(generator))
-        perms[s] = instance.shift_permutation(g)
-    probs = np.zeros(1 << n_bits, dtype=np.float64)
-    branches: list[tuple[int, np.ndarray]] = [(0, vec)]
-    for s in range(n_bits):
-        perm = perms[s]
-        nxt: list[tuple[int, np.ndarray]] = []
-        for v, w in branches:
-            shifted = np.empty_like(w)
-            shifted[perm] = w
-            rotated = np.exp(-2j * np.pi * v / (1 << (s + 1))) * shifted
-            nxt.append((v, (w + rotated) / 2.0))
-            nxt.append((v + (1 << s), (w - rotated) / 2.0))
-        branches = nxt
-    for v, w in branches:
-        probs[v] += float(np.vdot(w, w).real)
-    total = probs.sum()
-    if not np.isclose(total, 1.0, atol=1e-9):
-        raise RuntimeError(f"branch tree lost probability mass: {total}")
-    return probs / total
+    return SemiclassicalRun(tuple(steps), sample, 2 * x_size)

@@ -132,14 +132,13 @@ def estimator_distribution(phi: float, n: int) -> EstimatorDistribution:
     return EstimatorDistribution(n=n, phi=phi, probs=probs)
 
 
-def choose_register_size(m: int, epsilon: float, prefer_power_of_two: bool = False) -> int:
+def choose_register_size(m: int, epsilon: float) -> int:
     """Smallest register size N >= M*(1/epsilon + 1)/2 guaranteeing that a
     phase with denominator <= M is estimated within its neighborhood except
     with probability epsilon.
 
-    The ceiling is computed exactly (epsilon converts to a binary rational).
-    With `prefer_power_of_two`, rounds up to the next power of two; callers
-    opt in, nothing here assumes powers of two.
+    The ceiling is computed exactly (epsilon converts to a binary rational);
+    nothing here assumes powers of two.
     """
     m = int(m)
     if m < 1:
@@ -148,7 +147,4 @@ def choose_register_size(m: int, epsilon: float, prefer_power_of_two: bool = Fal
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     bound = Fraction(m) * (1 / eps + 1) / 2
-    size = int(math.ceil(bound))
-    if prefer_power_of_two:
-        size = 1 << max(0, (size - 1).bit_length())
-    return size
+    return int(math.ceil(bound))

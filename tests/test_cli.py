@@ -5,19 +5,14 @@ failure, 2 config error or resource limit, 3 verification mismatch)."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from hsplab import amplitudes, cli
 from hsplab.groups import SubgroupGenerators, subgroups_equal
-
-
-@pytest.fixture(autouse=True)
-def restore_cap():
-    """main() may install a --cap / HSPLAB_CAP override; undo it per test."""
-    cap = amplitudes.dimension_cap()
-    yield
-    amplitudes.set_dimension_cap(cap)
+from hsplab.oracles import instance_from_json
+from test_estimation import branch_tree_law
 
 
 def run(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -146,6 +141,22 @@ def test_replay_identical_modulo_timestamp(capsys):
     first.pop("timestamp")
     second.pop("timestamp")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("order", "--modulus", "15", "--base", "2"),
+    ("robust-hsp", "--moduli", "2,6", "--generators", "0,3"),
+    ("dlog", "--base", "3", "--target", "4", "--modulus", "7"),
+])
+def test_report_bytes_do_not_depend_on_worker_count(capsys, monkeypatch, argv):
+    outputs = []
+    for workers in (1, 8):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda workers=workers: workers)
+        code = cli.main([*argv, "--seed", "3", "--trials", "4"])
+        assert code == 0
+        out = capsys.readouterr().out
+        outputs.append(re.sub(r'"timestamp": \{[^}]*\}', '"timestamp": null', out))
+    assert outputs[0] == outputs[1]
 
 
 def test_reused_parser_keeps_no_state_between_runs(capsys):
@@ -289,13 +300,31 @@ def test_dump_estimator_off_grid_phase(capsys):
     assert payload["probs"][3] == pytest.approx(0.6878376625896, abs=1e-9)
 
 
-def test_dump_register_equals_semiclassical(capsys):
-    instance = json.dumps({"kind": "order", "modulus": 15, "base": 4})
-    _, reg, _ = run(capsys, "dump", "--kind", "register-pe",
-                    "--instance", instance, "--bits", "3")
-    _, semi, _ = run(capsys, "dump", "--kind", "semiclassical-pe",
-                     "--instance", instance, "--bits", "3")
-    assert reg["probs"] == pytest.approx(semi["probs"], abs=1e-12)
+def test_dump_semiclassical_equals_branch_tree(capsys):
+    for modulus, base in ((15, 4), (21, 2), (33, 5)):
+        descriptor = {"kind": "order", "modulus": modulus, "base": base}
+        code, semi, _ = run(capsys, "dump", "--kind", "semiclassical-pe",
+                            "--instance", json.dumps(descriptor), "--bits", "6")
+        assert code == 0
+        tree = branch_tree_law(instance_from_json(descriptor), 6)
+        assert semi["probs"] == pytest.approx(list(tree), abs=1e-12)
+
+
+def test_dump_semiclassical_honours_the_cap(capsys):
+    instance = json.dumps({"kind": "order", "modulus": 15, "base": 2})
+    code, payload, err = run(capsys, "dump", "--kind", "semiclassical-pe",
+                             "--instance", instance, "--bits", "40")
+    assert code == 2 and payload is None and err.startswith("resource limit:")
+    code, payload, err = run(capsys, "dump", "--kind", "semiclassical-pe",
+                             "--instance", instance, "--bits", "8", "--cap", "16")
+    assert code == 2 and payload is None and err.startswith("resource limit:")
+
+
+def test_dump_semiclassical_needs_shift_maps(capsys):
+    instance = json.dumps({"kind": "period", "period": 6, "relabel_seed": 0})
+    code, payload, err = run(capsys, "dump", "--kind", "semiclassical-pe",
+                             "--instance", instance, "--bits", "3")
+    assert code == 2 and payload is None and "shift maps" in err
 
 
 def test_dump_estimator_without_phi_is_config_error(capsys):
@@ -325,9 +354,16 @@ def test_cap_exceeded_is_resource_limit(capsys):
     assert code == 2 and report is None and err.startswith("resource limit:")
 
 
+def test_cap_override_lasts_one_run(capsys):
+    default_cap = amplitudes.dimension_cap()
+    code, _, _ = run(capsys, "dump", "--kind", "estimator", "--phi", "1/2", "--cap", "16")
+    assert code == 0 and amplitudes.dimension_cap() == default_cap
+    code, report, _ = run(capsys, "order", "--modulus", "15", "--base", "2", "--seed", "7")
+    assert code == 0 and report["match"] is True
+
+
 def test_env_cap_applies_and_validates(capsys, monkeypatch):
     instance = json.dumps({"kind": "order", "modulus": 15, "base": 4})
-    default_cap = amplitudes.dimension_cap()
     monkeypatch.setenv("HSPLAB_CAP", "8")
     code, _, _ = run(capsys, "dump", "--kind", "register-pe",
                      "--instance", instance, "--bits", "4")
@@ -338,7 +374,6 @@ def test_env_cap_applies_and_validates(capsys, monkeypatch):
     assert code == 2 and "HSPLAB_CAP" in err
 
     monkeypatch.delenv("HSPLAB_CAP")
-    amplitudes.set_dimension_cap(default_cap)  # main() leaves overrides in place
     code, _, _ = run(capsys, "dump", "--kind", "register-pe",
                      "--instance", instance, "--bits", "3")
     assert code == 0

@@ -1,31 +1,34 @@
 """Phase estimation: register circuit, recycled-single-qubit variant,
-eigenvector bookkeeping, and the equality tying the oracle picture to the
+collapsed-target reuse, and the equality tying the oracle picture to the
 shift picture.
 
-The central cross-check: the exact control-register law must equal the
+The central cross-checks: the exact control-register law must equal the
 uniform mixture over k of the closed-form estimator distributions at phase
-k/r — computed here from scratch, independent of the circuit code.
+k/r, and the one-qubit cascade's law must equal the branch-tree walk of that
+cascade (`branch_tree_law`) — both computed here from scratch, independent
+of the law engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hsplab.amplitudes import CapExceeded
 from hsplab.estimation import (
     control_distribution,
-    eigenbasis_decompose,
     hsp_control_distribution,
     hsp_sample_batch,
     keep_target_after_measurement,
     phase_estimate_register,
     phase_estimate_semiclassical,
     sample_control,
-    semiclassical_outcome_distribution,
     verify_main_equality,
 )
 from hsplab.groups import GroupSpec, orthogonality_holds
@@ -49,83 +52,56 @@ def mixture_law(instance, n: int) -> np.ndarray:
     return acc / r
 
 
-# --- eigenbasis --------------------------------------------------------------
+def branch_tree_law(instance, bits: int, *, generator: int = 0) -> np.ndarray:
+    """Independent oracle: the outcome law of the one-qubit cascade of
+    `phase_estimate_semiclassical`, by walking all 2^bits measurement
+    branches from the target |f(identity)>.  Each branch carries its
+    unnormalised target vector, whose squared norm is the branch's
+    probability; step s applies the shift by 2^(bits-1-s) generators on the
+    |1> half, turns it back by the phase v / 2^(s+1) of the bits v measured
+    so far, and splits on the Hadamard's two outcomes."""
+    spec = instance.domain
+    vec = np.zeros(instance.codomain_size, dtype=np.complex128)
+    vec[instance._raw(0 if spec is None else spec.identity())] = 1.0
+    branches = [(0, vec)]
+    for s in range(bits):
+        power = 1 << (bits - 1 - s)
+        perm = instance.shift_permutation(
+            power if spec is None else spec.scale(power, spec.generator(generator))
+        )
+        grown = []
+        for v, w in branches:
+            shifted = np.empty_like(w)
+            shifted[perm] = w
+            rotated = np.exp(-2j * np.pi * v / (1 << (s + 1))) * shifted
+            grown += [(v, (w + rotated) / 2.0), (v + (1 << s), (w - rotated) / 2.0)]
+        branches = grown
+    law = np.zeros(1 << bits)
+    for v, w in branches:
+        law[v] = np.vdot(w, w).real
+    return law
 
 
-def test_eigenbasis_trivial_period():
-    inst = make_order_instance(15, 1)
-    dec = eigenbasis_decompose(inst)
-    assert dec.keys == [0]
-    vec = dec.vector(0)
-    expected = np.zeros(15)
-    expected[1] = 1.0  # f(0) = 1
-    assert_allclose(vec, expected, atol=1e-12)
-    assert dec.phase(0) == Fraction(0)
+def order_eigenvector(modulus: int, base: int, k: int) -> np.ndarray:
+    """The shift eigenvector of phase k/r of f(t) = base^t mod modulus,
+    written out: r^(-1/2) sum_j exp(-2 pi i j k / r) |base^j mod modulus>."""
+    orbit = [1]
+    while pow(base, len(orbit), modulus) != 1:
+        orbit.append(pow(base, len(orbit), modulus))
+    r = len(orbit)
+    vec = np.zeros(modulus, dtype=np.complex128)
+    vec[orbit] = np.exp(-2j * np.pi * np.arange(r) * k / r) / np.sqrt(r)
+    return vec
 
 
-def test_eigenbasis_period_two_sign_pattern():
-    inst = make_order_instance(15, 4)  # r = 2: labels 1, 4
-    dec = eigenbasis_decompose(inst)
-    plus, minus = dec.vector(0), dec.vector(1)
-    expected_plus = np.zeros(15)
-    expected_plus[1] = expected_plus[4] = 0.5
-    expected_minus = np.zeros(15)
-    expected_minus[1], expected_minus[4] = 0.5, -0.5
-    assert_allclose(plus, expected_plus, atol=1e-12)
-    assert_allclose(minus, expected_minus, atol=1e-12)
-
-
-def test_eigenbasis_order_four_shift_eigenvectors():
-    inst = make_order_instance(15, 2)
-    dec = eigenbasis_decompose(inst)
-    assert sorted(dec.keys) == [0, 1, 2, 3]
-    perm = inst.shift_permutation(1)  # multiply-by-2 label permutation
-    mat = np.zeros((15, 15))
-    for src, dst in enumerate(perm):
-        mat[dst, src] = 1.0
-    for k in dec.keys:
-        v = dec.vector(k)
-        assert dec.phase(k) == Fraction(k, 4)
-        eig = np.exp(2j * np.pi * k / 4)
-        assert np.linalg.norm(mat @ v - eig * v) < 1e-9
-    # mutual orthogonality at multiplicity one
-    for a in dec.keys:
-        for b in dec.keys:
-            if a != b:
-                assert abs(np.vdot(dec.vector(a), dec.vector(b))) < 1e-9
-
-
-def test_eigenbasis_sum_reassembles_identity_label():
-    inst = make_order_instance(21, 2)
-    dec = eigenbasis_decompose(inst)
-    total = sum(dec.vector(k) for k in dec.keys)
-    expected = np.zeros(21)
-    expected[1] = 1.0
-    assert np.linalg.norm(total - expected) < 1e-9
-
-
-def test_eigenbasis_group_domain_reconstruction():
-    inst = make_simon_instance(3, (1, 1, 0))
-    dec = eigenbasis_decompose(inst)
-    assert dec.max_reconstruction_residual(inst) < 1e-9
-    # every key is orthogonal to the hidden subgroup
-    for key in dec.keys:
-        assert orthogonality_holds(inst.domain, key, inst.truth.subgroup)
-
-
-def test_eigenbasis_group_shift_eigenvalues():
-    inst = make_hidden_subgroup_instance(GroupSpec.of([2, 4]), [(0, 2)], relabel_seed=1)
-    dec = eigenbasis_decompose(inst)
-    for gen in range(2):
-        g = inst.domain.generator(gen)
-        perm = inst.shift_permutation(g)
-        mat = np.zeros((inst.codomain_size, inst.codomain_size))
-        for src, dst in enumerate(perm):
-            mat[dst, src] = 1.0
-        for key in dec.keys:
-            v = dec.vector(key)
-            eig = np.exp(2j * np.pi * float(dec.phase(key, gen)))
-            assert np.linalg.norm(mat @ v - eig * v) < 1e-9
+def test_order_eigenvector_is_a_shift_eigenvector():
+    for modulus, base, r in ((15, 2, 4), (7, 2, 3), (15, 4, 2)):
+        perm = make_order_instance(modulus, base).shift_permutation(1)
+        for k in range(r):
+            vec = order_eigenvector(modulus, base, k)
+            shifted = np.empty_like(vec)
+            shifted[perm] = vec
+            assert_allclose(shifted, np.exp(2j * np.pi * k / r) * vec, atol=1e-12)
 
 
 # --- the two-route equality ---------------------------------------------------
@@ -234,26 +210,30 @@ def test_query_accounting_per_run():
 # --- collapsed-target reuse -----------------------------------------------------
 
 
+def overlaps(vec: np.ndarray, modulus: int, base: int, r: int) -> np.ndarray:
+    """|<u_k|vec>|^2 for every shift eigenvector u_k of base mod modulus."""
+    return np.array([abs(np.vdot(order_eigenvector(modulus, base, k), vec)) ** 2 for k in range(r)])
+
+
 def test_keep_target_exact_phase_unit_fidelity():
     inst = make_order_instance(15, 2)  # r = 4 divides N = 8
-    dec = eigenbasis_decompose(inst)
     run = phase_estimate_register(inst, 8, seed=3, route="shift")
-    handle = keep_target_after_measurement(run, dec)
-    assert handle.fidelity == pytest.approx(1.0, abs=1e-9)
-    assert handle.best_index * 2 == run.sample.observed  # k/4 = x/8
+    handle = keep_target_after_measurement(run)
+    assert run.sample.observed % 2 == 0
+    fidelity = overlaps(handle.vector, 15, 2, 4)
+    assert fidelity[run.sample.observed // 2] == pytest.approx(1.0, abs=1e-9)  # k/4 = x/8
 
 
 def test_keep_target_inexact_phase_high_fidelity():
     inst = make_order_instance(7, 2)  # r = 3
-    dec = eigenbasis_decompose(inst)
     seed = next(
         s for s in range(200)
         if phase_estimate_register(inst, 8, seed=s, route="shift").sample.observed == 3
     )
     run = phase_estimate_register(inst, 8, seed=seed, route="shift")
-    handle = keep_target_after_measurement(run, dec)
-    assert handle.best_index == 1  # 3/8 is the estimate of 1/3
-    assert handle.fidelity >= 0.9
+    fidelity = overlaps(keep_target_after_measurement(run).vector, 7, 2, 3)
+    assert fidelity.argmax() == 1  # 3/8 is the estimate of 1/3
+    assert fidelity[1] >= 0.9
 
 
 def test_keep_target_trivial_period():
@@ -308,7 +288,7 @@ def test_semiclassical_trivial_period_all_zero_bits():
 def test_semiclassical_matches_register_law_exactly():
     inst = make_order_instance(15, 4)  # r = 2
     reg = control_distribution(inst, 8, route="shift")
-    semi = semiclassical_outcome_distribution(inst, 3)
+    semi = branch_tree_law(inst, 3)
     assert np.abs(reg - semi).sum() < 1e-9
     assert set(np.flatnonzero(semi > 1e-12)) == {0, 4}
 
@@ -321,14 +301,44 @@ def test_semiclassical_equivalence_battery(bits):
         make_order_instance(15, 4),
     ):
         reg = control_distribution(inst, 2**bits, route="shift")
-        semi = semiclassical_outcome_distribution(inst, bits)
+        semi = branch_tree_law(inst, bits)
         assert np.abs(reg - semi).sum() < 1e-9
+
+
+@st.composite
+def cascade_cases(draw):
+    """An instance with shift maps and a generator index to estimate along:
+    order finding, or a small hidden-subgroup or discrete-log group."""
+    kind = draw(st.sampled_from(["order", "hsp", "dlog"]))
+    if kind == "order":
+        modulus = draw(st.integers(2, 60))
+        base = draw(st.sampled_from([a for a in range(1, modulus) if gcd(a, modulus) == 1]))
+        return make_order_instance(modulus, base), 0
+    if kind == "hsp":
+        moduli = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
+        element = st.tuples(*(st.integers(0, d - 1) for d in moduli))
+        inst = make_hidden_subgroup_instance(
+            GroupSpec.of(moduli), draw(st.lists(element, max_size=2)),
+            relabel_seed=draw(st.integers(0, 1000)),
+        )
+    else:
+        q = draw(st.sampled_from([3, 5, 7, 11, 13]))
+        a = draw(st.integers(1, q - 1))
+        inst = make_dlog_instance(a, pow(a, draw(st.integers(0, q - 2)), q), modulus=q)
+    return inst, draw(st.integers(0, inst.domain.rank - 1))
+
+
+@given(cascade_cases(), st.integers(1, 8))
+def test_semiclassical_law_is_the_shift_register_law(case, bits):
+    inst, generator = case
+    law = control_distribution(inst, 2**bits, generator=generator, route="shift")
+    assert_allclose(law, branch_tree_law(inst, bits, generator=generator), rtol=0, atol=1e-12)
 
 
 def test_semiclassical_eigenstate_deterministic_msb():
     inst = make_order_instance(15, 4)  # r = 2
-    dec = eigenbasis_decompose(inst)
-    target = dec.normalized(1)  # phase 1/2
+    target = np.zeros(15)
+    target[[1, 4]] = np.array([1.0, -1.0]) / np.sqrt(2.0)  # phase 1/2
     for seed in range(4):
         run = phase_estimate_semiclassical(inst, 4, seed=seed, target=target)
         assert run.sample.observed == 8  # x = 2^(n-1)

@@ -160,15 +160,16 @@ def test_closest_lower_bound_constant():
 
 
 def test_choose_register_size_arithmetic():
-    # M(1/eps + 1)/2 with M=16, eps=1/2 gives 24; next power of two is 32
+    # M(1/eps + 1)/2 with M=16, eps=1/2 gives 24, not rounded to a power of two
     assert choose_register_size(16, 0.5) == 24
-    assert choose_register_size(16, 0.5, prefer_power_of_two=True) == 32
+    # M=15, eps=1/8 gives 67.5, whose ceiling is 68
+    assert choose_register_size(15, 0.125) == 68
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (4, 4), (5, 1)])
 def test_choose_register_size_dyadic(n, m):
     # precision scale 2^n with eps = 2^-m: 2^(n+m) is always admissible
-    size = choose_register_size(2**n, 2.0**-m, prefer_power_of_two=True)
+    size = choose_register_size(2**n, 2.0**-m)
     assert size <= 2 ** (n + m)
     assert size >= 2**n * (2**m + 1) / 2
 
