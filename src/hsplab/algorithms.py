@@ -33,7 +33,7 @@ from .groups import (
     character_kernel,
     subgroup_enumerate,
 )
-from .oracles import OracleInstance, make_order_instance
+from .oracles import OracleInstance, dilated_view, make_order_instance
 from .postprocess import best_denominator_bounded
 from .qft import choose_register_size
 
@@ -157,24 +157,6 @@ def _register_size_for(params: SolverParams, bound: int) -> int:
     if params.register_size is not None:
         return params.register_size
     return choose_register_size(2 * bound * bound, params.epsilon)
-
-
-def _dilated_view(parent: OracleInstance, acc: int) -> OracleInstance:
-    """The integer-domain function t -> f(acc * t), billing its queries to
-    the parent's counter and keeping its laws in a persistent cache slot of
-    the parent, so later attempts at the same dilation reuse them."""
-    view = OracleInstance(
-        domain=None,
-        codomain_size=parent.codomain_size,
-        eval_fn=lambda t: parent._eval_fn(acc * t),
-        shift_fn=None,
-        multiplicity_bound=parent.multiplicity_bound,
-        truth=parent.truth,
-        descriptor={"kind": "dilated_view", "inner": parent.to_json()},
-    )
-    view.counter = parent.counter
-    view._dist_cache = parent._dist_cache.setdefault(("dilation", acc), {})
-    return view
 
 
 def _recover_period(
@@ -475,7 +457,7 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
                 candidate, scan_evals = tail_scan(acc, min(m * m, level_bound))
                 break
             n = choose_register_size(2 * level_bound * level_bound, eps_amp)
-            view = _dilated_view(instance, acc)
+            view = dilated_view(instance, acc)
             sample = sample_control(
                 view, n, 1, seed=params.seed + 5000 * attempt + steps, route="oracle"
             )[0]

@@ -71,29 +71,42 @@ def _merge_table(size: int, multiplicity: int, seed: int) -> list[int]:
     return table
 
 
+def _period_descriptor(args) -> dict:
+    return {"kind": "period", "period": args.period, "relabel_seed": args.relabel_seed}
+
+
+def _hidden_subgroup_descriptor(args) -> dict:
+    chunks = args.generators.split(";") if args.generators else []
+    return {
+        "kind": "hidden_subgroup",
+        "moduli": [int(v) for v in args.moduli.split(",")],
+        "generators": [[int(v) for v in chunk.split(",")] for chunk in chunks],
+        "relabel_seed": args.relabel_seed,
+    }
+
+
+def _merged_descriptor(args, inner: dict, labels: int) -> dict:
+    return {
+        "kind": "many_to_one",
+        "inner": inner,
+        "merge": _merge_table(labels, args.multiplicity, args.merge_seed),
+        "multiplicity": args.multiplicity,
+    }
+
+
 def _instance_descriptor(args) -> dict:
     kind = args.command
     if kind == "order":
         return {"kind": "order", "modulus": args.modulus, "base": args.base}
     if kind == "period":
-        return {"kind": "period", "period": args.period, "relabel_seed": args.relabel_seed}
+        return _period_descriptor(args)
     if kind == "simon":
         secret = [int(c) for c in args.secret]
         return {"kind": "simon", "bits": args.bits or len(secret), "secret": secret}
     if kind == "deutsch":
         return {"kind": "deutsch", "f0": args.f0, "f1": args.f1}
     if kind == "hsp":
-        moduli = [int(v) for v in args.moduli.split(",")]
-        gens = []
-        if args.generators:
-            for chunk in args.generators.split(";"):
-                gens.append([int(v) for v in chunk.split(",")])
-        return {
-            "kind": "hidden_subgroup",
-            "moduli": moduli,
-            "generators": gens,
-            "relabel_seed": args.relabel_seed,
-        }
+        return _hidden_subgroup_descriptor(args)
     if kind == "dlog":
         desc = {"kind": "dlog", "base": args.base, "target": args.target}
         if args.modulus is not None:
@@ -102,32 +115,10 @@ def _instance_descriptor(args) -> dict:
             desc["order"] = args.order
         return desc
     if kind == "robust-period":
-        inner = {"kind": "period", "period": args.period, "relabel_seed": args.relabel_seed}
-        return {
-            "kind": "many_to_one",
-            "inner": inner,
-            "merge": _merge_table(args.period, args.multiplicity, args.merge_seed),
-            "multiplicity": args.multiplicity,
-        }
+        return _merged_descriptor(args, _period_descriptor(args), args.period)
     if kind == "robust-hsp":
-        moduli = [int(v) for v in args.moduli.split(",")]
-        gens = []
-        if args.generators:
-            for chunk in args.generators.split(";"):
-                gens.append([int(v) for v in chunk.split(",")])
-        inner = {
-            "kind": "hidden_subgroup",
-            "moduli": moduli,
-            "generators": gens,
-            "relabel_seed": args.relabel_seed,
-        }
-        inner_instance = instance_from_json(inner)
-        return {
-            "kind": "many_to_one",
-            "inner": inner,
-            "merge": _merge_table(inner_instance.codomain_size, args.multiplicity, args.merge_seed),
-            "multiplicity": args.multiplicity,
-        }
+        inner = _hidden_subgroup_descriptor(args)
+        return _merged_descriptor(args, inner, instance_from_json(inner).codomain_size)
     raise ConfigError(f"no instance for command {kind!r}")
 
 
@@ -144,9 +135,14 @@ def _default_bound(descriptor: dict) -> int | None:
 
 def _load_config(args) -> dict:
     config: dict = {}
+    verify = args.command == "verify"
+    if verify and not args.config:
+        raise ConfigError("verify needs --config")
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
+        if verify and not config.get("solver"):
+            raise ConfigError("verify config needs a 'solver' field")
         if config.get("schema", SCHEMA) != SCHEMA:
             raise ConfigError(f"unsupported schema {config.get('schema')!r}")
     config.setdefault("schema", SCHEMA)
@@ -351,11 +347,19 @@ def _dump_command(args) -> int:
 
 
 def _emit(payload: dict, json_out: str | None) -> None:
+    """Write --json-out before printing, so a reader that closes stdout
+    early cannot lose the file; a closed stdout ends the printing quietly."""
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
     if json_out:
         with open(json_out, "w") as fh:
             fh.write(text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # what is still buffered goes to devnull when the interpreter flushes at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -454,40 +458,19 @@ def main(argv=None) -> int:
     only; the previous dimension cap is back in place on return."""
     args = _parser().parse_args(argv)
 
-    cap = getattr(args, "cap", None)
-    env_cap = os.environ.get("HSPLAB_CAP")
+    cap = args.cap if args.cap is not None else os.environ.get("HSPLAB_CAP") or None
     previous = amplitudes.dimension_cap()
     try:
         if cap is not None:
-            amplitudes.set_dimension_cap(cap)
-        elif env_cap:
-            try:
-                amplitudes.set_dimension_cap(int(env_cap))
-            except ValueError:
-                print(f"config error: bad HSPLAB_CAP {env_cap!r}", file=sys.stderr)
-                return 2
-        return _dispatch(args)
+            amplitudes.set_dimension_cap(int(cap))
+    except ValueError:
+        source = f"--cap {cap}" if args.cap is not None else f"HSPLAB_CAP {cap!r}"
+        print(f"config error: bad {source}", file=sys.stderr)
+        return 2
+    try:
+        return _dump_command(args) if args.command == "dump" else _run_command(args)
     finally:
         amplitudes.set_dimension_cap(previous)
-
-
-def _dispatch(args) -> int:
-    if args.command == "dump":
-        return _dump_command(args)
-    if args.command == "verify":
-        if not args.config:
-            print("config error: verify needs --config", file=sys.stderr)
-            return 2
-        try:
-            with open(args.config) as fh:
-                solver = json.load(fh).get("solver")
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        if not solver:
-            print("config error: verify config needs a 'solver' field", file=sys.stderr)
-            return 2
-    return _run_command(args)
 
 
 if __name__ == "__main__":

@@ -18,19 +18,20 @@ shift route's register law on 2^bits levels (the Griffiths-Niu semiclassical
 Fourier transform), so `control_distribution` is its one law; tests check
 it against an independent walk of the cascade's binary branch tree.
 
-The register and coset-sampler laws come from one computation,
-`level_set_law`: the control law depends only on the level sets of the label
-table the circuit writes into the target (Mosca-Ekert), so it is the summed
-power spectrum of their indicators.  A one-dimensional table of period L is
-folded onto one period when 2L <= n, or when it cycles through L distinct
-labels, as honest order and period tables and every shift-route orbit do.
-Its level sets are then unions of residue classes mod L, so the law is a
-mixture over the eigenphases k/L fixed by the same-label pairs of one period
-counted by lag: two Dirichlet kernels weight those counts' spectra, in O(n)
-memory.  An m-to-1 merge of labels only changes the counts; distinct labels
-pair only with themselves and give the closed form of two kernels.
-Multi-register tables and aperiodic tables take the general path, one FFT
-over the (labels x points) indicator array.  The dense joint state stays as
+The register and coset-sampler laws come from the level sets of the label
+table the circuit writes into the target (Mosca-Ekert): the law is the
+summed power spectrum of their indicators.  Every one-dimensional law is
+`_periodic_law`, read from one period of labels, never from the n-point
+table: an integer-domain instance's `period_labels` on the oracle route,
+the orbit of the target label under the unit shift on the shift route, and
+a rank-1 coset table as its own period.  Level sets are then unions of
+residue classes mod L, so the law is a mixture over the eigenphases k/L
+fixed by the same-label pairs of one period counted by lag mod n: two
+Dirichlet kernels weight those counts' spectra, in O(n) memory.  Distinct
+labels, as in honest order and period functions and every shift orbit,
+pair only with themselves and give the closed form of two kernels; an m-to-1
+merge of labels only changes the counts.  Multi-register tables take one
+FFT over the (labels x points) indicator array.  The dense joint state stays as
 the reference that tests compare the laws against.  Laws describe the
 instance rather than query it and bill nothing; samplers bill one query per
 draw, the register runner one per circuit and the semiclassical runner one
@@ -55,6 +56,7 @@ from .amplitudes import (
     l2_distance,
     measure_register,
 )
+from .groups import _factorize
 from .oracles import OracleInstance, apply_oracle, apply_shift
 from .qft import apply_fourier
 
@@ -216,48 +218,15 @@ def _level_set_spectra(table) -> np.ndarray:
     return np.fft.fftn(onehot, axes=axes, norm="forward", out=onehot)
 
 
-def _label_period(table: np.ndarray) -> int | None:
-    """The least L with table[t + L] == table[t] for all t, provided 2L <= N
-    or the first L labels are distinct; None otherwise.
-
-    Every period repeats table[0], so a first repeat of table[0] that is a
-    period is the least one.  Otherwise the least period L <= N/2 is also
-    the least period of every prefix whose length lies in [2L, N] (Fine and
-    Wilf).  So the least periods of prefixes of doubling length, shorter
-    than 4L, come from one failure-function pass each and are checked on
-    the whole table: at most log2(N) O(N) comparisons."""
-    n = table.size
-    repeats = table[1:] == table[0]
-    first = int(repeats.argmax()) + 1 if repeats.any() else n
-    if np.array_equal(table[first:], table[: n - first]):
-        if 2 * first <= n or np.unique(table[:first]).size == first:
-            return first
-        return None
-    if 2 * first > n:
-        return None
-    width = 2 * first
-    while True:
-        width = min(width, n)
-        period = _least_period(table[:width].tolist())
-        if 2 * period > n:  # a prefix's least period never exceeds the table's
-            return None
-        if np.array_equal(table[period:], table[: n - period]):
-            return period
-        width *= 2
-
-
-def _least_period(labels: list) -> int:
-    """Least period of a sequence: its length minus its longest proper
-    border (the Knuth-Morris-Pratt failure function)."""
-    border = [0] * len(labels)
-    k = 0
-    for i in range(1, len(labels)):
-        while k and labels[i] != labels[k]:
-            k = border[k - 1]
-        if labels[i] == labels[k]:
-            k += 1
-        border[i] = k
-    return len(labels) - k
+def _cyclic_period(cycle: np.ndarray) -> int:
+    """Least p with np.roll(cycle, p) == cycle.  The shifts that fix a cycle
+    of length L form a subgroup of Z_L, so the least one divides L, and it is
+    L stripped of each prime factor for as long as the roll still matches."""
+    period = cycle.size
+    for p in _factorize(cycle.size):
+        while period % p == 0 and np.array_equal(np.roll(cycle, period // p), cycle):
+            period //= p
+    return period
 
 
 def _sin_turns(r: np.ndarray, n: int) -> np.ndarray:
@@ -269,42 +238,43 @@ def _sin_turns(r: np.ndarray, n: int) -> np.ndarray:
     return np.sin(angle, out=angle)
 
 
-def _pair_spectra(table: np.ndarray, period: int) -> tuple:
-    """P_AA, P_BB and P_AB at the n control points of `_periodic_law`.
+def _pair_spectra(labels: np.ndarray, occupied: int, n: int) -> tuple:
+    """P_AA, P_BB and P_AB at the n control points of `_periodic_law`, for
+    one period of labels given as indices into the `occupied` labels.
 
     Each P is the n-point spectrum sum_d h(d) exp(-2 pi i x d / n) of the
     same-label pairs (a, b) of one period counted by lag d = a - b: all pairs
     (AA), pairs with a, b < s (BB) and pairs with b < s (AB), n = Q L + s.
-    The counts come from a labels x 2L one-hot of one period.  Distinct
-    labels pair only with themselves, so every count then sits at lag 0 and
-    the spectra are the constants L, s and s, with no FFT."""
-    n = table.size
+    Only d mod n matters, so the counts come from a circular correlation of
+    a labels x min(2L, n) one-hot of the period: at width 2L the lags in
+    (-L, L) stay apart, at width n they wrap as the spectrum does."""
+    period = labels.size
     s = n % period
-    if np.unique(table[:period]).size == period:
-        return float(period), float(s), float(s)
-    labels, inverse = np.unique(table[:period], return_inverse=True)
-    size = labels.size * 2 * period
-    if size > dimension_cap():
-        raise CapExceeded(f"label-period law over {size} amplitudes exceeds cap {dimension_cap()}")
-    onehot = np.zeros((labels.size, 2 * period))
-    onehot[inverse, np.arange(period)] = 1.0
+    width = min(2 * period, n)
+    if occupied * width > dimension_cap():
+        raise CapExceeded(f"label-period law over {occupied * width} amplitudes exceeds cap {dimension_cap()}")
+    onehot = np.zeros((occupied, width))
+    onehot[labels, np.arange(period)] = 1.0
     whole = np.fft.rfft(onehot, axis=1)
     onehot[:, s:] = 0.0
     head = np.fft.rfft(onehot, axis=1)
     spectra = np.zeros((2, n), dtype=np.complex128)
     for row, unit, left, right in ((0, 1, whole, whole), (0, 1j, head, head), (1, 1, whole, head)):
-        counts = np.rint(np.fft.irfft((left * right.conj()).sum(axis=0), 2 * period))
-        spectra[row, :period] += unit * counts[:period]  # lags d >= 0; 2L <= n keeps
-        spectra[row, n - period + 1 :] += unit * counts[period + 1 :]  # d < 0 apart
+        counts = np.rint(np.fft.irfft((left * right.conj()).sum(axis=0), width))
+        spectra[row, :period] += unit * counts[:period]  # lags d >= 0
+        spectra[row, n - width + period :] += unit * counts[period:]  # d < 0, mod n
     # AA and BB counts are symmetric in d, so one FFT returns P_AA + i P_BB
     np.fft.fft(spectra, axis=1, out=spectra)
     return spectra[0].real, spectra[0].imag, spectra[1]
 
 
-def _periodic_law(table: np.ndarray, period: int) -> np.ndarray:
-    """level_set_law of a one-dimensional table of period L = `period`.
+def _periodic_law(cycle: np.ndarray, n: int) -> np.ndarray:
+    """level_set_law of the n-point table that repeats `cycle`.
 
-    With n = Q L + s, a level set holds the points a + k L with a < L and
+    A cycle longer than n is cut to its first n labels.  A cycle with
+    repeated labels is first cut to its least cyclic period; a cycle of
+    distinct labels is its own.  With L that period and n = Q L + s,
+    a level set holds the points a + k L with a < L and
     k < Q, and k = Q too when a < s.  So its indicator's spectrum is
     A(x) D_Q(x) + B(x) w^(Q y), with w = exp(-2 pi i / n), y = x L mod n,
     D_Q = sum_{k<Q} w^(k y), and A, B the sums of w^(x a) over its points
@@ -317,11 +287,20 @@ def _periodic_law(table: np.ndarray, period: int) -> np.ndarray:
     sin(pi y / n), and the sign turns E's phase by k pi, which makes
     conj(E) = exp(i pi (y + r) / n) sin(pi r / n) / sin(pi y / n).  Points
     are taken in blocks, so the memory beyond the law is that of the
-    spectra: none for distinct labels, where the law is
-    (s K_{Q+1} + (L - s) K_Q) / n^2."""
-    n = table.size
+    spectra.  Distinct labels pair only with themselves, so every count sits
+    at lag 0, the spectra are the constants L, s and s, and the law is
+    (s K_{Q+1} + (L - s) K_Q) / n^2, with no FFT."""
+    cycle = np.asarray(cycle)[:n]
+    # a plain unique first: distinct labels, the common case, are their own
+    # least period, and skipping the fold's allocations there measured ~10%
+    # faster order finding
+    occupied = np.unique(cycle).size
+    if occupied < cycle.size:
+        cycle = np.unique(cycle, return_inverse=True)[1]
+        cycle = cycle[: _cyclic_period(cycle)]
+    period = cycle.size
     q, s = divmod(n, period)
-    spectra = _pair_spectra(table, period)
+    spectra = (float(period), float(s), float(s)) if occupied == period else _pair_spectra(cycle, occupied, n)
     law = np.empty(n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
@@ -360,36 +339,23 @@ def level_set_law(table) -> np.ndarray:
     shaped like the table.
 
     A one-dimensional table raises CapExceeded when its N points exceed the
-    dimension cap, and takes `_periodic_law`, folded onto one period, when it
-    has a period L with 2L <= N or one that cycles through distinct labels.
-    Any other table takes one FFT over the labels x points one-hot array and
-    raises CapExceeded when that exceeds the cap."""
+    dimension cap, and otherwise takes `_periodic_law` as the one period of
+    itself.  A multi-register table takes one FFT over the labels x points
+    one-hot array and raises CapExceeded when that exceeds the cap."""
     table = np.asarray(table, dtype=np.int64)
     if table.ndim == 1:
         if table.size > dimension_cap():
             raise CapExceeded(f"label-table law over {table.size} points exceeds cap {dimension_cap()}")
-        period = _label_period(table)
-        if period is not None:
-            return _periodic_law(table, period)
+        return _periodic_law(table, table.size)
     spectra = _level_set_spectra(table)
     return (spectra.real**2 + spectra.imag**2).sum(axis=0)
 
 
-def _label_table(instance: OracleInstance, shape: tuple[int, ...]) -> np.ndarray:
-    """f at every control point of the given shape: one vectorised call on an
-    integer domain, one call per coordinate tuple on a finite domain."""
-    if instance.domain is None:
-        values = instance._eval_fn(np.arange(shape[0], dtype=np.int64))
-    else:
-        values = [instance._raw(x) for x in np.ndindex(shape)]
-    return np.asarray(values, dtype=np.int64).reshape(shape)
-
-
 def _shift_orbit(instance: OracleInstance, label: int, generator: int, n: int) -> np.ndarray:
-    """Target labels the shift route's control points t < n write: label
-    moved by t unit shifts along the generator.  Shifts compose additively,
-    so this is the cycle of label under one unit-shift permutation, tiled;
-    the cycle has at most |X| labels."""
+    """One period of the target labels the shift route's control points
+    t < n write: label moved by t unit shifts along the generator.  Shifts
+    compose additively, so this is the cycle of label under one unit-shift
+    permutation, cut at n points; it has at most |X| labels."""
     if not 0 <= label < instance.codomain_size:
         raise ValueError(f"target label {label} outside the codomain")
     spec = instance.domain
@@ -400,7 +366,7 @@ def _shift_orbit(instance: OracleInstance, label: int, generator: int, n: int) -
         if label == orbit[0]:
             break
         orbit.append(label)
-    return np.resize(np.asarray(orbit, dtype=np.int64), n)
+    return np.asarray(orbit, dtype=np.int64)
 
 
 def control_distribution(
@@ -424,14 +390,14 @@ def control_distribution(
     if key in instance._dist_cache:
         return instance._dist_cache[key]
     n = int(register_size)
-    if n > dimension_cap():  # before the n-point table is built
+    if n > dimension_cap():
         raise CapExceeded(f"control law over {n} points exceeds cap {dimension_cap()}")
     if route == "oracle":
-        table = _label_table(instance, (n,))
+        cycle = instance.period_labels
     else:
         label = instance._raw(_identity_point(instance)) if target is None else int(target)
-        table = _shift_orbit(instance, label, int(generator), n)
-    probs = level_set_law(table)
+        cycle = _shift_orbit(instance, label, int(generator), n)
+    probs = _periodic_law(cycle, n)
     probs.setflags(write=False)
     instance._dist_cache[key] = probs
     return probs
@@ -484,7 +450,7 @@ def hsp_control_distribution(instance: OracleInstance) -> np.ndarray:
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup sampling needs a finite group domain")
-    law = level_set_law(_label_table(instance, tuple(spec.moduli))).reshape(-1)
+    law = level_set_law(instance.label_table(tuple(spec.moduli))).reshape(-1)
     law.setflags(write=False)
     instance._dist_cache[key] = law
     return law

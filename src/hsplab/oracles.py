@@ -2,7 +2,9 @@
 
 An OracleInstance packages a function f from a group G (a finite GroupSpec,
 or the integers for order/period problems) onto integer labels [0, |X|),
-together with flags solvers may rely on:
+together with flags solvers may rely on.  A function on the integers is
+periodic by construction, so it is held as one period of labels; a function
+on a finite group is a callable on coordinate tuples.  The flags:
 
   * `codomain_size` — the label-space size |X| (the image may be smaller);
   * `homomorphism_available` — whether the shift maps |f(y)> -> |f(y+g)>
@@ -70,10 +72,10 @@ class PlantedTruth:
 class OracleInstance:
     """A black-box f with its flags, ground truth and query counter.
 
-    `eval_fn` receives coerced points: a coordinate tuple on a finite domain,
-    an integer on the integers.  On the integers it must also map an int64
-    array elementwise to an integer array of labels, so that the exact laws
-    read a whole label table in one call; `_raw` is the scalar wrapper.
+    On the integers f is given by `period_labels`, its labels over one period
+    L: f(t) = period_labels[t mod L], and L need not be the least period.  On
+    a finite domain it is given by `eval_fn`, which receives coordinate
+    tuples reduced into the domain.
     """
 
     def __init__(
@@ -81,16 +83,25 @@ class OracleInstance:
         *,
         domain: GroupSpec | None,
         codomain_size: int,
-        eval_fn,
+        eval_fn=None,
+        period_labels=None,
         shift_fn=None,
         multiplicity_bound: int = 1,
         truth: PlantedTruth | None = None,
         descriptor: dict | None = None,
         cosets_per_label: dict[int, int] | None = None,
     ) -> None:
+        if (domain is None) == (period_labels is None) or (domain is None) != (eval_fn is None):
+            raise ValueError("an integer domain takes period_labels, a finite domain eval_fn")
+        if domain is None:
+            period_labels = np.array(period_labels, dtype=np.int64)
+            if period_labels.ndim != 1 or not period_labels.size:
+                raise ValueError("period_labels must be a non-empty list of labels")
+            period_labels.setflags(write=False)
         self.domain = domain
         self.codomain_size = int(codomain_size)
         self._eval_fn = eval_fn
+        self.period_labels = period_labels
         self._shift_fn = shift_fn
         self.multiplicity_bound = int(multiplicity_bound)
         self.truth = truth or PlantedTruth()
@@ -117,7 +128,19 @@ class OracleInstance:
     def _raw(self, x) -> int:
         """Unbilled evaluation: plumbing for gates, exact laws and reference
         checks, which describe the instance rather than query it."""
+        if self.domain is None:
+            return int(self.period_labels[int(x) % self.period_labels.size])
         return int(self._eval_fn(self._coerce(x)))
+
+    def label_table(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Unbilled f at every point of a block of control registers of the
+        given shape: one register of points t on the integers, which tiles
+        the period; one register per coordinate on a finite domain."""
+        if self.domain is None:
+            (n,) = shape
+            return np.resize(self.period_labels, n)
+        values = [self._raw(x) for x in np.ndindex(shape)]
+        return np.asarray(values, dtype=np.int64).reshape(shape)
 
     def evaluate(self, x) -> int:
         """One classical query of f (counted)."""
@@ -165,8 +188,6 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
     while v != 1:
         powers.append(v)
         v = v * a % n
-    order = len(powers)
-    power_table = np.array(powers, dtype=np.int64)
 
     def shift(g: int) -> np.ndarray:
         return (np.arange(n, dtype=np.int64) * pow(a, g, n)) % n
@@ -174,9 +195,9 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
     return OracleInstance(
         domain=None,
         codomain_size=n,
-        eval_fn=lambda t: power_table[t % order],
+        period_labels=powers,
         shift_fn=shift,
-        truth=PlantedTruth(period=order),
+        truth=PlantedTruth(period=len(powers)),
         descriptor={"kind": "order", "modulus": n, "base": a},
         cosets_per_label={p: 1 for p in powers},
     )
@@ -195,12 +216,11 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
     relab = [int(v) for v in relabeling]
     if sorted(relab) != list(range(r)):
         raise ValueError("relabeling must be a permutation of [0, r)")
-    relab_arr = np.array(relab, dtype=np.int64)
 
     return OracleInstance(
         domain=None,
         codomain_size=r,
-        eval_fn=lambda t: relab_arr[t % r],
+        period_labels=relab,
         shift_fn=None,
         truth=PlantedTruth(period=r),
         descriptor={"kind": "period", "period": r, "relabeling": relab},
@@ -485,10 +505,12 @@ def wrap_many_to_one(
             raise ValueError(msg)
         warnings.warn(msg, stacklevel=2)
 
-    wrapped = OracleInstance(
+    integers = inner.domain is None
+    return OracleInstance(
         domain=inner.domain,
         codomain_size=new_size,
-        eval_fn=lambda x: table[inner._eval_fn(x)],
+        eval_fn=None if integers else lambda x: table[inner._eval_fn(x)],
+        period_labels=table[inner.period_labels] if integers else None,
         shift_fn=None,
         multiplicity_bound=multiplicity,
         truth=inner.truth,
@@ -500,7 +522,29 @@ def wrap_many_to_one(
         },
         cosets_per_label=new_cosets,
     )
-    return wrapped
+
+
+def dilated_view(parent: OracleInstance, acc: int) -> OracleInstance:
+    """The integer-domain function t -> f(acc * t), billing its queries to
+    the parent's counter and keeping its laws in a persistent cache slot of
+    the parent, so later attempts at the same dilation reuse them.  With f's
+    period L, the view's period is L / gcd(acc, L), over which it reads
+    f's labels at acc * k mod L."""
+    cycle = parent.period_labels
+    size = cycle.size
+    steps = np.arange(size // gcd(acc, size), dtype=np.int64)
+    view = OracleInstance(
+        domain=None,
+        codomain_size=parent.codomain_size,
+        period_labels=cycle[steps * (acc % size) % size],
+        shift_fn=None,
+        multiplicity_bound=parent.multiplicity_bound,
+        truth=parent.truth,
+        descriptor={"kind": "dilated_view", "inner": parent.to_json()},
+    )
+    view.counter = parent.counter
+    view._dist_cache = parent._dist_cache.setdefault(("dilation", acc), {})
+    return view
 
 
 def instance_from_json(descriptor: dict) -> OracleInstance:
@@ -597,16 +641,10 @@ def apply_oracle(
     if target_dim < x_size:
         raise ValueError(f"target dimension {target_dim} below codomain size {x_size}")
     controls = list(control_registers)
-    if instance.domain is None:
-        if len(controls) != 1:
-            raise ValueError("integer-domain instance takes exactly one control register")
-        values = [instance._raw(t) for t in range(dims[controls[0]])]
-    else:
-        if len(controls) != instance.domain.rank:
-            raise ValueError("need one control register per group coordinate")
-        shape = tuple(dims[c] for c in controls)
-        values = [instance._raw(coords) for coords in np.ndindex(shape)]
-    fvals = np.asarray(values, dtype=np.int64)
+    rank = 1 if instance.domain is None else instance.domain.rank
+    if len(controls) != rank:
+        raise ValueError(f"need one control register per domain coordinate ({rank})")
+    fvals = instance.label_table(tuple(dims[c] for c in controls)).reshape(-1)
 
     cube, order, moved_shape = _gather_axes(state, controls, target_register)
     ys = np.arange(target_dim, dtype=np.int64)

@@ -101,7 +101,7 @@ def _shifted_period_instance(r: int, relabel_seed: int) -> OracleInstance:
     return OracleInstance(
         domain=None,
         codomain_size=r,
-        eval_fn=lambda t: relab[t % r],
+        period_labels=relab,
         shift_fn=shift,
         truth=PlantedTruth(period=r),
         descriptor={"kind": "shifted-period", "period": r},

@@ -5,7 +5,11 @@ failure, 2 config error or resource limit, 3 verification mismatch)."""
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -377,3 +381,32 @@ def test_env_cap_applies_and_validates(capsys, monkeypatch):
     code, _, _ = run(capsys, "dump", "--kind", "register-pe",
                      "--instance", instance, "--bits", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_is_config_error(capsys, cap):
+    before = amplitudes.dimension_cap()
+    code, report, err = run(capsys, "dump", "--kind", "estimator", "--phi", "1/2", "--cap", cap)
+    assert code == 2 and report is None
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert amplitudes.dimension_cap() == before
+
+
+def test_closed_stdout_exits_quietly_after_writing_json_out(tmp_path):
+    """A reader that closes stdout after one line: the dump still writes its
+    --json-out file in full and exits 0 without a traceback."""
+    out = tmp_path / "law.json"
+    instance = json.dumps({"kind": "order", "modulus": 21, "base": 2})
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hsplab.cli", "dump", "--kind", "semiclassical-pe", "--bits", "14",
+         "--instance", instance, "--json-out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert b"Traceback" not in err
+    assert len(json.loads(out.read_text())["probs"]) == 1 << 14

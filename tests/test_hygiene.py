@@ -1,7 +1,11 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+solvers treat instances as black boxes.
 
 An AST scan stands in for a linter's unused-import check.  `__init__.py`
-is exempt (it re-exports), as are `__future__` imports.
+is exempt (it re-exports), as are `__future__` imports.  A second scan
+checks that only the instance layer and the law engine read an
+integer-domain instance's `period_labels`, so no solver reads f's period off
+the instance.
 """
 
 from __future__ import annotations
@@ -54,3 +58,25 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _names_period_labels(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "period_labels":
+            return True
+        if isinstance(node, ast.keyword) and node.arg == "period_labels":
+            return True
+        if isinstance(node, ast.Name) and node.id == "period_labels":
+            return True
+        if isinstance(node, ast.arg) and node.arg == "period_labels":
+            return True
+    return False
+
+
+def test_only_instances_and_laws_read_period_labels():
+    naming = {
+        path.name
+        for path in Path(hsplab.__file__).parent.glob("*.py")
+        if _names_period_labels(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert naming == {"oracles.py", "estimation.py"}

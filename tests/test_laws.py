@@ -9,11 +9,12 @@ generator, and hidden subgroups of random groups.  The closed form for tables
 that cycle through distinct labels is pinned separately over every shape of
 register (shorter than a period, whole periods, a remainder, and registers
 large enough that a float zero test would misfire).  So is the law folded
-onto one period for merged views and repeated tables, with the one-hot path
-that tables with less than two periods in the register take, and the
-vectorised label tables of every integer-domain instance kind against their
-scalar evaluations.  Every law is checked to be a distribution: entries
->= 0 that sum to 1 within the tolerance.
+onto one period for merged views and repeated tables, including registers
+that hold less than two periods, the least-cyclic-period search against
+brute force, and the one period of labels of every integer-domain instance
+kind against independent definitions of its function.  Every law is
+checked to be a distribution: entries >= 0 that sum to 1 within the
+tolerance.
 """
 
 from __future__ import annotations
@@ -26,12 +27,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hsplab.amplitudes import basis_state, marginal_distribution
-from hsplab.algorithms import _dilated_view
+from hsplab.amplitudes import (
+    CapExceeded,
+    basis_state,
+    dimension_cap,
+    marginal_distribution,
+    set_dimension_cap,
+)
 from hsplab.estimation import (
+    _cyclic_period,
     _hsp_layout,
-    _label_period,
-    _label_table,
+    _periodic_law,
     _pre_measurement_state,
     control_distribution,
     hsp_control_distribution,
@@ -41,6 +47,7 @@ from hsplab.oracles import (
     OracleInstance,
     apply_oracle,
     classical_order,
+    dilated_view,
     instance_from_json,
     make_dlog_instance,
     make_hidden_subgroup_instance,
@@ -184,17 +191,15 @@ def periodic_registers(draw):
 def test_closed_form_matches_dense_on_distinct_label_cycles(case, relabel_seed):
     period, n = case
     inst = make_period_instance(period, relabel_seed=relabel_seed)
-    assert _label_period(_label_table(inst, (n,))) == min(period, n)
     assert_law(control_distribution(inst, n), dense_control_law(inst, n, "oracle"))
 
 
 def table_instance(table) -> OracleInstance:
     """An integer-domain instance that repeats the given label table."""
-    table = np.asarray(table, dtype=np.int64)
     return OracleInstance(
         domain=None,
-        codomain_size=int(table.max()) + 1,
-        eval_fn=lambda t: table[t % table.size],
+        codomain_size=max(table) + 1,
+        period_labels=table,
         descriptor={"kind": "table"},
     )
 
@@ -210,7 +215,7 @@ WIDE_ORDERS = [
 @st.composite
 def merged_views(draw):
     """A period or order instance of period r >= 4 whose orbit labels are
-    merged m-to-1 (m in {2, 3}), seen through `_dilated_view` at acc in
+    merged m-to-1 (m in {2, 3}), seen through `dilated_view` at acc in
     1..6, with the period r / gcd(r, acc) of the view before the merge."""
     inner = draw(
         st.sampled_from(WIDE_ORDERS).map(lambda pair: make_order_instance(*pair))
@@ -226,7 +231,7 @@ def merged_views(draw):
         warnings.simplefilter("ignore")
         inst = wrap_many_to_one(inner, merge, m)
     acc = draw(st.integers(1, 6))
-    return _dilated_view(inst, acc), r // gcd(r, acc)
+    return dilated_view(inst, acc), r // gcd(r, acc)
 
 
 repeated_tables = st.lists(st.integers(0, 3), min_size=1, max_size=40).map(
@@ -250,35 +255,114 @@ def folded_register(shape: str, period: int, data) -> int:
 @pytest.mark.parametrize("shape", ["whole", "remainder", "two periods", "large"])
 @given(merged_views() | repeated_tables, st.data())
 def test_periodic_tables_fold_onto_one_period(shape, case, data):
-    """Merged views and repeated tables of few labels (some aperiodic within
-    the register) take the folded law when two periods fit in the register
-    or one period's labels are distinct, and the one-hot law otherwise."""
+    """Merged views and repeated tables of few labels fold onto one period,
+    whether or not two periods fit in the register."""
     inst, period = case
     n = folded_register(shape, period, data)
-    table = _label_table(inst, (n,))
-    least = next(p for p in range(1, n + 1) if np.array_equal(table[p:], table[: n - p]))
-    distinct = np.unique(table[:least]).size == least
-    assert _label_period(table) == (least if 2 * least <= n or distinct else None)
     assert_law(control_distribution(inst, n), dense_control_law(inst, n, "oracle"))
+
+
+def defined_label(descriptor: dict, t: int) -> int:
+    """f(t) from an integer-domain instance's descriptor alone: a power, a
+    relabelled residue, or the rank of a merged inner label among the
+    distinct merge values."""
+    if descriptor["kind"] == "order":
+        return pow(descriptor["base"], t, descriptor["modulus"])
+    if descriptor["kind"] == "period":
+        return descriptor["relabeling"][t % descriptor["period"]]
+    merge = descriptor["merge"]
+    return sorted(set(merge)).index(merge[defined_label(descriptor["inner"], t)])
 
 
 @given(
     order_instances() | period_instances,
     st.booleans(),
-    st.integers(1, 6),
+    st.integers(1, 30),
     registers,
     st.lists(st.integers(-(2**62), 2**62), max_size=20),
     st.data(),
 )
-def test_vectorised_tables_match_scalar_evaluation(inst, merge, acc, n, points, data):
+def test_period_labels_match_independent_definitions(inst, merge, acc, n, points, data):
+    """One period of labels reproduces f everywhere: pow for order
+    instances, the relabelling for period instances, the merge of the inner
+    labels for merged ones, and f(acc t) for a dilated view; the label table
+    tiles it over a register."""
     if merge:
         inst = merged(inst, data)
     rebuilt = instance_from_json(inst.to_json())
-    for view in (inst, rebuilt, _dilated_view(inst, acc)):
-        assert _label_table(view, (n,)).tolist() == [view._raw(t) for t in range(n)]
-    for view in (inst, rebuilt):
-        labels = view._eval_fn(np.asarray(points, dtype=np.int64))
-        assert np.asarray(labels).tolist() == [view._raw(t) for t in points]
+    assert rebuilt.period_labels.tolist() == inst.period_labels.tolist()
+    for t in list(range(n)) + points:
+        assert inst._raw(t) == defined_label(inst.descriptor, t)
+    view = dilated_view(inst, acc)
+    for t in list(range(n)) + points:
+        assert view._raw(t) == inst._raw(acc * t)
+    for each in (inst, view):
+        assert each.label_table((n,)).tolist() == [each._raw(t) for t in range(n)]
+
+
+few_label_cycles = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=30)
+)
+
+
+@st.composite
+def cycle_registers(draw):
+    """A cycle of few labels and a register n of every shape the fold
+    handles: n < L, n = L, L < n < 2L, 2L - 1, 2L + 1, QL + s, and more
+    than 40,000 points."""
+    cycle = draw(few_label_cycles)
+    size = len(cycle)
+    shape = draw(st.sampled_from(["short", "one period", "under two", "2L-1", "2L+1", "QL+s", "large"]))
+    if shape == "short" and size > 1:
+        return cycle, draw(st.integers(1, size - 1))
+    if shape == "under two" and size > 1:
+        return cycle, draw(st.integers(size + 1, 2 * size - 1))
+    if shape == "2L-1":
+        return cycle, max(1, 2 * size - 1)
+    if shape == "2L+1":
+        return cycle, 2 * size + 1
+    if shape == "QL+s":
+        return cycle, draw(st.integers(2, 6)) * size + draw(st.integers(0, size - 1))
+    if shape == "large":
+        return cycle, draw(st.integers(40_001, 45_000))
+    return cycle, size
+
+
+@given(cycle_registers())
+def test_periodic_law_matches_dense_for_any_period(case):
+    """The fold reads any period of the table, not only the least one: its
+    law is the dense circuit's on the n-point register that repeats it."""
+    cycle, n = case
+    law = _periodic_law(np.asarray(cycle, dtype=np.int64), n)
+    assert_law(law, dense_control_law(table_instance(cycle), n, "oracle"))
+
+
+@given(few_label_cycles)
+def test_cyclic_period_is_the_least_cyclic_shift(cycle):
+    cycle = np.asarray(cycle, dtype=np.int64)
+    least = next(p for p in range(1, cycle.size + 1) if np.array_equal(np.roll(cycle, p), cycle))
+    assert _cyclic_period(cycle) == least
+
+
+def test_short_register_fold_stays_within_labels_times_points():
+    """A merged table with n < 2L under a cap that admits its labels x n
+    points but not labels x 2L: the fold's one-hot is min(2L, n) wide, so
+    the law comes back, and it matches the dense law."""
+    pattern = [0, 1, 0, 0, 1, 1, 1, 0, 1, 0]  # least cyclic period 10, two labels
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = wrap_many_to_one(make_period_instance(10, relabeling=range(10)), pattern, 5)
+    n = 15
+    dense = dense_control_law(inst, n, "oracle")
+    previous = dimension_cap()
+    set_dimension_cap(2 * n)  # 2 labels x 15 points fit, 2 labels x 2L = 40 do not
+    try:
+        law = control_distribution(inst, n)
+        with pytest.raises(CapExceeded):  # two periods in the register need width 2L
+            control_distribution(inst, 2 * 10 + 1)
+    finally:
+        set_dimension_cap(previous)
+    assert_law(law, dense)
 
 
 @given(order_instances(), st.integers(-(10**30), 10**30))

@@ -121,6 +121,25 @@ def test_period_instances_hide_shifts():
     assert not make_period_instance(6).homomorphism_available
 
 
+def test_instances_take_the_function_form_of_their_domain():
+    """Integer domains take one period of labels, finite domains a callable."""
+    spec = GroupSpec.of((2,))
+    for bad in (
+        dict(domain=None, eval_fn=lambda t: t % 2),
+        dict(domain=None, period_labels=[]),
+        dict(domain=None, eval_fn=lambda t: t % 2, period_labels=[0, 1]),
+        dict(domain=spec, period_labels=[0, 1]),
+        dict(domain=spec),
+    ):
+        with pytest.raises(ValueError):
+            OracleInstance(codomain_size=2, **bad)
+    inst = OracleInstance(domain=None, codomain_size=3, period_labels=[2, 0])
+    assert [inst.evaluate(t) for t in (-1, 0, 1, 5)] == [0, 2, 0, 0]
+    assert inst.label_table((5,)).tolist() == [2, 0, 2, 0, 2]
+    with pytest.raises(ValueError):
+        inst.period_labels[0] = 1  # read-only: laws are cached on the instance
+
+
 # --- Simon instances ---------------------------------------------------------
 
 
