@@ -141,6 +141,8 @@ def _load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object, not {type(config).__name__}")
         if verify and not config.get("solver"):
             raise ConfigError("verify config needs a 'solver' field")
         if config.get("schema", SCHEMA) != SCHEMA:
@@ -165,6 +167,8 @@ def _load_config(args) -> dict:
     if getattr(args, "trials", None) is not None:
         config["trials"] = args.trials
     config.setdefault("trials", 1)
+    if int(config["trials"]) < 1:
+        raise ConfigError(f"trials must be at least 1, got {config['trials']}")
 
     params = dict(config.get("params", {}))
     if getattr(args, "control_bits", None) is not None:
@@ -312,7 +316,10 @@ def _run_command(args) -> int:
         "match": all_match,
         "timestamp": {"started": started, "wall_seconds": round(time.monotonic() - t0, 6)},
     }
-    _emit(report, getattr(args, "json_out", None))
+    try:
+        _emit(report, getattr(args, "json_out", None))
+    except OSError as exc:
+        return _input_error(exc)
     if failures:
         return 1
     return 0 if all_match else 3
@@ -342,13 +349,18 @@ def _dump_command(args) -> int:
     except (ConfigError, ValueError, json.JSONDecodeError) as exc:
         return _input_error(exc)
     payload["schema"] = SCHEMA
-    _emit(payload, getattr(args, "json_out", None))
+    try:
+        _emit(payload, getattr(args, "json_out", None))
+    except OSError as exc:
+        return _input_error(exc)
     return 0
 
 
 def _emit(payload: dict, json_out: str | None) -> None:
     """Write --json-out before printing, so a reader that closes stdout
-    early cannot lose the file; a closed stdout ends the printing quietly."""
+    early cannot lose the file; a closed stdout ends the printing quietly.
+    A --json-out that cannot be written raises OSError before anything is
+    printed."""
     text = json.dumps(payload, sort_keys=True, indent=2)
     if json_out:
         with open(json_out, "w") as fh:

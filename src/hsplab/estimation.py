@@ -30,18 +30,25 @@ fixed by the same-label pairs of one period counted by lag mod n: two
 Dirichlet kernels weight those counts' spectra, in O(n) memory.  Distinct
 labels, as in honest order and period functions and every shift orbit,
 pair only with themselves and give the closed form of two kernels; an m-to-1
-merge of labels only changes the counts.  Multi-register tables take one
-FFT over the (labels x points) indicator array.  The dense joint state stays as
-the reference that tests compare the laws against.  Laws describe the
-instance rather than query it and bill nothing; samplers bill one query per
-draw, the register runner one per circuit and the semiclassical runner one
-per step.
+merge of labels only changes the counts.  A multi-register table with one
+label per coset of its stabiliser K, as every hidden-subgroup, discrete-log
+and stabiliser instance writes, folds onto K: its coset states are shift
+eigenvectors with the characters in K^perp as eigenvalues, so the law is
+|K|/N on K^perp, read from at most log2 |K| rolls of the table and no FFT
+(`_coset_fold`).  Only merged and other non-coset tables take one FFT over
+the (labels x points) indicator array.  Every table is bounded by the
+dimension cap on its points, and the one-hot also on labels x points.  The
+dense joint state stays as the reference that tests compare the laws
+against.  Laws describe the instance rather than query it and bill nothing;
+samplers bill one query per draw, the register runner one per circuit and
+the semiclassical runner one per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -332,23 +339,73 @@ def _periodic_law(cycle: np.ndarray, n: int) -> np.ndarray:
     return law
 
 
+def _coset_fold(table: np.ndarray) -> np.ndarray | None:
+    """level_set_law of a table with one label per coset of its stabiliser
+    K = {h : table[x + h] = table[x] for all x}, or None for any other table.
+
+    The coset states are eigenvectors of the shifts whose eigenvalues are
+    the characters in K^perp, so the law is |K|/N on K^perp and 0 elsewhere.
+    K lies in the level set S0 of table[0], and equals it when the table has
+    one label per K-coset, which then number N/|S0|: that count is checked
+    first.  A subgroup H of K grows from {0} by elements h of S0 outside it,
+    each of which must leave the table unchanged when it is rolled by h, or
+    the table is no coset table.  H's annihilator H^perp, the characters t
+    with sum_j (L/d_j) t_j h_j = 0 mod L for every h added, shrinks as H
+    grows, and |H| = N/|H^perp|.  Each h added at least doubles H, so at most
+    log2 |K| rolls are tested, and H = S0 = K once |H| = |S0|."""
+    flat = table.reshape(-1)
+    n = flat.size
+    level = table == flat[0]
+    size = int(np.count_nonzero(level))
+    if np.unique(flat).size * size != n:
+        return None
+    shape = table.shape
+    grids = np.indices(shape, sparse=True)  # points of G, and characters of its dual
+
+    def rolled(arr, h):  # arr[x - h] at every x
+        return arr[tuple((g - c) % d for g, c, d in zip(grids, h, shape))]
+
+    big = lcm(*shape)
+    inside = np.zeros(shape, dtype=bool)  # H
+    inside.flat[0] = True
+    perp = np.ones(shape, dtype=bool)  # H^perp
+    members = 1
+    while members < size:
+        h = [int(c) for c in np.unravel_index(np.argmax(level & ~inside), shape)]
+        if not np.array_equal(rolled(table, h), table):
+            return None
+        perp &= sum(t * (big // d * c) for t, d, c in zip(grids, shape, h)) % big == 0
+        grown = n // int(np.count_nonzero(perp))
+        span = 1  # inside holds H + k h for k < span; not needed once H = S0
+        while members * span < grown < size:
+            inside |= rolled(inside, [span * c for c in h])
+            span *= 2
+        members = grown
+    return np.where(perp, size / n, 0.0)
+
+
 def level_set_law(table) -> np.ndarray:
     """Outcome law of the control registers after the inverse Fourier
     transform, when their points t are entangled with target labels
     table[t]: the sum over labels of |FFT(1[table == label])|^2 / N^2,
     shaped like the table.
 
-    A one-dimensional table raises CapExceeded when its N points exceed the
-    dimension cap, and otherwise takes `_periodic_law` as the one period of
-    itself.  A multi-register table takes one FFT over the labels x points
-    one-hot array and raises CapExceeded when that exceeds the cap."""
+    A table whose N points exceed the dimension cap raises CapExceeded.  A
+    one-dimensional table takes `_periodic_law` as the one period of
+    itself.  A multi-register table with one label per coset of its
+    stabiliser folds to |K|/N on K^perp (`_coset_fold`); any other, such as
+    a merged one, takes one FFT over the labels x points one-hot array and
+    raises CapExceeded when that exceeds the cap."""
     table = np.asarray(table, dtype=np.int64)
+    if table.size > dimension_cap():
+        raise CapExceeded(f"label-table law over {table.size} points exceeds cap {dimension_cap()}")
     if table.ndim == 1:
-        if table.size > dimension_cap():
-            raise CapExceeded(f"label-table law over {table.size} points exceeds cap {dimension_cap()}")
         return _periodic_law(table, table.size)
-    spectra = _level_set_spectra(table)
-    return (spectra.real**2 + spectra.imag**2).sum(axis=0)
+    law = _coset_fold(table)
+    if law is None:
+        spectra = _level_set_spectra(table)
+        law = (spectra.real**2 + spectra.imag**2).sum(axis=0)
+    return law
 
 
 def _shift_orbit(instance: OracleInstance, label: int, generator: int, n: int) -> np.ndarray:
@@ -450,6 +507,8 @@ def hsp_control_distribution(instance: OracleInstance) -> np.ndarray:
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup sampling needs a finite group domain")
+    if spec.order > dimension_cap():  # before the table is built
+        raise CapExceeded(f"coset law over {spec.order} points exceeds cap {dimension_cap()}")
     law = level_set_law(instance.label_table(tuple(spec.moduli))).reshape(-1)
     law.setflags(write=False)
     instance._dist_cache[key] = law

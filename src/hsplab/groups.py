@@ -143,13 +143,11 @@ class GroupSpec:
         return cls.of(data["moduli"])
 
 
-def _hnf_reduce(gens: list[Element], moduli: tuple[int, ...]) -> tuple[Element, ...]:
-    """Canonical generators: Hermite form of the generator rows stacked on
-    the modulus relations d_j * e_j, reduced back mod the moduli.
-
-    The stacked lattice is full rank, so the form is unique and equality of
-    subgroups becomes equality of canonical tuples.
-    """
+def _hermite_basis(gens, moduli: tuple[int, ...]) -> list[list[int]]:
+    """Hermite form of the generator rows stacked on the modulus relations
+    d_j * e_j: an upper-triangular basis of that lattice, row i with a
+    positive pivot at column i.  The lattice is full rank, so there is one
+    row per coordinate, and the pivot of row i divides d_i."""
     l = len(moduli)
     rows = [list(g) for g in gens]
     rows += [[moduli[j] if i == j else 0 for j in range(l)] for i in range(l)]
@@ -179,8 +177,18 @@ def _hnf_reduce(gens: list[Element], moduli: tuple[int, ...]) -> tuple[Element, 
                 if q:
                     rows[r] = [a - q * b for a, b in zip(rows[r], rows[top])]
             top += 1
+    return rows[:top]
+
+
+def _hnf_reduce(gens: list[Element], moduli: tuple[int, ...]) -> tuple[Element, ...]:
+    """Canonical generators: the Hermite basis of `_hermite_basis`, reduced
+    back mod the moduli.
+
+    The stacked lattice is full rank, so the form is unique and equality of
+    subgroups becomes equality of canonical tuples.
+    """
     reduced = []
-    for row in rows[:top]:
+    for row in _hermite_basis(gens, moduli):
         g = tuple(a % d for a, d in zip(row, moduli))
         if any(g):
             reduced.append(g)

@@ -4,7 +4,8 @@ An OracleInstance packages a function f from a group G (a finite GroupSpec,
 or the integers for order/period problems) onto integer labels [0, |X|),
 together with flags solvers may rely on.  A function on the integers is
 periodic by construction, so it is held as one period of labels; a function
-on a finite group is a callable on coordinate tuples.  The flags:
+on a finite group is a callable that maps reduced coordinates elementwise,
+so one call tabulates it over the whole group.  The flags:
 
   * `codomain_size` — the label-space size |X| (the image may be smaller);
   * `homomorphism_available` — whether the shift maps |f(y)> -> |f(y+g)>
@@ -28,7 +29,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .groups import (
     GroupSpec,
     SubgroupGenerators,
     _factorize,
+    _hermite_basis,
     subgroup_enumerate,
 )
 
@@ -74,8 +76,10 @@ class OracleInstance:
 
     On the integers f is given by `period_labels`, its labels over one period
     L: f(t) = period_labels[t mod L], and L need not be the least period.  On
-    a finite domain it is given by `eval_fn`, which receives coordinate
-    tuples reduced into the domain.
+    a finite domain it is given by `eval_fn`, which receives a tuple of
+    coordinates reduced into the domain, one per factor, and maps them
+    elementwise: ints give one label, equal-shaped int64 arrays an array of
+    labels, so `label_table` is one call over `np.indices`.
     """
 
     def __init__(
@@ -135,12 +139,19 @@ class OracleInstance:
     def label_table(self, shape: tuple[int, ...]) -> np.ndarray:
         """Unbilled f at every point of a block of control registers of the
         given shape: one register of points t on the integers, which tiles
-        the period; one register per coordinate on a finite domain."""
+        the period; one register per coordinate on a finite domain, whose
+        points are reduced into the domain."""
         if self.domain is None:
             (n,) = shape
             return np.resize(self.period_labels, n)
-        values = [self._raw(x) for x in np.ndindex(shape)]
-        return np.asarray(values, dtype=np.int64).reshape(shape)
+        shape = tuple(shape)
+        if len(shape) != self.domain.rank:
+            raise ValueError(f"need one register per domain coordinate ({self.domain.rank})")
+        points = np.indices(shape, dtype=np.int64)
+        if shape != self.domain.moduli:
+            points %= np.reshape(self.domain.moduli, (-1,) + (1,) * len(shape))
+        values = np.asarray(self._eval_fn(tuple(points)), dtype=np.int64)
+        return np.broadcast_to(values, shape)
 
     def evaluate(self, x) -> int:
         """One classical query of f (counted)."""
@@ -229,27 +240,36 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
 
 
 def _coset_labeling(spec: GroupSpec, subgroup: SubgroupGenerators, relabel_seed: int):
-    """Assign one label per coset of the subgroup, then scramble labels.
+    """One label per coset of the subgroup, scrambled by a seeded permutation.
 
-    Returns (label_of: dict element -> label, rep_of: list label -> coset
-    representative)."""
-    elems = subgroup_enumerate(subgroup)
-    label_of: dict[Element, int] = {}
-    reps: list[Element] = []
-    for x in spec.elements():
-        x = spec.reduce(x)
-        if x in label_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for h in elems:
-            label_of[spec.add(x, h)] = idx
-    perm = np.random.default_rng(relabel_seed).permutation(len(reps))
-    label_of = {x: int(perm[i]) for x, i in label_of.items()}
-    rep_of: list[Element] = [None] * len(reps)  # type: ignore[list-item]
-    for i, rep in enumerate(reps):
-        rep_of[int(perm[i])] = rep
-    return label_of, rep_of
+    Cosets are ranked by their least mixed-radix index, and coset rank i
+    gets label perm[i].  With the Hermite basis of the subgroup's lattice
+    (pivot p_i at column i), reducing x coordinate by coordinate, x_i mod
+    p_i after subtracting multiples of the rows above, gives the coset's
+    lexicographically least element: representatives are exactly the box
+    prod [0, p_i), and their order is the mixed-radix order with radices p.
+
+    Returns (labels: int64 array shaped like the group, read-only; rep_of:
+    array whose row v is the least element of the coset labelled v)."""
+    moduli = spec.moduli
+    basis = _hermite_basis(subgroup.generators, moduli)
+    pivots = tuple(basis[i][i] for i in range(spec.rank))
+    coords = np.indices(moduli, dtype=np.int64).reshape(spec.rank, -1)
+    rank = np.zeros(spec.order, dtype=np.int64)
+    for i, row in enumerate(basis):
+        steps, coords[i] = np.divmod(coords[i], pivots[i])
+        for j in range(i + 1, spec.rank):
+            if row[j]:
+                coords[j] -= steps * row[j]
+                coords[j] %= moduli[j]
+        rank *= pivots[i]
+        rank += coords[i]
+    perm = np.random.default_rng(relabel_seed).permutation(prod(pivots))
+    labels = perm[rank].reshape(moduli)
+    labels.setflags(write=False)
+    rep_of = np.empty((perm.size, spec.rank), dtype=np.int64)
+    rep_of[perm] = np.indices(pivots, dtype=np.int64).reshape(spec.rank, -1).T
+    return labels, rep_of
 
 
 def make_hidden_subgroup_instance(
@@ -263,16 +283,16 @@ def make_hidden_subgroup_instance(
         if isinstance(generators, SubgroupGenerators)
         else SubgroupGenerators.of(spec, generators)
     )
-    label_of, rep_of = _coset_labeling(spec, subgroup, relabel_seed)
+    labels, rep_of = _coset_labeling(spec, subgroup, relabel_seed)
     n_labels = len(rep_of)
 
     def shift(g: Element) -> np.ndarray:
-        return np.array([label_of[spec.add(rep_of[v], g)] for v in range(n_labels)], dtype=np.int64)
+        return labels[tuple(((rep_of + g) % spec.moduli).T)]
 
     return OracleInstance(
         domain=spec,
         codomain_size=n_labels,
-        eval_fn=lambda x: label_of[x],
+        eval_fn=lambda x: labels[x],
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup),
         descriptor={
@@ -321,18 +341,16 @@ def make_dlog_instance(
         if gcd(a, q) != 1 or gcd(b, q) != 1:
             raise ValueError("a and b must be units")
         r = _multiplicative_order(a, q)
-        m = None
-        v = 1
-        for t in range(r):
-            if v == b:
-                m = t
-                break
-            v = v * a % q
-        if m is None:
+        powers = [1]
+        while len(powers) < r:
+            powers.append(powers[-1] * a % q)
+        if b not in powers:
             raise ValueError(f"{b} is not a power of {a} mod {q}")
+        m = powers.index(b)
+        apow = np.array(powers, dtype=np.int64)
 
-        def value(x: int, y: int) -> int:
-            return pow(b, x, q) * pow(a, y, q) % q
+        def value(x, y):  # b^x a^y = a^(m x + y)
+            return apow[(m * x + y) % r]
 
         def shift(g: Element) -> np.ndarray:
             mult = pow(b, g[0], q) * pow(a, g[1], q) % q
@@ -347,7 +365,7 @@ def make_dlog_instance(
             raise ValueError("a must generate the cyclic group")
         m = b * pow(a, -1, r) % r if r > 1 else 0
 
-        def value(x: int, y: int) -> int:
+        def value(x, y):
             return (b * x + a * y) % r
 
         def shift(g: Element) -> np.ndarray:
@@ -359,7 +377,8 @@ def make_dlog_instance(
 
     spec = GroupSpec.of((r, r))
     subgroup = SubgroupGenerators.of(spec, [(1, (-m) % r)])
-    image = sorted({value(x, 0) for x in range(r)} | {value(0, y) for y in range(r)})
+    steps = np.arange(r, dtype=np.int64)
+    image = np.unique(np.concatenate([value(steps, 0), value(0, steps)])).tolist()
     return OracleInstance(
         domain=spec,
         codomain_size=codomain,
@@ -379,7 +398,7 @@ def make_deutsch_instance(f0: int, f1: int) -> OracleInstance:
     spec = GroupSpec.of((2,))
     constant = f0 == f1
     subgroup = SubgroupGenerators.of(spec, [(1,)] if constant else [])
-    table = [f0, f1]
+    table = np.array([f0, f1], dtype=np.int64)
 
     def shift(g: Element) -> np.ndarray:
         if g[0] == 0 or constant:
@@ -406,8 +425,8 @@ def make_stabiliser_instance(
 
     Action axioms — identity fixes every point, a(b(x)) = (ab)(x) — are
     checked exhaustively when |G|^2 * points fits under `check_cap`, else on
-    a seeded sample of that size.  The planted subgroup is the stabiliser of
-    x0, found by direct scan.
+    a seeded sample of that size.  f is held as its table of g(x0) over G,
+    and the planted subgroup, the stabiliser of x0, is read off that table.
     """
     points = int(points)
     x0 = int(x0)
@@ -432,21 +451,22 @@ def make_stabiliser_instance(
         if sorted(action(g, pt) for pt in range(points)) != list(range(points)):
             raise ValueError(f"element {g} does not act by permutation")
 
-    stab = [g for g in elements if action(g, x0) == x0]
+    orbit = np.array([action(g, x0) for g in elements], dtype=np.int64).reshape(spec.moduli)
+    orbit.setflags(write=False)
+    stab = [g for g, pt in zip(elements, orbit.flat) if pt == x0]
     subgroup = SubgroupGenerators.of(spec, stab)
 
     def shift(g: Element) -> np.ndarray:
         return np.array([action(g, pt) for pt in range(points)], dtype=np.int64)
 
-    image = {action(g, x0) for g in elements}
     return OracleInstance(
         domain=spec,
         codomain_size=points,
-        eval_fn=lambda g: action(g, x0),
+        eval_fn=lambda g: orbit[g],
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup),
         descriptor=descriptor or {"kind": "stabiliser", "moduli": list(spec.moduli), "points": points, "x0": x0},
-        cosets_per_label={v: 1 for v in image},
+        cosets_per_label={v: 1 for v in np.unique(orbit).tolist()},
     )
 
 

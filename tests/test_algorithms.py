@@ -25,7 +25,7 @@ from hsplab.algorithms import (
     solve_dlog,
     solve_hsp_general,
 )
-from hsplab.estimation import hsp_control_distribution
+from hsplab.estimation import _coset_fold, hsp_control_distribution
 from hsplab.groups import (
     GroupSpec,
     SubgroupGenerators,
@@ -39,12 +39,14 @@ from hsplab.oracles import (
     classical_invariance_subgroup,
     classical_least_period,
     classical_order,
+    instance_from_json,
     make_deutsch_instance,
     make_dlog_instance,
     make_hidden_subgroup_instance,
     make_order_instance,
     make_period_instance,
     make_simon_instance,
+    make_stabiliser_instance,
     wrap_many_to_one,
 )
 
@@ -308,6 +310,39 @@ def test_hsp_general_battery(moduli):
         inst = make_hidden_subgroup_instance(spec, list(k.generators), relabel_seed=7)
         res = solve_hsp_general(inst, SolverParams(seed=8))
         assert subgroups_equal(res.value, k), (moduli, k.generators)
+
+
+# --- stabilisers ------------------------------------------------------------------------
+
+STABILISER_CASES = {
+    # translations of Z_12 by 3 g0 + 2 g1: stabiliser {3 g0 + 2 g1 = 0 mod 12}
+    "translation": lambda: make_stabiliser_instance(
+        GroupSpec.of([4, 6]), lambda g, pt: (pt + 3 * g[0] + 2 * g[1]) % 12, 5, 12),
+    # XOR on the low two bits of 3-bit points; g2 acts trivially, the orbit is half the points
+    "xor": lambda: make_stabiliser_instance(
+        GroupSpec.of([2, 2, 2]), lambda g, pt: pt ^ (g[0] + 2 * g[1]), 6, 8),
+    # Z_3 x Z_9 turning Z_9: stabiliser {3 g0 + g1 = 0 mod 9}
+    "rotation": lambda: make_stabiliser_instance(
+        GroupSpec.of([3, 9]), lambda g, pt: (pt + 3 * g[0] + g[1]) % 9, 0, 9),
+    "from json": lambda: instance_from_json(
+        {"kind": "stabiliser", "moduli": [8, 4], "weights": [2, 4], "points": 8, "x0": 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STABILISER_CASES))
+def test_hsp_solver_recovers_stabilisers(case):
+    """The stabiliser of a point under an Abelian group action is a hidden
+    subgroup: f(g) = g(x0) is constant on its cosets and distinct across
+    them, so the coset law folds onto it and the solver recovers it."""
+    expected = classical_invariance_subgroup(STABILISER_CASES[case]())
+    for seed in range(3):
+        inst = STABILISER_CASES[case]()
+        assert subgroups_equal(inst.truth.subgroup, expected)
+        law = _coset_fold(inst.label_table(inst.domain.moduli))
+        assert law is not None
+        assert np.array_equal(hsp_control_distribution(inst), law.reshape(-1))
+        res = solve_hsp_general(inst, SolverParams(seed=seed))
+        assert res.verified and subgroups_equal(res.value, expected)
 
 
 # --- discrete logarithm -------------------------------------------------------------

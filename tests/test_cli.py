@@ -240,6 +240,38 @@ def test_factor_config_without_n_is_config_error(capsys, tmp_path):
     assert code == 2 and "factor" in err
 
 
+def test_unwritable_json_out_is_config_error(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    for argv in (("dump", "--kind", "estimator", "--phi", "1/2"),
+                 ("order", "--modulus", "15", "--base", "2", "--seed", "7")):
+        code, report, err = run(capsys, *argv, "--json-out", missing)
+        assert code == 2 and report is None
+        assert err.startswith("config error:") and "no-such-dir" in err and "Traceback" not in err
+
+
+def test_config_that_is_not_an_object_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, report, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and report is None
+    assert err.startswith("config error:") and "JSON object" in err
+
+
+def test_trials_below_one_is_config_error(capsys, tmp_path):
+    code, report, err = run(capsys, "order", "--modulus", "15", "--base", "2", "--seed", "7",
+                            "--trials", "0")
+    assert code == 2 and report is None
+    assert err.startswith("config error:") and "trials" in err and "max_workers" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "solver": "order", "instance": {"kind": "order", "modulus": 15, "base": 2},
+        "seed": 0, "trials": -1,
+    }))
+    code, report, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and report is None
+    assert err.startswith("config error:") and "trials" in err and "-1" in err
+
+
 def test_budget_exhaustion_is_solver_failure(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

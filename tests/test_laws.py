@@ -5,10 +5,13 @@ from the level sets of f's label table alone.  Here each law is compared with
 the Born-rule marginal of the dense joint state the circuit would build, over
 random small instances: order finding on both routes and off-orbit basis
 targets, period finding, many-to-one merges, discrete logs along either
-generator, and hidden subgroups of random groups.  The closed form for tables
-that cycle through distinct labels is pinned separately over every shape of
-register (shorter than a period, whole periods, a remainder, and registers
-large enough that a float zero test would misfire).  So is the law folded
+generator, and hidden subgroups of random groups.  Coset tables are pinned
+to fold onto their stabiliser, and tables that are not coset tables (merges,
+level sets of the right size that are no subgroup) to be refused by the
+fold.  The closed form for tables that cycle through distinct labels is
+pinned separately over every shape of register (shorter than a period,
+whole periods, a remainder, and registers large enough that a float zero
+test would misfire).  So is the law folded
 onto one period for merged views and repeated tables, including registers
 that hold less than two periods, the least-cyclic-period search against
 brute force, and the one period of labels of every integer-domain instance
@@ -35,6 +38,7 @@ from hsplab.amplitudes import (
     set_dimension_cap,
 )
 from hsplab.estimation import (
+    _coset_fold,
     _cyclic_period,
     _hsp_layout,
     _periodic_law,
@@ -42,10 +46,11 @@ from hsplab.estimation import (
     control_distribution,
     hsp_control_distribution,
 )
-from hsplab.groups import GroupSpec
+from hsplab.groups import GroupSpec, subgroup_enumerate
 from hsplab.oracles import (
     OracleInstance,
     apply_oracle,
+    classical_invariance_subgroup,
     classical_order,
     dilated_view,
     instance_from_json,
@@ -164,6 +169,64 @@ def test_coset_law_matches_dense(inst, merge, data):
     if merge:
         inst = merged(inst, data)
     assert_law(hsp_control_distribution(inst), dense_coset_law(inst))
+
+
+@given(hidden_subgroup_instances())
+def test_coset_tables_fold_onto_their_stabiliser(inst):
+    """A hidden-subgroup table takes the fold, |K|/N on K^perp, and that is
+    the dense circuit's law; multi-register laws read it."""
+    law = _coset_fold(inst.label_table(inst.domain.moduli))
+    assert law is not None
+    assert_law(law.reshape(-1), dense_coset_law(inst))
+    if inst.domain.rank > 1:
+        assert np.array_equal(hsp_control_distribution(inst), law.reshape(-1))
+
+
+@given(hidden_subgroup_instances(), st.data())
+def test_fold_takes_merged_tables_only_when_they_are_coset_tables(inst, data):
+    """A merge of coset labels folds exactly when it is again a table with
+    one label per coset of its stabiliser, found here by brute force."""
+    inst = merged(inst, data)
+    table = inst.label_table(inst.domain.moduli)
+    stabiliser = subgroup_enumerate(classical_invariance_subgroup(inst))
+    law = _coset_fold(table)
+    assert (law is not None) == (np.unique(table).size * len(stabiliser) == table.size)
+    if law is not None:
+        assert_law(law.reshape(-1), dense_coset_law(inst))
+
+
+@pytest.mark.parametrize("rows", [[0, 0, 1, 1], [[0, 0, 1, 1], [1, 1, 0, 0]]])
+def test_fold_refuses_a_level_set_that_is_no_subgroup(rows):
+    """S0 has N / labels points, as a coset table's would, but is no
+    subgroup: the law comes from the one-hot path, and matches the dense law."""
+    table = np.array(rows, dtype=np.int64)
+    assert _coset_fold(table) is None
+    inst = OracleInstance(
+        domain=GroupSpec.of(table.shape), codomain_size=2, eval_fn=lambda x: table[x],
+        descriptor={"kind": "table"},
+    )
+    assert_law(hsp_control_distribution(inst), dense_coset_law(inst))
+
+
+def test_coset_law_cap_bounds_points_and_is_checked_before_tabulating():
+    """The fold needs no labels x points one-hot, so an injective table on
+    Z_8 x Z_8 (64 labels x 64 points) folds under a cap of 64; a cap below
+    |G| raises CapExceeded before f is tabulated."""
+    spec = GroupSpec.of((8, 8))
+    inst = make_hidden_subgroup_instance(spec, [], relabel_seed=1)
+    dense = dense_coset_law(inst)
+    fresh = make_hidden_subgroup_instance(spec, [], relabel_seed=1)
+    fresh.label_table = lambda shape: pytest.fail("tabulated above the cap")
+    previous = dimension_cap()
+    set_dimension_cap(64)
+    try:
+        law = hsp_control_distribution(inst)
+        set_dimension_cap(63)
+        with pytest.raises(CapExceeded):
+            hsp_control_distribution(fresh)
+    finally:
+        set_dimension_cap(previous)
+    assert_law(law, dense)
 
 
 @st.composite

@@ -17,7 +17,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hsplab.amplitudes import RegisterLayout, basis_state, l2_distance, uniform_state
-from hsplab.groups import GroupSpec, SubgroupGenerators, subgroup_enumerate, subgroups_equal
+from hsplab.groups import (
+    GroupSpec,
+    SubgroupGenerators,
+    all_subgroups,
+    subgroup_enumerate,
+    subgroups_equal,
+)
 from hsplab.estimation import (
     phase_estimate_register,
     phase_estimate_semiclassical,
@@ -138,6 +144,79 @@ def test_instances_take_the_function_form_of_their_domain():
     assert inst.label_table((5,)).tolist() == [2, 0, 2, 0, 2]
     with pytest.raises(ValueError):
         inst.period_labels[0] = 1  # read-only: laws are cached on the instance
+
+
+# --- hidden-subgroup instances ---------------------------------------------
+
+
+def dict_coset_labeling(spec: GroupSpec, subgroup: SubgroupGenerators, relabel_seed: int):
+    """Reference labelling by closure: walk G in mixed-radix order, give each
+    unlabelled element's whole coset the next coset index, then scramble the
+    indices with the seeded permutation.  Returns (label_of: element ->
+    label, rep_of: label -> least element of its coset)."""
+    elems = subgroup_enumerate(subgroup)
+    label_of: dict = {}
+    reps: list = []
+    for x in spec.elements():
+        if x in label_of:
+            continue
+        reps.append(x)
+        for h in elems:
+            label_of[spec.add(x, h)] = len(reps) - 1
+    perm = np.random.default_rng(relabel_seed).permutation(len(reps))
+    rep_of = [None] * len(reps)
+    for i, rep in enumerate(reps):
+        rep_of[int(perm[i])] = rep
+    return {x: int(perm[i]) for x, i in label_of.items()}, rep_of
+
+
+@pytest.mark.parametrize("moduli", [(8,), (2, 4), (4, 4), (2, 2, 4), (2, 3), (4, 3), (2, 9), (2, 2, 3)])
+def test_coset_labels_and_shift_maps_match_the_closure_reference(moduli):
+    """Over every subgroup (trivial and whole group included), a few seeds:
+    the label table and every shift permutation are byte-identical to the
+    closure reference's, so seeded instances keep their labels."""
+    spec = GroupSpec.of(moduli)
+    for k in all_subgroups(spec):
+        for seed in (0, 7):
+            inst = make_hidden_subgroup_instance(spec, k, relabel_seed=seed)
+            label_of, rep_of = dict_coset_labeling(spec, k, seed)
+            expected = np.array([label_of[x] for x in spec.elements()], dtype=np.int64)
+            assert inst.label_table(moduli).tobytes() == expected.tobytes()
+            assert inst.codomain_size == len(rep_of)
+            for g in spec.elements():
+                shifted = [label_of[spec.add(rep, g)] for rep in rep_of]
+                assert inst.shift_permutation(g).tobytes() == np.array(shifted, dtype=np.int64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_hidden_subgroup_instance(GroupSpec.of([4, 6]), [(2, 3)], relabel_seed=4),
+        lambda: make_simon_instance(3, (1, 1, 0)),
+        lambda: make_dlog_instance(3, 5, modulus=7),
+        lambda: make_dlog_instance(2, 9, modulus=13),
+        lambda: make_dlog_instance(5, 3, order=12),
+        lambda: make_deutsch_instance(1, 0),
+        lambda: make_deutsch_instance(1, 1),
+        lambda: make_stabiliser_instance(GroupSpec.of([4, 2]), lambda g, pt: (pt + g[0] + 2 * g[1]) % 4, 1, 4),
+        lambda: wrap_many_to_one(make_simon_instance(2, (1, 0)), [0, 0], 2),
+    ],
+    ids=["hsp", "simon", "dlog7", "dlog13", "dlog-order", "deutsch-balanced", "deutsch-constant",
+         "stabiliser", "merged"],
+)
+def test_label_table_is_one_call_of_the_pointwise_function(make):
+    """Finite-domain functions map coordinate arrays elementwise: the table
+    from one call over the whole group equals f at each point, and a block
+    of registers wider than the group reads the reduced points."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = make()
+    spec = inst.domain
+    table = inst.label_table(spec.moduli)
+    assert table.shape == spec.moduli and table.dtype == np.int64
+    assert table.reshape(-1).tolist() == [inst._raw(x) for x in spec.elements()]
+    wide = tuple(d + 1 for d in spec.moduli)
+    assert inst.label_table(wide).reshape(-1).tolist() == [inst._raw(x) for x in np.ndindex(wide)]
 
 
 # --- Simon instances ---------------------------------------------------------
