@@ -63,19 +63,16 @@ from .oracles import (
     wrap_many_to_one,
 )
 from .estimation import (
-    EigenstateHandle,
-    EstimationRun,
     PhaseSample,
     SemiclassicalRun,
     SemiclassicalStep,
     control_distribution,
     hsp_control_distribution,
     hsp_sample_batch,
-    keep_target_after_measurement,
     level_set_law,
-    phase_estimate_register,
     phase_estimate_semiclassical,
     sample_control,
+    sample_coset_coordinate,
     verify_main_equality,
 )
 from .postprocess import (

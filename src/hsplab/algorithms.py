@@ -14,18 +14,13 @@ replayable regardless of how a harness schedules trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import gcd, lcm
+from numbers import Integral, Real
 
 import numpy as np
 
-from .estimation import (
-    PhaseSample,
-    hsp_sample_batch,
-    keep_target_after_measurement,
-    phase_estimate_register,
-    sample_control,
-)
+from .estimation import PhaseSample, hsp_sample_batch, sample_control, sample_coset_coordinate
 from .groups import (
     Element,
     SubgroupGenerators,
@@ -44,6 +39,9 @@ class BudgetExhausted(RuntimeError):
 
 class PromiseViolation(RuntimeError):
     """The function contradicted the hidden-subgroup promise."""
+
+
+_OPTIONAL_FIELDS = ("control_bits", "register_size", "period_bound", "multiplicity")
 
 
 @dataclass(frozen=True)
@@ -67,11 +65,21 @@ class SolverParams:
     doubling: bool = False
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            if name == "doubling":
+                if not isinstance(v, bool):
+                    raise ValueError(f"doubling must be true or false, got {v!r}")
+            elif v is None and name in _OPTIONAL_FIELDS:
+                continue
+            elif isinstance(v, bool) or not isinstance(v, Real if name == "epsilon" else Integral):
+                kind = "a number" if name == "epsilon" else "an integer"
+                raise ValueError(f"{name} must be {kind}, got {v!r}")
         if self.trials < 1:
             raise ValueError("trial budget must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        for name in ("control_bits", "register_size", "period_bound", "multiplicity"):
+        for name in _OPTIONAL_FIELDS:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -79,22 +87,14 @@ class SolverParams:
             raise ValueError("thresholds must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "control_bits": self.control_bits,
-            "register_size": self.register_size,
-            "trials": self.trials,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "period_bound": self.period_bound,
-            "multiplicity": self.multiplicity,
-            "zero_run_threshold": self.zero_run_threshold,
-            "spot_checks": self.spot_checks,
-            "doubling": self.doubling,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "SolverParams":
-        return cls(**{k: data[k] for k in data if k in cls.__dataclass_fields__})
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown solver params: {', '.join(unknown)}")
+        return cls(**data)
 
 
 @dataclass
@@ -326,8 +326,9 @@ def _merge_congruence(a1: int, n1: int, a2: int, n2: int) -> tuple[int, int] | N
     return (a1 + n1 * step) % l, l
 
 
-def solve_dlog(instance: OracleInstance, r: int, params: SolverParams) -> DlogResult:
-    """Discrete log with the order r known, two chained estimations per trial.
+def solve_dlog(instance: OracleInstance, params: SolverParams) -> DlogResult:
+    """Discrete log on Z_r x Z_r, r the order of the base, by two chained
+    estimations per trial.
 
     Stage one estimates k/r on an exactly r-level control driven by the
     second-coordinate shift (multiplication by the base); because the
@@ -335,13 +336,16 @@ def solve_dlog(instance: OracleInstance, r: int, params: SolverParams) -> DlogRe
     collapses onto a single shift eigenvector.  Stage two keeps that
     collapsed target and drives the first-coordinate shift (multiplication
     by the power target), reading off k·m mod r on one fresh control — no
-    second target register is ever prepared.  Each pair pins m modulo
-    r/gcd(k, r); congruences accumulate until m is known mod r.
+    second target register is ever prepared.  The two shifts commute, so the
+    chain draws from the coset sampler's law: stage one from its marginal
+    over t_1, stage two from its conditional over t_0 given t_1 = k.  Each
+    pair pins m modulo r/gcd(k, r); congruences accumulate until m is known
+    mod r.
     """
     spec = instance.domain
-    if spec is None or spec.rank != 2:
-        raise ValueError("expected a two-coordinate discrete-log instance")
-    r = int(r)
+    if spec is None or spec.rank != 2 or spec.moduli[0] != spec.moduli[1]:
+        raise ValueError("expected a discrete-log instance on Z_r x Z_r")
+    r = spec.moduli[0]
     f00 = instance.evaluate(spec.identity())
     samples: list[PhaseSample] = []
     if r == 1:
@@ -350,20 +354,15 @@ def solve_dlog(instance: OracleInstance, r: int, params: SolverParams) -> DlogRe
     known_rem, known_mod = 0, 1
     reuses = 0
     for trial in range(params.trials):
-        run1 = phase_estimate_register(
-            instance, r, generator=1, seed=params.seed + 2 * trial, target=f00
-        )
-        samples.append(run1.sample)
-        k = run1.sample.observed
+        first = sample_coset_coordinate(instance, 1, seed=params.seed + 2 * trial)
+        samples.append(first)
+        k = first.observed
         if k == 0:
             continue  # eigenvalue 1 carries no information about m; redraw
-        handle = keep_target_after_measurement(run1)
-        run2 = phase_estimate_register(
-            instance, r, generator=0, seed=params.seed + 2 * trial + 1, target=handle
-        )
+        second = sample_coset_coordinate(instance, 0, {1: k}, seed=params.seed + 2 * trial + 1)
         reuses += 1
-        samples.append(run2.sample)
-        x2 = run2.sample.observed  # k·m mod r, exactly
+        samples.append(second)
+        x2 = second.observed  # k·m mod r, exactly
         d = gcd(k, r)
         if x2 % d:
             continue  # cannot happen for an honest instance

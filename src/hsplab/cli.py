@@ -56,6 +56,11 @@ from .oracles import (
 from .qft import estimator_distribution
 
 SCHEMA = 1
+SOLVERS = {  # every solver but factoring takes (instance, params)
+    "order": find_order, "period": find_period, "dlog": solve_dlog,
+    "simon": solve_hsp_general, "deutsch": solve_hsp_general, "hsp": solve_hsp_general,
+    "robust-period": robust_period, "robust-hsp": robust_hsp,
+}
 
 
 class ConfigError(ValueError):
@@ -133,6 +138,23 @@ def _default_bound(descriptor: dict) -> int | None:
     return None
 
 
+def _integers(value) -> bool:
+    """An int (a bool is not one), or a list of them, nested or not."""
+    return type(value) is int or isinstance(value, list) and all(map(_integers, value))
+
+
+def _check_descriptor(descriptor, where: str = "instance") -> None:
+    """Every field of an instance descriptor but its kind is null or
+    `_integers`, or, for a merge, the inner descriptor."""
+    if not isinstance(descriptor, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key, value in descriptor.items():
+        if key == "inner":
+            _check_descriptor(value, f"{where}.inner")
+        elif key != "kind" and value is not None and not _integers(value):
+            raise ConfigError(f"{where}.{key} must be an integer or a list of integers, got {value!r}")
+
+
 def _load_config(args) -> dict:
     config: dict = {}
     verify = args.command == "verify"
@@ -150,6 +172,8 @@ def _load_config(args) -> dict:
     config.setdefault("schema", SCHEMA)
     config.setdefault("solver", args.command)
     solver = config["solver"]
+    if not isinstance(solver, str):
+        raise ConfigError(f"solver must be a string, got {solver!r}")
 
     if "instance" not in config and solver != "factor":
         config["instance"] = _instance_descriptor(args)
@@ -159,6 +183,10 @@ def _load_config(args) -> dict:
             config["n"] = n
         if "n" not in config:
             raise ConfigError("factor needs --n")
+        if type(config["n"]) is not int:
+            raise ConfigError(f"n must be an integer, got {config['n']!r}")
+    else:
+        _check_descriptor(config["instance"])
 
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
@@ -167,10 +195,16 @@ def _load_config(args) -> dict:
     if getattr(args, "trials", None) is not None:
         config["trials"] = args.trials
     config.setdefault("trials", 1)
-    if int(config["trials"]) < 1:
+    for key in ("seed", "trials"):
+        if type(config[key]) is not int:
+            raise ConfigError(f"{key} must be an integer, got {config[key]!r}")
+    if config["trials"] < 1:
         raise ConfigError(f"trials must be at least 1, got {config['trials']}")
 
-    params = dict(config.get("params", {}))
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a JSON object, got {params!r}")
+    params = dict(params)
     if getattr(args, "control_bits", None) is not None:
         params["control_bits"] = args.control_bits
     if getattr(args, "multiplicity", None) is not None and config["solver"].startswith("robust"):
@@ -220,28 +254,11 @@ def _run_single_trial(solver: str, config: dict, params: SolverParams, index: in
             "samples": [],
         }
 
-    instance = instance_from_json(config["instance"])
-    if solver == "order":
-        result = find_order(instance, trial_params)
-        recovered: object = result.value
-    elif solver == "period":
-        result = find_period(instance, trial_params)
-        recovered = result.value
-    elif solver in ("simon", "deutsch", "hsp"):
-        result = solve_hsp_general(instance, trial_params)
-        recovered = result.value
-    elif solver == "dlog":
-        r = instance.domain.moduli[0]
-        result = solve_dlog(instance, r, trial_params)
-        recovered = result.value
-    elif solver == "robust-period":
-        result = robust_period(instance, trial_params)
-        recovered = result.value
-    elif solver == "robust-hsp":
-        result = robust_hsp(instance, trial_params)
-        recovered = result.value
-    else:
+    if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}")
+    instance = instance_from_json(config["instance"])
+    result = SOLVERS[solver](instance, trial_params)
+    recovered = result.value
 
     truth = _truth_report(solver, instance)
     if "period" in truth:
@@ -295,7 +312,7 @@ def _run_command(args) -> int:
         return _input_error(exc)
 
     solver = config["solver"]
-    trials = int(config["trials"])
+    trials = config["trials"]
     try:
         with ThreadPoolExecutor(max_workers=min(trials, os.cpu_count() or 1)) as pool:
             results = list(

@@ -1,4 +1,4 @@
-"""Eigenvalue-estimation circuits over exact dense statevectors.
+"""Eigenvalue-estimation circuits, sampled from their exact outcome laws.
 
 Two physically equivalent routes produce the same control-register law:
 
@@ -17,6 +17,11 @@ measured bit feeding a rotation into the next step.  Its outcome law is the
 shift route's register law on 2^bits levels (the Griffiths-Niu semiclassical
 Fourier transform), so `control_distribution` is its one law; tests check
 it against an independent walk of the cascade's binary branch tree.
+Estimations chained on one kept target, as the discrete log runs them,
+need no state either: the shifts along the domain generators commute, so
+estimating them one after another draws jointly from the coset sampler's
+law, the first estimation from its marginal and each later one from its
+conditional given the outcomes before it (`sample_coset_coordinate`).
 
 The register and coset-sampler laws come from the level sets of the label
 table the circuit writes into the target (Mosca-Ekert): the law is the
@@ -38,9 +43,10 @@ eigenvectors with the characters in K^perp as eigenvalues, so the law is
 (`_coset_fold`).  Only merged and other non-coset tables take one FFT over
 the (labels x points) indicator array.  Every table is bounded by the
 dimension cap on its points, and the one-hot also on labels x points.  The
-dense joint state stays as the reference that tests compare the laws
-against.  Laws describe the instance rather than query it and bill nothing;
-samplers bill one query per draw, the register runner one per circuit and
+dense joint state (`_pre_measurement_state`) is only the reference that
+tests compare the laws against; the dual-route check and the semiclassical
+runner are the other circuits built on it.  Laws describe the instance
+rather than query it and bill nothing; samplers bill one query per draw and
 the semiclassical runner one per step.
 """
 
@@ -93,25 +99,6 @@ class PhaseSample:
         }
 
 
-@dataclass
-class EigenstateHandle:
-    """A kept post-measurement target state, reusable as the next run's input."""
-
-    vector: np.ndarray
-    register_size: int
-    outcome: int
-
-
-@dataclass
-class EstimationRun:
-    sample: PhaseSample
-    state: QuantumState  # post-measurement joint state
-    control_register: int
-    target_register: int
-    route: str
-    generator: int
-
-
 def _identity_point(instance: OracleInstance):
     return 0 if instance.domain is None else instance.domain.identity()
 
@@ -119,11 +106,6 @@ def _identity_point(instance: OracleInstance):
 def _target_amplitudes(instance: OracleInstance, target) -> np.ndarray:
     """Resolve a target argument to an amplitude vector over the codomain."""
     x_size = instance.codomain_size
-    if isinstance(target, EigenstateHandle):
-        vec = np.asarray(target.vector, dtype=np.complex128)
-        if vec.shape != (x_size,):
-            raise ValueError("handle vector does not match the codomain")
-        return vec / np.linalg.norm(vec)
     if isinstance(target, np.ndarray):
         vec = target.astype(np.complex128)
         return vec / np.linalg.norm(vec)
@@ -153,7 +135,8 @@ def _pre_measurement_state(
     target,
 ) -> QuantumState:
     """The joint control-target state just before the control is measured,
-    built densely on n x |X| amplitudes.  Bills no query."""
+    built densely on n x |X| amplitudes: the laws' test reference, which
+    also takes an amplitude-vector target, such as one kept.  Bills nothing."""
     n = int(register_size)
     x_size = instance.codomain_size
     layout = RegisterLayout.of((n, x_size), ("control", "target"))
@@ -169,43 +152,6 @@ def _pre_measurement_state(
         state = apply_fourier(state, 0)
         state = apply_shift(state, 0, 1, instance, generator=generator, step=1)
     return apply_fourier(state, 0, inverse=True)
-
-
-def phase_estimate_register(
-    instance: OracleInstance,
-    register_size: int,
-    *,
-    generator: int = 0,
-    seed: int = 0,
-    target=None,
-    route: str | None = None,
-) -> EstimationRun:
-    """Run the register-control estimation circuit once and measure.
-
-    `target` selects the shift route's starting target: None (query f at the
-    identity), an integer label, an amplitude vector, or an EigenstateHandle
-    kept from a previous run.  Costs one oracle query for the circuit plus
-    one `evaluate` when the shift route's default target is requested.
-    """
-    route = _resolve_route(instance, route)
-    if route == "shift" and target is None:
-        target = instance.evaluate(_identity_point(instance))
-    state = _pre_measurement_state(instance, register_size, route, generator, target)
-    instance.counter.add(1)
-    record, collapsed = measure_register(state, 0, seed)
-    sample = PhaseSample(record.outcome, int(register_size), record.probability, seed)
-    return EstimationRun(sample, collapsed, 0, 1, route, generator)
-
-
-def keep_target_after_measurement(run: EstimationRun) -> EigenstateHandle:
-    """Extract the collapsed target state from a finished run."""
-    dims = run.state.layout.dims
-    arr = run.state.amplitudes.reshape(dims)
-    vec = np.take(arr, run.sample.observed, axis=run.control_register).reshape(-1)
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise RuntimeError("collapsed target has no amplitude")
-    return EigenstateHandle(vec / norm, run.sample.register_size, run.sample.observed)
 
 
 # --- exact outcome laws ------------------------------------------------------
@@ -525,6 +471,36 @@ def hsp_sample_batch(instance: OracleInstance, count: int, seed: int = 0) -> lis
     instance.counter.add(int(count))
     coords = np.unravel_index(flat, tuple(spec.moduli))
     return [tuple(int(c[i]) for c in coords) for i in range(int(count))]
+
+
+def _coordinate_law(instance: OracleInstance, coordinate: int, measured: dict) -> np.ndarray:
+    """Law of coordinate j of the coset sampler's outcome given the
+    coordinates already measured on the same target (axis -> outcome): the
+    joint coset law at those outcomes, summed over every other axis and
+    renormalised.  Bills nothing."""
+    law = hsp_control_distribution(instance).reshape(instance.domain.moduli)
+    others = [i for i in range(law.ndim) if i != coordinate]
+    if coordinate not in range(law.ndim) or not set(measured) <= set(others):
+        raise ValueError(f"coordinate {coordinate} given {sorted(measured)} outside rank {law.ndim}")
+    law = np.moveaxis(law, coordinate, 0)[(slice(None),) + tuple(measured.get(i, slice(None)) for i in others)]
+    weights = law.reshape(law.shape[0], -1).sum(axis=1)
+    if not weights.sum() > 0.0:
+        raise ValueError(f"measured outcomes {measured} have probability zero")
+    return weights / weights.sum()
+
+
+def sample_coset_coordinate(
+    instance: OracleInstance, coordinate: int, measured: dict | None = None, *, seed: int = 0
+) -> PhaseSample:
+    """Estimate the eigenphase t_j / d_j of the shift along generator j on a
+    d_j-level control, on the target |f(identity)> after earlier estimations
+    read the `measured` coordinates (axis -> outcome).  The shifts commute,
+    so this draws from the coset law's conditional given those outcomes.
+    One query per draw."""
+    law = _coordinate_law(instance, coordinate, dict(measured or {}))
+    outcome = int(np.random.default_rng(seed).choice(law.size, p=law))
+    instance.counter.add(1)
+    return PhaseSample(outcome, law.size, float(law[outcome]), seed)
 
 
 # --- dual-route verification ---------------------------------------------------

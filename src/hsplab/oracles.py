@@ -18,8 +18,8 @@ Ground truth (the planted subgroup / period / exponent) rides along in
 `truth` for verification and reporting code; solver code treats instances
 as black boxes and touches only `evaluate`, the shift maps, and the flags.
 Queries are billed where circuits run, to the instance's QueryCounter:
-one per classical `evaluate` call, per sampler draw, per register-estimation
-circuit and per semiclassical step.  The gate-level maps (apply_oracle,
+one per classical `evaluate` call, per sampler draw and per semiclassical
+step.  The gate-level maps (apply_oracle,
 apply_shift) and the exact outcome laws bill nothing; they describe the
 instance rather than query it.
 """
@@ -734,14 +734,17 @@ def classical_least_period(instance: OracleInstance, bound: int) -> int:
 
 
 def classical_invariance_subgroup(instance: OracleInstance) -> SubgroupGenerators:
-    """{h : f(x+h) = f(x) for all x}, by exhaustive scan (finite domains)."""
+    """{h : f(x+h) = f(x) for all x}, by exhaustive test (finite domains):
+    each h with f(h) = f(0) compares f's table shifted by h with itself."""
     spec = instance.domain
     if spec is None:
         raise ValueError("integer-domain instances have no finite invariance subgroup")
-    table = {x: instance._raw(x) for x in spec.elements()}
+    shape = tuple(spec.moduli)
+    table = instance.label_table(shape)
+    grids = np.indices(shape, sparse=True)
     members = [
-        h
-        for h in table
-        if all(table[spec.add(x, h)] == table[x] for x in table)
+        tuple(int(c) for c in h)
+        for h in zip(*np.nonzero(table == table.flat[0]))
+        if np.array_equal(table[tuple((g + c) % d for g, c, d in zip(grids, h, shape))], table)
     ]
     return SubgroupGenerators.of(spec, members)

@@ -281,7 +281,7 @@ def test_criterion_7_dlog_battery():
             for j in range(r):
                 b = pow(a, j, p)
                 inst = make_dlog_instance(a, b, p)
-                res = solve_dlog(inst, r, SolverParams(seed=97 * p + 13 * a + j))
+                res = solve_dlog(inst, SolverParams(seed=97 * p + 13 * a + j))
                 total += 1
                 exact += pow(a, res.value, p) == b and res.verified
                 reuses += res.collapsed_reuses

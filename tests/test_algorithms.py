@@ -349,24 +349,24 @@ def test_hsp_solver_recovers_stabilisers(case):
 
 
 def test_dlog_unit_target():
-    res = solve_dlog(make_dlog_instance(3, 1, modulus=7), 6, SolverParams(seed=0))
+    res = solve_dlog(make_dlog_instance(3, 1, modulus=7), SolverParams(seed=0))
     assert res.value == 0
     assert res.verified
 
 
 def test_dlog_z7_example():
-    res = solve_dlog(make_dlog_instance(3, 4, modulus=7), 6, SolverParams(seed=1))
+    res = solve_dlog(make_dlog_instance(3, 4, modulus=7), SolverParams(seed=1))
     assert res.value == 4
     assert pow(3, res.value, 7) == 4
 
 
 def test_dlog_base_equals_target():
-    res = solve_dlog(make_dlog_instance(2, 2, modulus=11), 10, SolverParams(seed=2))
+    res = solve_dlog(make_dlog_instance(2, 2, modulus=11), SolverParams(seed=2))
     assert res.value == 1
 
 
 def test_dlog_reuses_collapsed_target():
-    res = solve_dlog(make_dlog_instance(3, 5, modulus=7), 6, SolverParams(seed=3))
+    res = solve_dlog(make_dlog_instance(3, 5, modulus=7), SolverParams(seed=3))
     assert pow(3, res.value, 7) == 5
     assert res.collapsed_reuses >= 1
 
@@ -376,7 +376,7 @@ def test_dlog_all_pairs_z7():
         r = classical_order(a, 7)
         for m in range(r):
             b = pow(a, m, 7)
-            res = solve_dlog(make_dlog_instance(a, b, modulus=7), r, SolverParams(seed=a * 10 + m))
+            res = solve_dlog(make_dlog_instance(a, b, modulus=7), SolverParams(seed=a * 10 + m))
             assert pow(a, res.value, 7) == b
             assert 0 <= res.value < r
 
@@ -510,6 +510,11 @@ def test_params_validation():
         SolverParams(epsilon=1.0)
     with pytest.raises(ValueError):
         SolverParams(period_bound=0)
+    for bad in ({"seed": "1"}, {"period_bound": "x"}, {"trials": True}, {"epsilon": "0.1"},
+                {"doubling": 1}, {"period_bond": 3}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverParams.from_json(bad)
+    assert SolverParams(seed=np.int64(2), epsilon=np.float64(0.5)).seed == 2  # numpy scalars pass
 
 
 def test_result_json_shapes():

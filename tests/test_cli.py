@@ -272,6 +272,39 @@ def test_trials_below_one_is_config_error(capsys, tmp_path):
     assert err.startswith("config error:") and "trials" in err and "-1" in err
 
 
+def verify_config_error(capsys, tmp_path, **fields) -> str:
+    """Run verify on an order config with `fields` overriding it; the run
+    must exit 2 with a config error and no report, and no traceback."""
+    config = {"solver": "order", "instance": {"kind": "order", "modulus": 15, "base": 2}, "seed": 0}
+    config.update(fields)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, report, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and report is None
+    assert err.startswith("config error:") and "Traceback" not in err
+    return err
+
+
+def test_string_seed_is_config_error(capsys, tmp_path):
+    err = verify_config_error(capsys, tmp_path, seed="1")
+    assert "seed" in err
+
+
+def test_string_solver_param_is_config_error(capsys, tmp_path):
+    err = verify_config_error(capsys, tmp_path, params={"period_bound": "x"})
+    assert "period_bound" in err
+
+
+def test_string_instance_field_is_config_error(capsys, tmp_path):
+    err = verify_config_error(capsys, tmp_path, instance={"kind": "order", "modulus": "15", "base": 2})
+    assert "modulus" in err
+
+
+def test_unknown_solver_params_are_config_error(capsys, tmp_path):
+    err = verify_config_error(capsys, tmp_path, params={"period_bond": 3, "trails": 0})
+    assert "period_bond" in err and "trails" in err
+
+
 def test_budget_exhaustion_is_solver_failure(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

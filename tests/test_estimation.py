@@ -1,18 +1,21 @@
-"""Phase estimation: register circuit, recycled-single-qubit variant,
+"""Phase estimation: register sampling, recycled-single-qubit variant,
 collapsed-target reuse, and the equality tying the oracle picture to the
 shift picture.
 
 The central cross-checks: the exact control-register law must equal the
 uniform mixture over k of the closed-form estimator distributions at phase
-k/r, and the one-qubit cascade's law must equal the branch-tree walk of that
-cascade (`branch_tree_law`) — both computed here from scratch, independent
-of the law engine.
+k/r, the one-qubit cascade's law must equal the branch-tree walk of that
+cascade (`branch_tree_law`), and estimations chained on one kept target must
+draw from the laws of the dense two-stage chain (`dense_register_run`),
+which measures the dense joint state and keeps the collapsed target — each
+computed here from scratch, independent of the law engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,15 +23,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hsplab.amplitudes import CapExceeded
+from hsplab import algorithms
+from hsplab.algorithms import SolverParams, solve_dlog
+from hsplab.amplitudes import CapExceeded, marginal_distribution, measure_register
 from hsplab.estimation import (
+    _coordinate_law,
+    _pre_measurement_state,
     control_distribution,
     hsp_control_distribution,
     hsp_sample_batch,
-    keep_target_after_measurement,
-    phase_estimate_register,
     phase_estimate_semiclassical,
     sample_control,
+    sample_coset_coordinate,
     verify_main_equality,
 )
 from hsplab.groups import GroupSpec, orthogonality_holds
@@ -125,8 +131,8 @@ def test_main_equality_simon():
 def test_register_trivial_period_always_zero():
     inst = make_order_instance(15, 1)
     for seed in range(5):
-        run = phase_estimate_register(inst, 8, seed=seed)
-        assert run.sample.observed == 0
+        (sample,) = sample_control(inst, 8, 1, seed=seed)
+        assert sample.observed == 0
 
 
 def test_register_exact_phase_half():
@@ -135,7 +141,7 @@ def test_register_exact_phase_half():
     expected = np.zeros(8)
     expected[0] = expected[4] = 0.5
     assert_allclose(law, expected, atol=1e-12)
-    outcomes = {phase_estimate_register(inst, 8, seed=s).sample.observed for s in range(12)}
+    outcomes = {s.observed for s in sample_control(inst, 8, 12, seed=0)}
     assert outcomes <= {0, 4}
 
 
@@ -169,14 +175,6 @@ def test_register_law_checks_cap_before_building_its_table():
             control_distribution(inst, 1 << 40, route=route)
 
 
-def test_register_routes_match_per_seed():
-    inst = make_order_instance(15, 2)
-    for seed in range(6):
-        a = phase_estimate_register(inst, 11, seed=seed, route="oracle").sample
-        b = phase_estimate_register(inst, 11, seed=seed, route="shift").sample
-        assert a.observed == b.observed
-
-
 def test_sampler_law_total_variation():
     inst = make_order_instance(15, 2)
     n = 8
@@ -195,10 +193,11 @@ def test_sample_estimates_are_fractions():
 
 
 def test_query_accounting_per_run():
+    inst = make_dlog_instance(3, 4, modulus=7)
+    sample_coset_coordinate(inst, 1, seed=1)
+    sample_coset_coordinate(inst, 0, {1: 2}, seed=2)
+    assert inst.query_count == 2  # one per chained estimation
     inst = make_order_instance(15, 2)
-    before = inst.query_count
-    phase_estimate_register(inst, 8, seed=1)
-    assert inst.query_count - before == 2  # one circuit plus the default target
     before = inst.query_count
     sample_control(inst, 8, 7, seed=2)
     assert inst.query_count - before == 7
@@ -210,6 +209,17 @@ def test_query_accounting_per_run():
 # --- collapsed-target reuse -----------------------------------------------------
 
 
+def dense_register_run(instance, n: int, *, seed: int, generator: int = 0, target=None):
+    """Independent oracle: one shift-route estimation on the dense joint
+    state of `_pre_measurement_state`, measured by `measure_register`.
+    Returns the measurement record and the collapsed target, renormalised,
+    which a next estimation can keep as its target."""
+    state = _pre_measurement_state(instance, n, "shift", generator, target)
+    record, collapsed = measure_register(state, 0, seed)
+    kept = collapsed.reshaped()[record.outcome]
+    return record, kept / np.linalg.norm(kept)
+
+
 def overlaps(vec: np.ndarray, modulus: int, base: int, r: int) -> np.ndarray:
     """|<u_k|vec>|^2 for every shift eigenvector u_k of base mod modulus."""
     return np.array([abs(np.vdot(order_eigenvector(modulus, base, k), vec)) ** 2 for k in range(r)])
@@ -217,32 +227,110 @@ def overlaps(vec: np.ndarray, modulus: int, base: int, r: int) -> np.ndarray:
 
 def test_keep_target_exact_phase_unit_fidelity():
     inst = make_order_instance(15, 2)  # r = 4 divides N = 8
-    run = phase_estimate_register(inst, 8, seed=3, route="shift")
-    handle = keep_target_after_measurement(run)
-    assert run.sample.observed % 2 == 0
-    fidelity = overlaps(handle.vector, 15, 2, 4)
-    assert fidelity[run.sample.observed // 2] == pytest.approx(1.0, abs=1e-9)  # k/4 = x/8
+    record, kept = dense_register_run(inst, 8, seed=3)
+    assert record.outcome % 2 == 0
+    assert sample_control(inst, 8, 1, seed=3)[0].observed == record.outcome
+    fidelity = overlaps(kept, 15, 2, 4)
+    assert fidelity[record.outcome // 2] == pytest.approx(1.0, abs=1e-9)  # k/4 = x/8
 
 
 def test_keep_target_inexact_phase_high_fidelity():
     inst = make_order_instance(7, 2)  # r = 3
-    seed = next(
-        s for s in range(200)
-        if phase_estimate_register(inst, 8, seed=s, route="shift").sample.observed == 3
-    )
-    run = phase_estimate_register(inst, 8, seed=seed, route="shift")
-    fidelity = overlaps(keep_target_after_measurement(run).vector, 7, 2, 3)
+    seed = next(s for s in range(200) if dense_register_run(inst, 8, seed=s)[0].outcome == 3)
+    assert sample_control(inst, 8, 1, seed=seed)[0].observed == 3
+    fidelity = overlaps(dense_register_run(inst, 8, seed=seed)[1], 7, 2, 3)
     assert fidelity.argmax() == 1  # 3/8 is the estimate of 1/3
     assert fidelity[1] >= 0.9
 
 
 def test_keep_target_trivial_period():
     inst = make_order_instance(15, 1)
-    run = phase_estimate_register(inst, 8, seed=0, route="shift")
-    handle = keep_target_after_measurement(run)
+    _, kept = dense_register_run(inst, 8, seed=0)
     expected = np.zeros(15, dtype=complex)
     expected[1] = 1.0
-    assert np.linalg.norm(handle.vector - expected) < 1e-9
+    assert np.linalg.norm(kept - expected) < 1e-9
+
+
+def dense_chain_laws(instance):
+    """Independent oracle for two estimations chained on one target of a
+    two-coordinate instance: stage one's law along generator 1 from
+    |f(identity)>, and for every outcome k of nonzero probability stage
+    two's law along generator 0 on the collapsed, renormalised target."""
+    d0, d1 = instance.domain.moduli
+    state = _pre_measurement_state(instance, d1, "shift", 1, None)
+    first = marginal_distribution(state, 0)
+    second = {}
+    for k in np.flatnonzero(first > 1e-9):
+        kept = state.reshaped()[k]
+        kept = kept / np.linalg.norm(kept)
+        second[int(k)] = marginal_distribution(_pre_measurement_state(instance, d0, "shift", 0, kept), 0)
+    return first, second
+
+
+@st.composite
+def chain_instances(draw):
+    """A discrete-log instance in either form (modulus or order up to 31),
+    or a hidden subgroup of a two-coordinate group, with its shift maps."""
+    kind = draw(st.sampled_from(["modulus", "order", "hsp"]))
+    if kind == "modulus":
+        q = draw(st.integers(2, 31))
+        a = draw(st.sampled_from([a for a in range(1, q) if gcd(a, q) == 1]))
+        return make_dlog_instance(a, pow(a, draw(st.integers(0, q)), q), modulus=q)
+    if kind == "order":
+        r = draw(st.integers(1, 31))
+        a = draw(st.sampled_from([a for a in range(r) if gcd(a, r) == 1]))
+        return make_dlog_instance(a, draw(st.integers(0, r - 1)), order=r)
+    moduli = draw(st.lists(st.integers(1, 8), min_size=2, max_size=2))
+    element = st.tuples(*(st.integers(0, d - 1) for d in moduli))
+    return make_hidden_subgroup_instance(
+        GroupSpec.of(moduli), draw(st.lists(element, max_size=2)),
+        relabel_seed=draw(st.integers(0, 1000)),
+    )
+
+
+@given(chain_instances(), st.integers(0, 1000))
+def test_chained_sampler_equals_the_dense_chain(inst, seed):
+    """Stage one draws from the coset law's marginal over t_1 and stage two
+    from its conditional over t_0 given t_1 = k: the dense chain's laws.  A
+    discrete log draws each of its stages from one of these laws."""
+    first, second = dense_chain_laws(inst)
+    assert_allclose(_coordinate_law(inst, 1, {}), first, rtol=0, atol=1e-12)
+    for k, law in second.items():
+        assert_allclose(_coordinate_law(inst, 0, {1: k}), law, rtol=0, atol=1e-12)
+    if inst.descriptor["kind"] != "dlog":
+        return
+    drawn = []
+
+    def spy(instance, coordinate, measured=None, *, seed):
+        drawn.append(_coordinate_law(instance, coordinate, dict(measured or {})))
+        expected = first if not measured else second[measured[1]]
+        assert_allclose(drawn[-1], expected, rtol=0, atol=1e-12)
+        return sample_coset_coordinate(instance, coordinate, measured, seed=seed)
+
+    with patch.object(algorithms, "sample_coset_coordinate", spy):
+        res = solve_dlog(inst, SolverParams(seed=seed))
+    assert res.verified and len(drawn) == len(res.samples)
+
+
+def test_chained_sampler_bills_one_query_per_draw_and_replays_its_seed():
+    inst = make_dlog_instance(3, 5, modulus=7)  # r = 6, m = 5
+    a = sample_coset_coordinate(inst, 1, seed=4)
+    b = sample_coset_coordinate(inst, 0, {1: a.observed}, seed=5)
+    assert inst.query_count == 2
+    assert a == sample_coset_coordinate(inst, 1, seed=4)
+    assert (a.register_size, b.register_size) == (6, 6)
+    assert b.observed == 5 * a.observed % 6 and b.probability == pytest.approx(1.0)
+
+
+def test_chained_sampler_refuses_bad_coordinates():
+    inst = make_dlog_instance(3, 4, modulus=7)
+    for coordinate, measured in ((2, {}), (0, {0: 1}), (1, {2: 0})):
+        with pytest.raises(ValueError):
+            sample_coset_coordinate(inst, coordinate, measured)
+    hsp = make_hidden_subgroup_instance(GroupSpec.of([2, 2]), [(1, 0)])  # t_0 = 0 always
+    with pytest.raises(ValueError):
+        sample_coset_coordinate(hsp, 1, {0: 1})
+    assert inst.query_count == hsp.query_count == 0
 
 
 # --- hidden-subgroup sampling ----------------------------------------------------

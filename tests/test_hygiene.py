@@ -1,11 +1,14 @@
-"""Source hygiene: every name a module imports is used in that module, and
-solvers treat instances as black boxes.
+"""Source hygiene: every name a module imports is used in that module,
+solvers treat instances as black boxes, and dense states stay reference-only.
 
 An AST scan stands in for a linter's unused-import check.  `__init__.py`
 is exempt (it re-exports), as are `__future__` imports.  A second scan
 checks that only the instance layer and the law engine read an
 integer-domain instance's `period_labels`, so no solver reads f's period off
-the instance.
+the instance.  A third checks that outside the state and Fourier modules,
+dense states are built, transformed and measured only by the few functions
+that keep the dense circuit as the reference the exact laws are tested
+against, so no production path samples from a state vector.
 """
 
 from __future__ import annotations
@@ -80,3 +83,39 @@ def test_only_instances_and_laws_read_period_labels():
         if _names_period_labels(ast.parse(path.read_text(), filename=str(path)))
     }
     assert naming == {"oracles.py", "estimation.py"}
+
+
+DENSE_OPERATIONS = frozenset({
+    "basis_state", "from_amplitudes", "measure_register", "apply_on_register",
+    "apply_fourier", "apply_oracle", "apply_shift",
+})
+DENSE_ALLOWED = frozenset({
+    ("oracles.py", "_scatter_axes"),
+    ("estimation.py", "_pre_measurement_state"),
+    ("estimation.py", "verify_main_equality"),
+    ("estimation.py", "phase_estimate_semiclassical"),
+})
+
+
+def _dense_callers(path: Path) -> set[tuple[str, str]]:
+    """(module, top-level definition) for every call of a dense-state
+    operation in the module; calls outside any definition count as '<module>'."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in DENSE_OPERATIONS:
+                    found.add((path.name, owner))
+    return found
+
+
+def test_dense_states_stay_reference_only():
+    callers = set()
+    for path in MODULES:
+        if path.name not in ("amplitudes.py", "qft.py"):
+            callers |= _dense_callers(path)
+    assert callers <= DENSE_ALLOWED, f"dense-state calls outside the reference: {callers - DENSE_ALLOWED}"

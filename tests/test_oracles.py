@@ -25,8 +25,9 @@ from hsplab.groups import (
     subgroups_equal,
 )
 from hsplab.estimation import (
-    phase_estimate_register,
     phase_estimate_semiclassical,
+    sample_control,
+    sample_coset_coordinate,
     verify_main_equality,
 )
 from hsplab.oracles import (
@@ -399,6 +400,31 @@ def test_wrap_enlarged_invariance_is_visible_to_scans():
     assert subgroups_equal(got, SubgroupGenerators.of(GroupSpec.of([8]), [(2,)]))
 
 
+def dict_invariance_subgroup(instance: OracleInstance) -> SubgroupGenerators:
+    """Independent oracle: every h with f(x + h) = f(x) at every x, by a
+    Python scan over a dict of the whole group."""
+    spec = instance.domain
+    table = {x: instance._raw(x) for x in spec.elements()}
+    members = [h for h in table if all(table[spec.add(x, h)] == table[x] for x in table)]
+    return SubgroupGenerators.of(spec, members)
+
+
+@pytest.mark.parametrize("moduli", [(12,), (2, 4), (3, 6), (2, 2, 2)])
+def test_invariance_subgroup_matches_the_dict_scan(moduli):
+    """Over every subgroup of a few groups, each also merged 2-to-1 at
+    random, which can enlarge the invariance subgroup."""
+    spec = GroupSpec.of(moduli)
+    rng = np.random.default_rng(len(moduli))
+    for i, sub in enumerate(all_subgroups(spec)):
+        inst = make_hidden_subgroup_instance(spec, sub.generators, relabel_seed=i)
+        merge = rng.permutation(inst.codomain_size) // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            wrapped = wrap_many_to_one(inst, merge, multiplicity=2)
+        for each in (inst, wrapped):
+            assert subgroups_equal(classical_invariance_subgroup(each), dict_invariance_subgroup(each))
+
+
 # --- promise checks ----------------------------------------------------------
 
 
@@ -555,17 +581,21 @@ def test_counter_counts_evaluate_and_applications():
     layout = RegisterLayout.of([4, 15])
     apply_oracle(basis_state(layout, [0, 0]), [0], 1, inst)
     apply_shift(basis_state(layout, [1, 1]), 0, 1, inst)
-    assert inst.query_count == 1  # gates bill nothing; the runners do
-    phase_estimate_register(inst, 8, seed=0, target=1)
+    assert inst.query_count == 1  # gates bill nothing; the samplers and runners do
+    sample_control(inst, 8, 1, seed=0, target=1)
     assert inst.query_count == 2  # one circuit
-    phase_estimate_register(inst, 8, seed=0, route="oracle")
+    sample_control(inst, 8, 1, seed=0, route="oracle")
     assert inst.query_count == 3
-    phase_estimate_register(inst, 8, seed=0)
-    assert inst.query_count == 5  # one circuit plus the default target
+    sample_control(inst, 8, 1, seed=0)
+    assert inst.query_count == 4  # the default target is read, not queried
     phase_estimate_semiclassical(inst, 3, seed=0, target=1)
-    assert inst.query_count == 8  # one per step
+    assert inst.query_count == 7  # one per step
     phase_estimate_semiclassical(inst, 3, seed=0)
-    assert inst.query_count == 12  # three steps plus the default target
+    assert inst.query_count == 11  # three steps plus the default target
+    dlog = make_dlog_instance(3, 4, modulus=7)
+    sample_coset_coordinate(dlog, 1, seed=0)
+    sample_coset_coordinate(dlog, 0, {1: 1}, seed=0)
+    assert dlog.query_count == 2  # one per chained estimation
 
 
 def test_counter_exact_while_verifier_runs():
