@@ -497,7 +497,8 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
     function table then pins the invariance subgroup exactly.  Any finite
     Abelian domain works: the kernel step splits the sampled characters
     into prime components, never the merged function.  Domains smaller
-    than m² skip sampling entirely and go straight to the exhaustive test.
+    than m² skip sampling: the kernel of no characters is all of G, so the
+    exhaustive test runs over every element.
     """
     spec = instance.domain
     if spec is None:
@@ -518,12 +519,9 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
     def invariant(h: Element) -> bool:
         return all(fval(spec.add(x, h)) == fval(x) for x in domain_points)
 
-    if spec.order < m * m:
-        members = [h for h in domain_points if invariant(h)]
-        return HspResult(SubgroupGenerators.of(spec, members), 1, [], True)
-
-    count = 4 * spec.rank + 10
-    collected = hsp_sample_batch(instance, count, seed=params.seed)
+    collected = []
+    if spec.order >= m * m:
+        collected = hsp_sample_batch(instance, 4 * spec.rank + 10, seed=params.seed)
     kernel = character_kernel(collected, spec)
     members = [h for h in subgroup_enumerate(kernel) if invariant(h)]
     return HspResult(SubgroupGenerators.of(spec, members), 1, collected, True)

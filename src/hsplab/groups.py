@@ -15,19 +15,25 @@ every factor is.  Over a component of exponent p^m the system lives in
 Z_{p^m}, a local ring, so Gaussian elimination pivots on entries of minimal
 p-adic valuation rather than on nonzero entries.
 
-Generating sets carry a canonical form (Hermite-style row reduction of the
-generator matrix stacked on the modulus relations), so equality of
-subgroups is a tuple comparison; exhaustive enumeration stays available as
-the trusted oracle.
+A subgroup is a lattice L with D*Z^l <= L <= Z^l, D = diag(d), and its
+Hermite basis is unique.  Generating sets are stored in that canonical form
+(the generator rows stacked on the modulus relations, row reduced), so
+equality of subgroups is a tuple comparison, a subgroup's order is |G| over
+the product of its pivots, and `all_subgroups` lists the subgroups of G by
+enumerating Hermite bases directly.  `subgroup_enumerate`, a closure over
+elements, stays as the trusted oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iterproduct
-from math import lcm
+from math import lcm, prod
+
+import numpy as np
 
 ENUMERATION_CAP = 10**6
+SUBGROUP_CAP = 20000
 FACTOR_LIMIT = 1 << 31
 
 Element = tuple[int, ...]
@@ -180,19 +186,26 @@ def _hermite_basis(gens, moduli: tuple[int, ...]) -> list[list[int]]:
     return rows[:top]
 
 
-def _hnf_reduce(gens: list[Element], moduli: tuple[int, ...]) -> tuple[Element, ...]:
-    """Canonical generators: the Hermite basis of `_hermite_basis`, reduced
-    back mod the moduli.
+def _coset_reduce(coords: np.ndarray, basis, moduli: tuple[int, ...]) -> np.ndarray:
+    """Reduce each column of `coords` (one row per coordinate) in place to
+    the least element of its coset of the lattice with Hermite basis
+    `basis`, and return it: x_i becomes x_i mod p_i after subtracting the
+    multiples of the rows above.  A column reduces to zero exactly when it
+    lies in the lattice (modulo the moduli, which the lattice contains)."""
+    for i, row in enumerate(basis):
+        steps, coords[i] = np.divmod(coords[i], row[i])
+        for j in range(i + 1, len(moduli)):
+            if row[j]:
+                coords[j] -= steps * row[j]
+                coords[j] %= moduli[j]
+    return coords
 
-    The stacked lattice is full rank, so the form is unique and equality of
-    subgroups becomes equality of canonical tuples.
-    """
-    reduced = []
-    for row in _hermite_basis(gens, moduli):
-        g = tuple(a % d for a, d in zip(row, moduli))
-        if any(g):
-            reduced.append(g)
-    return tuple(reduced)
+
+def _hnf_reduce(basis, moduli: tuple[int, ...]) -> tuple[Element, ...]:
+    """Canonical generators: a Hermite basis reduced back mod the moduli,
+    zero rows dropped.  The form is unique, so equal subgroups get equal tuples."""
+    reduced = (tuple(a % d for a, d in zip(row, moduli)) for row in basis)
+    return tuple(g for g in reduced if any(g))
 
 
 @dataclass(frozen=True)
@@ -205,7 +218,7 @@ class SubgroupGenerators:
     @classmethod
     def of(cls, spec: GroupSpec, generators) -> "SubgroupGenerators":
         gens = [spec.reduce(g) for g in generators]
-        return cls(spec, _hnf_reduce(gens, spec.moduli))
+        return cls(spec, _hnf_reduce(_hermite_basis(gens, spec.moduli), spec.moduli))
 
     @classmethod
     def trivial(cls, spec: GroupSpec) -> "SubgroupGenerators":
@@ -214,6 +227,12 @@ class SubgroupGenerators:
     @classmethod
     def full(cls, spec: GroupSpec) -> "SubgroupGenerators":
         return cls.of(spec, [spec.generator(j) for j in range(spec.rank)])
+
+    @property
+    def order(self) -> int:
+        """|K|: |G| over the product of the Hermite pivots, which counts K's cosets."""
+        basis = _hermite_basis(self.generators, self.spec.moduli)
+        return self.spec.order // prod(row[i] for i, row in enumerate(basis))
 
     def to_json(self) -> dict:
         return {
@@ -226,7 +245,7 @@ class SubgroupGenerators:
         return cls.of(GroupSpec.from_json(data), data["generators"])
 
 
-def subgroup_enumerate(gens: SubgroupGenerators, cap: int = ENUMERATION_CAP) -> frozenset[Element]:
+def subgroup_enumerate(gens: SubgroupGenerators) -> frozenset[Element]:
     """All elements of the generated subgroup, by closure (trusted oracle)."""
     spec = gens.spec
     seen = {spec.identity()}
@@ -236,8 +255,8 @@ def subgroup_enumerate(gens: SubgroupGenerators, cap: int = ENUMERATION_CAP) -> 
         for g in gens.generators:
             y = spec.add(x, g)
             if y not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"subgroup enumeration exceeds cap {cap}")
+                if len(seen) >= ENUMERATION_CAP:
+                    raise ValueError(f"subgroup enumeration exceeds cap {ENUMERATION_CAP}")
                 seen.add(y)
                 frontier.append(y)
     return frozenset(seen)
@@ -445,39 +464,26 @@ def join_subgroups(spec: GroupSpec, components: list[CoprimeComponent], parts: l
     return SubgroupGenerators.of(spec, gens)
 
 
-def _extend_closure(spec: GroupSpec, elems: frozenset, x: Element) -> frozenset:
-    """Elements of <H, x> given the element set of H: union of cosets H + k*x."""
-    acc = set(elems)
-    cur = x
-    while cur not in elems:
-        acc.update(spec.add(e, cur) for e in elems)
-        cur = spec.add(cur, x)
-    return frozenset(acc)
-
-
-def all_subgroups(spec: GroupSpec, cap: int = 20000) -> list[SubgroupGenerators]:
-    """Every subgroup of a desk-scale group.
-
-    Walks the subgroup lattice upward: extend each known subgroup by each
-    outside element, close, deduplicate by element set.  Exhaustive
-    verification tooling, not a performance path.
-    """
-    if spec.order > 4096:
-        raise ValueError("subgroup enumeration is desk-scale tooling (order <= 4096)")
-    elements = [spec.reduce(e) for e in spec.elements()]
-    trivial = SubgroupGenerators.trivial(spec)
-    seen: dict[frozenset, SubgroupGenerators] = {frozenset({spec.identity()}): trivial}
-    frontier = [(frozenset({spec.identity()}), trivial)]
-    while frontier:
-        elems, gens = frontier.pop()
-        for x in elements:
-            if x in elems:
-                continue
-            big_elems = _extend_closure(spec, elems, x)
-            if big_elems not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"more than {cap} subgroups")
-                bigger = SubgroupGenerators.of(spec, list(gens.generators) + [x])
-                seen[big_elems] = bigger
-                frontier.append((big_elems, bigger))
-    return list(seen.values())
+def all_subgroups(spec: GroupSpec) -> list[SubgroupGenerators]:
+    """Every subgroup of G, sorted by canonical generators, as Hermite bases:
+    row i has a pivot p_i dividing d_i and entries in [0, p_j) to its right,
+    and its lattice holds d_i * e_i exactly when (d_i/p_i) times the row's
+    tail lies in the lattice of the rows below.  Bases grow from the last
+    column up; raises before holding more than SUBGROUP_CAP of them."""
+    moduli = spec.moduli
+    bases: list[list[list[int]]] = [[]]
+    for i in reversed(range(spec.rank)):
+        divisors = [p for p in range(1, moduli[i] + 1) if moduli[i] % p == 0]
+        grown = []
+        for below in bases:
+            pivots = [row[j] for j, row in enumerate(below)]
+            tails = np.indices(pivots, dtype=np.int64).reshape(len(pivots), prod(pivots))
+            for p in divisors:
+                kept = ~_coset_reduce(tails * (moduli[i] // p), below, moduli[i + 1:]).any(axis=0)
+                for tail in tails[:, kept].T.tolist():
+                    if len(grown) >= SUBGROUP_CAP:
+                        raise ValueError(f"more than {SUBGROUP_CAP} subgroups")
+                    grown.append([[p, *tail]] + [[0, *row] for row in below])
+        bases = grown
+    subgroups = [SubgroupGenerators(spec, _hnf_reduce(basis, moduli)) for basis in bases]
+    return sorted(subgroups, key=lambda k: k.generators)

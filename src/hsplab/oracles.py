@@ -38,9 +38,9 @@ from .groups import (
     Element,
     GroupSpec,
     SubgroupGenerators,
+    _coset_reduce,
     _factorize,
     _hermite_basis,
-    subgroup_enumerate,
 )
 
 PROMISE_CHECK_CAP = 4096
@@ -255,15 +255,7 @@ def _coset_labeling(spec: GroupSpec, subgroup: SubgroupGenerators, relabel_seed:
     basis = _hermite_basis(subgroup.generators, moduli)
     pivots = tuple(basis[i][i] for i in range(spec.rank))
     coords = np.indices(moduli, dtype=np.int64).reshape(spec.rank, -1)
-    rank = np.zeros(spec.order, dtype=np.int64)
-    for i, row in enumerate(basis):
-        steps, coords[i] = np.divmod(coords[i], pivots[i])
-        for j in range(i + 1, spec.rank):
-            if row[j]:
-                coords[j] -= steps * row[j]
-                coords[j] %= moduli[j]
-        rank *= pivots[i]
-        rank += coords[i]
+    rank = np.ravel_multi_index(tuple(_coset_reduce(coords, basis, moduli)), pivots)
     perm = np.random.default_rng(relabel_seed).permutation(prod(pivots))
     labels = perm[rank].reshape(moduli)
     labels.setflags(write=False)
@@ -418,13 +410,12 @@ def make_deutsch_instance(f0: int, f1: int) -> OracleInstance:
 
 
 def make_stabiliser_instance(
-    spec: GroupSpec, action, x0: int, points: int, check_cap: int = PROMISE_CHECK_CAP,
-    descriptor: dict | None = None,
+    spec: GroupSpec, action, x0: int, points: int, descriptor: dict | None = None,
 ) -> OracleInstance:
     """f(g) = g(x0) for a group action on [0, points).
 
     Action axioms — identity fixes every point, a(b(x)) = (ab)(x) — are
-    checked exhaustively when |G|^2 * points fits under `check_cap`, else on
+    checked exhaustively when |G|^2 * points fits under PROMISE_CHECK_CAP, else on
     a seeded sample of that size.  f is held as its table of g(x0) over G,
     and the planted subgroup, the stabiliser of x0, is read off that table.
     """
@@ -438,7 +429,7 @@ def make_stabiliser_instance(
         if action(ident, pt) != pt:
             raise ValueError("identity element must act trivially")
     pairs = [(g, h) for g in elements for h in elements]
-    budget = max(1, check_cap // max(points, 1))
+    budget = max(1, PROMISE_CHECK_CAP // max(points, 1))
     if len(pairs) > budget:
         rng = np.random.default_rng(0)
         pairs = [pairs[i] for i in rng.choice(len(pairs), size=budget, replace=False)]
@@ -468,12 +459,6 @@ def make_stabiliser_instance(
         descriptor=descriptor or {"kind": "stabiliser", "moduli": list(spec.moduli), "points": points, "x0": x0},
         cosets_per_label={v: 1 for v in np.unique(orbit).tolist()},
     )
-
-
-def _smallest_prime_factor(n: int) -> int | None:
-    if n <= 1:
-        return None
-    return min(_factorize(n))
 
 
 def wrap_many_to_one(
@@ -514,8 +499,8 @@ def wrap_many_to_one(
     if inner.domain is None:
         k_order = inner.truth.period
     elif inner.truth.subgroup is not None:
-        k_order = len(subgroup_enumerate(inner.truth.subgroup))
-    spf = _smallest_prime_factor(k_order) if k_order else None
+        k_order = inner.truth.subgroup.order
+    spf = min(_factorize(k_order), default=None) if k_order else None
     if spf is not None and multiplicity >= spf:
         msg = (
             f"multiplicity bound {multiplicity} reaches the smallest prime factor "

@@ -9,12 +9,13 @@ prime-power group.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hsplab import groups
 from hsplab.groups import (
     CharacterSample,
     GroupSpec,
@@ -28,6 +29,7 @@ from hsplab.groups import (
     subgroup_enumerate,
     subgroups_equal,
 )
+from test_acceptance import _acceptance_group_specs
 
 
 # --- group spec basics -----------------------------------------------------------
@@ -114,6 +116,17 @@ def test_canonical_form_makes_equality_structural():
     assert a.generators == b.generators
 
 
+def _divisors(n: int) -> list[int]:
+    return [a for a in range(1, n + 1) if n % a == 0]
+
+
+def zmzn_subgroup_count(m: int, n: int) -> int:
+    """Number of subgroups of Z_m x Z_n: sum of gcd(a, b) over a | m, b | n
+    (Hampejs, Holighaus, Toth & Wiesmeyr, "Representing and counting the
+    subgroups of the group Z_m x Z_n")."""
+    return sum(gcd(a, b) for a in _divisors(m) for b in _divisors(n))
+
+
 def test_all_subgroups_counts():
     # classical subgroup counts for tiny groups
     assert len(all_subgroups(GroupSpec.of([4]))) == 3
@@ -121,6 +134,63 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(GroupSpec.of([2, 2]))) == 5
     assert len(all_subgroups(GroupSpec.of([2, 4]))) == 8
     assert len(all_subgroups(GroupSpec.of([12]))) == 6
+    for m in range(1, 33):
+        for n in range(1, 33):
+            assert len(all_subgroups(GroupSpec.of([m, n]))) == zmzn_subgroup_count(m, n), (m, n)
+    assert zmzn_subgroup_count(16, 16) == 83
+    assert len(all_subgroups(GroupSpec.of([16, 16]))) == 83
+    assert zmzn_subgroup_count(64, 64) == 367
+    assert len(all_subgroups(GroupSpec.of([64, 64]))) == 367
+
+
+def _extend_closure(spec: GroupSpec, elems: frozenset, x) -> frozenset:
+    """Elements of <H, x> given the element set of H: union of cosets H + k*x."""
+    acc = set(elems)
+    cur = x
+    while cur not in elems:
+        acc.update(spec.add(e, cur) for e in elems)
+        cur = spec.add(cur, x)
+    return frozenset(acc)
+
+
+def closure_subgroups(spec: GroupSpec) -> dict[frozenset, SubgroupGenerators]:
+    """Reference enumeration, independent of Hermite forms: walk the subgroup
+    lattice upward, extending each known subgroup by each outside element
+    and closing, keyed by element set."""
+    elements = [spec.reduce(e) for e in spec.elements()]
+    trivial = frozenset({spec.identity()})
+    seen = {trivial: SubgroupGenerators.trivial(spec)}
+    frontier = [(trivial, seen[trivial])]
+    while frontier:
+        elems, gens = frontier.pop()
+        for x in elements:
+            if x in elems:
+                continue
+            big_elems = _extend_closure(spec, elems, x)
+            if big_elems not in seen:
+                seen[big_elems] = SubgroupGenerators.of(spec, list(gens.generators) + [x])
+                frontier.append((big_elems, seen[big_elems]))
+    return seen
+
+
+def test_all_subgroups_match_the_closure_reference():
+    groups = [moduli for moduli in _acceptance_group_specs() if len(moduli) <= 4]
+    assert len(groups) == 123
+    for moduli in groups:
+        spec = GroupSpec.of(moduli)
+        found = all_subgroups(spec)
+        reference = closure_subgroups(spec)
+        assert len({k.generators for k in found}) == len(found), moduli
+        assert {subgroup_enumerate(k) for k in found} == set(reference), moduli
+        assert {k.generators for k in found} == {k.generators for k in reference.values()}, moduli
+        assert found == sorted(found, key=lambda k: k.generators)
+
+
+def test_all_subgroups_cap_trips_while_enumerating(monkeypatch):
+    monkeypatch.setattr(groups, "SUBGROUP_CAP", 20)
+    assert len(all_subgroups(GroupSpec.of([2, 2, 2]))) == 16
+    with pytest.raises(ValueError, match="more than 20 subgroups"):
+        all_subgroups(GroupSpec.of([2, 2, 2, 2]))
 
 
 def test_subgroup_json_round_trip():
@@ -205,6 +275,7 @@ def test_kernel_matches_enumeration_for_every_subgroup(moduli):
     full = frozenset(spec.elements())
     for k in all_subgroups(spec):
         members = subgroup_enumerate(k)
+        assert k.order == len(members)
         annihilators = [
             t for t in spec.elements()
             if all(character_phase_numerator(spec, t, h) == 0 for h in members)

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-solvers treat instances as black boxes, and dense states stay reference-only.
+solvers treat instances as black boxes, dense states stay reference-only,
+and no private helper is left for its tests alone.
 
 An AST scan stands in for a linter's unused-import check.  `__init__.py`
 is exempt (it re-exports), as are `__future__` imports.  A second scan
@@ -8,7 +9,9 @@ integer-domain instance's `period_labels`, so no solver reads f's period off
 the instance.  A third checks that outside the state and Fourier modules,
 dense states are built, transformed and measured only by the few functions
 that keep the dense circuit as the reference the exact laws are tested
-against, so no production path samples from a state vector.
+against, so no production path samples from a state vector.  A fourth
+checks that every private top-level function is referenced somewhere in the
+package outside its own body; a helper only tests call belongs in the tests.
 """
 
 from __future__ import annotations
@@ -119,3 +122,31 @@ def test_dense_states_stay_reference_only():
         if path.name not in ("amplitudes.py", "qft.py"):
             callers |= _dense_callers(path)
     assert callers <= DENSE_ALLOWED, f"dense-state calls outside the reference: {callers - DENSE_ALLOWED}"
+
+
+# The dense circuit the exact laws are tested against; only tests call it.
+TEST_REFERENCES = frozenset({("estimation.py", "_pre_measurement_state")})
+
+
+def _references(node: ast.AST) -> set[str]:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_private_helpers_have_callers_in_the_package():
+    tops = [
+        (path.name, top)
+        for path in Path(hsplab.__file__).parent.glob("*.py")
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    references = [(top, _references(top)) for _, top in tops]
+    unreferenced = {
+        (module, top.name)
+        for module, top in tops
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("_")
+        and not any(top.name in names for other, names in references if other is not top)
+    }
+    assert unreferenced == TEST_REFERENCES

@@ -381,6 +381,15 @@ def test_wrap_strict_mode_rejects_ambiguous_bound():
         wrap_many_to_one(inner, table, multiplicity=2, strict=True)
 
 
+def test_wrap_trivial_subgroup_merge_does_not_warn():
+    # |K| = 1 has no prime factor for the bound to reach
+    inner = make_hidden_subgroup_instance(GroupSpec.of([2, 2]), [], relabel_seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wrapped = wrap_many_to_one(inner, np.arange(4) // 2, multiplicity=2, strict=True)
+    assert wrapped.codomain_size == 2
+
+
 def test_wrap_drops_shift_structure():
     inner = make_order_instance(15, 2)
     table = np.arange(inner.codomain_size)
