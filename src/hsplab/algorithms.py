@@ -24,9 +24,10 @@ from .estimation import PhaseSample, hsp_sample_batch, sample_control, sample_co
 from .groups import (
     Element,
     SubgroupGenerators,
+    _annihilated,
     _factorize,
+    _table_stabiliser,
     character_kernel,
-    subgroup_enumerate,
 )
 from .oracles import OracleInstance, dilated_view, make_order_instance
 from .postprocess import best_denominator_bounded
@@ -493,12 +494,11 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
 
     Sampler support always lies inside the annihilator of the function's
     true invariance subgroup, so the sampled kernel only ever over-states
-    it; an exhaustive pass over the kernel's elements against the full
-    function table then pins the invariance subgroup exactly.  Any finite
-    Abelian domain works: the kernel step splits the sampled characters
-    into prime components, never the merged function.  Domains smaller
-    than m² skip sampling: the kernel of no characters is all of G, so the
-    exhaustive test runs over every element.
+    it.  The invariance subgroup is then grown from the kernel elements
+    where f is f(0), by the stabiliser search of the coset law over f's
+    whole table, read once and billed one query per domain point.  Any
+    finite Abelian domain works.  Domains smaller than m² skip sampling:
+    the kernel of no characters is all of G.
     """
     spec = instance.domain
     if spec is None:
@@ -507,21 +507,13 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
     if m <= 1:
         return solve_hsp_general(instance, params)
 
-    memo: dict[Element, int] = {}
-
-    def fval(x: Element) -> int:
-        if x not in memo:
-            memo[x] = instance.evaluate(x)
-        return memo[x]
-
-    domain_points = [spec.reduce(x) for x in spec.elements()]
-
-    def invariant(h: Element) -> bool:
-        return all(fval(spec.add(x, h)) == fval(x) for x in domain_points)
-
     collected = []
     if spec.order >= m * m:
         collected = hsp_sample_batch(instance, 4 * spec.rank + 10, seed=params.seed)
-    kernel = character_kernel(collected, spec)
-    members = [h for h in subgroup_enumerate(kernel) if invariant(h)]
-    return HspResult(SubgroupGenerators.of(spec, members), 1, collected, True)
+    table = instance.label_table(spec.moduli)
+    instance.counter.add(spec.order)
+    grids = np.indices(spec.moduli, sparse=True)
+    candidates = table == table.flat[0]
+    for t in collected:
+        candidates &= _annihilated(grids, spec.moduli, t)
+    return HspResult(SubgroupGenerators.of(spec, _table_stabiliser(table, candidates)[0]), 1, collected, True)

@@ -35,26 +35,24 @@ fixed by the same-label pairs of one period counted by lag mod n: two
 Dirichlet kernels weight those counts' spectra, in O(n) memory.  Distinct
 labels, as in honest order and period functions and every shift orbit,
 pair only with themselves and give the closed form of two kernels; an m-to-1
-merge of labels only changes the counts.  A multi-register table with one
-label per coset of its stabiliser K, as every hidden-subgroup, discrete-log
-and stabiliser instance writes, folds onto K: its coset states are shift
-eigenvectors with the characters in K^perp as eigenvalues, so the law is
-|K|/N on K^perp, read from at most log2 |K| rolls of the table and no FFT
-(`_coset_fold`).  Only merged and other non-coset tables take one FFT over
-the (labels x points) indicator array.  Every table is bounded by the
-dimension cap on its points, and the one-hot also on labels x points.  The
-dense joint state (`_pre_measurement_state`) is only the reference that
-tests compare the laws against; the dual-route check and the semiclassical
+merge of labels only changes the counts.  A multi-register table is read
+over its stabiliser K, found by rolls of the table (`_table_stabiliser`):
+the coset states are shift eigenvectors with the characters in K^perp as
+eigenvalues, so the law lives on K^perp, fixed by which K-cosets share a
+label.  With one label per coset, as hidden-subgroup, discrete-log and
+stabiliser instances write, it is |K|/N on K^perp with no FFT; other
+tables, such as merged ones, take one FFT over their same-label pairs of
+coset representatives, which the cap bounds with the points.  The dense
+joint state (`_pre_measurement_state`) is only the reference that tests
+compare the laws against; the dual-route check and the semiclassical
 runner are the other circuits built on it.  Laws describe the instance
-rather than query it and bill nothing; samplers bill one query per draw and
-the semiclassical runner one per step.
-"""
+rather than query it and bill nothing; samplers bill one query per draw
+and the semiclassical runner one per step."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -69,7 +67,7 @@ from .amplitudes import (
     l2_distance,
     measure_register,
 )
-from .groups import _factorize
+from .groups import _factorize, _hermite_basis, _table_stabiliser
 from .oracles import OracleInstance, apply_oracle, apply_shift
 from .qft import apply_fourier
 
@@ -155,20 +153,6 @@ def _pre_measurement_state(
 
 
 # --- exact outcome laws ------------------------------------------------------
-
-
-def _level_set_spectra(table) -> np.ndarray:
-    """Fourier spectra of the level-set indicators of an integer table over
-    the control points: row i is FFT(1[table == labels[i]]) / N, shaped like
-    the table, for the occupied labels in increasing order."""
-    table = np.asarray(table, dtype=np.int64)
-    labels = np.unique(table)
-    size = labels.size * table.size
-    if size > dimension_cap():
-        raise CapExceeded(f"label-table law over {size} amplitudes exceeds cap {dimension_cap()}")
-    onehot = (table == labels.reshape((-1,) + (1,) * table.ndim)).astype(np.complex128)
-    axes = tuple(range(1, onehot.ndim))
-    return np.fft.fftn(onehot, axes=axes, norm="forward", out=onehot)
 
 
 def _cyclic_period(cycle: np.ndarray) -> int:
@@ -285,49 +269,35 @@ def _periodic_law(cycle: np.ndarray, n: int) -> np.ndarray:
     return law
 
 
-def _coset_fold(table: np.ndarray) -> np.ndarray | None:
-    """level_set_law of a table with one label per coset of its stabiliser
-    K = {h : table[x + h] = table[x] for all x}, or None for any other table.
-
-    The coset states are eigenvectors of the shifts whose eigenvalues are
-    the characters in K^perp, so the law is |K|/N on K^perp and 0 elsewhere.
-    K lies in the level set S0 of table[0], and equals it when the table has
-    one label per K-coset, which then number N/|S0|: that count is checked
-    first.  A subgroup H of K grows from {0} by elements h of S0 outside it,
-    each of which must leave the table unchanged when it is rolled by h, or
-    the table is no coset table.  H's annihilator H^perp, the characters t
-    with sum_j (L/d_j) t_j h_j = 0 mod L for every h added, shrinks as H
-    grows, and |H| = N/|H^perp|.  Each h added at least doubles H, so at most
-    log2 |K| rolls are tested, and H = S0 = K once |H| = |S0|."""
-    flat = table.reshape(-1)
-    n = flat.size
-    level = table == flat[0]
-    size = int(np.count_nonzero(level))
-    if np.unique(flat).size * size != n:
-        return None
-    shape = table.shape
-    grids = np.indices(shape, sparse=True)  # points of G, and characters of its dual
-
-    def rolled(arr, h):  # arr[x - h] at every x
-        return arr[tuple((g - c) % d for g, c, d in zip(grids, h, shape))]
-
-    big = lcm(*shape)
-    inside = np.zeros(shape, dtype=bool)  # H
-    inside.flat[0] = True
-    perp = np.ones(shape, dtype=bool)  # H^perp
-    members = 1
-    while members < size:
-        h = [int(c) for c in np.unravel_index(np.argmax(level & ~inside), shape)]
-        if not np.array_equal(rolled(table, h), table):
-            return None
-        perp &= sum(t * (big // d * c) for t, d, c in zip(grids, shape, h)) % big == 0
-        grown = n // int(np.count_nonzero(perp))
-        span = 1  # inside holds H + k h for k < span; not needed once H = S0
-        while members * span < grown < size:
-            inside |= rolled(inside, [span * c for c in h])
-            span *= 2
-        members = grown
-    return np.where(perp, size / n, 0.0)
+def _stabiliser_law(table: np.ndarray) -> np.ndarray:
+    """level_set_law of a multi-register table, read over its stabiliser K.
+    The law vanishes off K^perp and on it is (|K|/N)^2 times the spectrum of
+    d(g), the number of same-label pairs (a, b) of K-coset representatives,
+    the Hermite box of K, with a - b = g (Mosca-Ekert).  With one label per
+    coset only the pairs a = b occur, and the law is |K|/N on K^perp with no
+    FFT; any other table raises CapExceeded when its pairs exceed the cap,
+    else scatters them for one FFT over its N points."""
+    n = table.size
+    generators, perp, members = _table_stabiliser(table, table == table.flat[0])
+    if np.unique(table).size * members == n:
+        return np.where(perp, members / n, 0.0)
+    pivots = [row[i] for i, row in enumerate(_hermite_basis(generators, table.shape))]
+    reps = np.indices(pivots).reshape(table.ndim, -1)  # one point per K-coset
+    _, label, counts = np.unique(table[tuple(reps)], return_inverse=True, return_counts=True)
+    blocks = counts**2  # pairs of each label, k x k for its k representatives
+    pairs = int(blocks.sum())
+    if pairs > dimension_cap():
+        raise CapExceeded(f"same-label pair count {pairs} exceeds cap {dimension_cap()}")
+    order = np.argsort(label, kind="stable")  # representatives grouped by label
+    start = np.repeat(np.cumsum(counts) - counts, blocks)  # of each pair's label in order
+    within = np.arange(pairs) - np.repeat(np.cumsum(blocks) - blocks, blocks)
+    a, b = np.divmod(within, np.repeat(counts, blocks))  # ranks of the pair within its label
+    lags = (reps[:, order[start + a]] - reps[:, order[start + b]]) % np.reshape(table.shape, (-1, 1))
+    law = np.bincount(np.ravel_multi_index(tuple(lags), table.shape), minlength=n).reshape(table.shape)
+    law = np.where(perp, np.fft.fftn(law).real, 0.0)
+    law *= (members / n) ** 2
+    np.maximum(law, 0.0, out=law)  # rounding can leave a zero a hair below 0
+    return law
 
 
 def level_set_law(table) -> np.ndarray:
@@ -338,20 +308,13 @@ def level_set_law(table) -> np.ndarray:
 
     A table whose N points exceed the dimension cap raises CapExceeded.  A
     one-dimensional table takes `_periodic_law` as the one period of
-    itself.  A multi-register table with one label per coset of its
-    stabiliser folds to |K|/N on K^perp (`_coset_fold`); any other, such as
-    a merged one, takes one FFT over the labels x points one-hot array and
-    raises CapExceeded when that exceeds the cap."""
+    itself, a multi-register table `_stabiliser_law`."""
     table = np.asarray(table, dtype=np.int64)
     if table.size > dimension_cap():
         raise CapExceeded(f"label-table law over {table.size} points exceeds cap {dimension_cap()}")
     if table.ndim == 1:
         return _periodic_law(table, table.size)
-    law = _coset_fold(table)
-    if law is None:
-        spectra = _level_set_spectra(table)
-        law = (spectra.real**2 + spectra.imag**2).sum(axis=0)
-    return law
+    return _stabiliser_law(table)
 
 
 def _shift_orbit(instance: OracleInstance, label: int, generator: int, n: int) -> np.ndarray:

@@ -25,11 +25,12 @@ from hsplab.algorithms import (
     solve_dlog,
     solve_hsp_general,
 )
-from hsplab.estimation import _coset_fold, hsp_control_distribution
+from hsplab.estimation import hsp_control_distribution
 from hsplab.groups import (
     GroupSpec,
     SubgroupGenerators,
     all_subgroups,
+    orthogonality_holds,
     subgroup_enumerate,
     subgroups_equal,
 )
@@ -333,14 +334,15 @@ STABILISER_CASES = {
 def test_hsp_solver_recovers_stabilisers(case):
     """The stabiliser of a point under an Abelian group action is a hidden
     subgroup: f(g) = g(x0) is constant on its cosets and distinct across
-    them, so the coset law folds onto it and the solver recovers it."""
+    them, so the coset law is |K|/N on K^perp and the solver recovers it."""
     expected = classical_invariance_subgroup(STABILISER_CASES[case]())
+    spec = expected.spec
+    perp = [orthogonality_holds(spec, t, expected) for t in spec.elements()]
     for seed in range(3):
         inst = STABILISER_CASES[case]()
         assert subgroups_equal(inst.truth.subgroup, expected)
-        law = _coset_fold(inst.label_table(inst.domain.moduli))
-        assert law is not None
-        assert np.array_equal(hsp_control_distribution(inst), law.reshape(-1))
+        law = np.where(perp, expected.order / spec.order, 0.0)
+        assert np.array_equal(hsp_control_distribution(inst), law)
         res = solve_hsp_general(inst, SolverParams(seed=seed))
         assert res.verified and subgroups_equal(res.value, expected)
 
@@ -483,6 +485,9 @@ def test_robust_hsp_merge_enlarging_invariance_returns_enlargement():
     [((2, 4), [(1, 2)]), ((9,), [(3,)]), ((2, 2, 2), [(1, 1, 0)]), ((2, 6), [(0, 3)]), ((3, 6), [(1, 2)])],
 )
 def test_robust_hsp_random_merges_match_classical_truth(moduli, gens):
+    """The answer is the brute-force invariance subgroup, and the bill is
+    one query per domain point plus one per draw; a domain smaller than m²
+    draws nothing."""
     spec = GroupSpec.of(moduli)
     inner = make_hidden_subgroup_instance(spec, gens, relabel_seed=1)
     import warnings
@@ -491,8 +496,28 @@ def test_robust_hsp_random_merges_match_classical_truth(moduli, gens):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             merged = wrap_many_to_one(inner, merge_table(inner.codomain_size, 2, seed), 2)
+        truth = classical_invariance_subgroup(merged)
+        before = merged.query_count
         res = robust_hsp(merged, SolverParams(seed=seed, multiplicity=2))
-        assert subgroups_equal(res.value, classical_invariance_subgroup(merged))
+        assert subgroups_equal(res.value, truth)
+        assert merged.query_count - before == spec.order + 4 * spec.rank + 10
+        before = merged.query_count
+        res = robust_hsp(merged, SolverParams(seed=seed, multiplicity=spec.order))
+        assert res.samples == [] and subgroups_equal(res.value, truth)
+        assert merged.query_count - before == spec.order
+
+
+def test_robust_hsp_scales_past_the_label_one_hot():
+    """Z_256 x Z_256 with K = <(1,1)> merged 2-to-1: a labels x points
+    one-hot would hold 128 x 65536 amplitudes, twice the default cap."""
+    inner = make_hidden_subgroup_instance(GroupSpec.of([256, 256]), [(1, 1)], relabel_seed=1)
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        merged = wrap_many_to_one(inner, merge_table(inner.codomain_size, 2, 1), 2)
+    res = robust_hsp(merged, SolverParams(seed=1, multiplicity=2))
+    assert subgroups_equal(res.value, classical_invariance_subgroup(merged))
 
 
 # --- serialization ---------------------------------------------------------------------

@@ -116,6 +116,15 @@ def test_robust_hsp_run_composite_group(capsys, seed):
     assert code == 0 and report["match"] is True
 
 
+def test_robust_hsp_run_trivial_subgroup_past_the_label_one_hot(capsys):
+    # 2048 labels x 4096 points would exceed the default cap; the law counts
+    # 8192 same-label pairs instead
+    code, report, err = run(
+        capsys, "robust-hsp", "--moduli", "64,64", "--generators", "", "--multiplicity", "2", "--seed", "1",
+    )
+    assert code == 0 and report["match"] is True, err
+
+
 def test_trials_flag_runs_independent_seeds(capsys):
     code, report, _ = run(
         capsys, "order", "--modulus", "15", "--base", "7", "--seed", "10",

@@ -5,19 +5,19 @@ from the level sets of f's label table alone.  Here each law is compared with
 the Born-rule marginal of the dense joint state the circuit would build, over
 random small instances: order finding on both routes and off-orbit basis
 targets, period finding, many-to-one merges, discrete logs along either
-generator, and hidden subgroups of random groups.  Coset tables are pinned
-to fold onto their stabiliser, and tables that are not coset tables (merges,
-level sets of the right size that are no subgroup) to be refused by the
-fold.  The closed form for tables that cycle through distinct labels is
-pinned separately over every shape of register (shorter than a period,
-whole periods, a remainder, and registers large enough that a float zero
-test would misfire).  So is the law folded
-onto one period for merged views and repeated tables, including registers
-that hold less than two periods, the least-cyclic-period search against
-brute force, and the one period of labels of every integer-domain instance
-kind against independent definitions of its function.  Every law is
-checked to be a distribution: entries >= 0 that sum to 1 within the
-tolerance.
+generator, and on random groups hidden subgroups, their random and m-to-1
+merges, and random tables of few labels that are no merge of anything.
+Coset tables are pinned to |K|/N on K^perp exactly, the stabiliser search to
+the brute-force invariance subgroup, and level sets of the right size that
+are no subgroup to the dense law.  The closed form for tables that cycle
+through distinct labels is pinned separately over every shape of register
+(shorter than a period, whole periods, a remainder, and registers large
+enough that a float zero test would misfire).  So is the law folded onto
+one period for merged views and repeated tables, including registers that
+hold less than two periods, the least-cyclic-period search against brute
+force, and the one period of labels of every integer-domain instance kind
+against independent definitions of its function.  Every law is checked to
+be a distribution: entries >= 0 that sum to 1 within the tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsplab.amplitudes import (
@@ -38,7 +38,6 @@ from hsplab.amplitudes import (
     set_dimension_cap,
 )
 from hsplab.estimation import (
-    _coset_fold,
     _cyclic_period,
     _hsp_layout,
     _periodic_law,
@@ -46,7 +45,14 @@ from hsplab.estimation import (
     control_distribution,
     hsp_control_distribution,
 )
-from hsplab.groups import GroupSpec, subgroup_enumerate
+from hsplab.groups import (
+    GroupSpec,
+    SubgroupGenerators,
+    _table_stabiliser,
+    orthogonality_holds,
+    subgroup_enumerate,
+    subgroups_equal,
+)
 from hsplab.oracles import (
     OracleInstance,
     apply_oracle,
@@ -164,59 +170,137 @@ def hidden_subgroup_instances(draw):
     return make_hidden_subgroup_instance(spec, generators, relabel_seed=draw(st.integers(0, 1000)))
 
 
-@given(hidden_subgroup_instances(), st.booleans(), st.data())
-def test_coset_law_matches_dense(inst, merge, data):
-    if merge:
+def bucket_merged(inner, m: int, seed: int):
+    """inner with a random permutation of its labels merged in runs of m."""
+    perm = np.random.default_rng(seed).permutation(inner.codomain_size)
+    merge = np.empty_like(perm)
+    for start in range(0, perm.size, m):
+        merge[perm[start : start + m]] = start // m
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return wrap_many_to_one(inner, merge, m)
+
+
+def table_group_instance(table: np.ndarray) -> OracleInstance:
+    """A finite-domain instance whose labels are the given table."""
+    return OracleInstance(
+        domain=GroupSpec.of(table.shape), codomain_size=int(table.max()) + 1,
+        eval_fn=lambda x: table[x], descriptor={"kind": "table"},
+    )
+
+
+@st.composite
+def few_label_tables(draw):
+    """A random table of at most four labels over a random group of at most
+    48 points: in general no coset table, nor a merge of one."""
+    moduli = draw(
+        st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(lambda m: prod(m) <= 48)
+    )
+    labels = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, labels - 1), min_size=prod(moduli), max_size=prod(moduli)))
+    return table_group_instance(np.array(cells, dtype=np.int64).reshape(moduli))
+
+
+@st.composite
+def bucket_merges(draw):
+    """A hidden-subgroup table, or an injective one (K = {0}), with its
+    labels merged in runs of m in {2, 3}."""
+    inst = draw(hidden_subgroup_instances())
+    if draw(st.booleans()):
+        inst = make_hidden_subgroup_instance(inst.domain, [], relabel_seed=0)
+    return bucket_merged(inst, draw(st.sampled_from([2, 3])), draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=120)
+@given(hidden_subgroup_instances(), st.sampled_from(["coset", "merged", "m-to-1", "few labels"]), st.data())
+def test_coset_law_matches_dense(inst, kind, data):
+    if kind == "merged":
         inst = merged(inst, data)
+    elif kind == "m-to-1":
+        inst = data.draw(bucket_merges())
+    elif kind == "few labels":
+        inst = data.draw(few_label_tables())
     assert_law(hsp_control_distribution(inst), dense_coset_law(inst))
+
+
+def perp_law(stabiliser: SubgroupGenerators) -> np.ndarray:
+    """|K|/N on the characters that annihilate K, 0 elsewhere, flattened."""
+    spec = stabiliser.spec
+    perp = [orthogonality_holds(spec, t, stabiliser) for t in spec.elements()]
+    return np.where(perp, stabiliser.order / spec.order, 0.0)
 
 
 @given(hidden_subgroup_instances())
 def test_coset_tables_fold_onto_their_stabiliser(inst):
-    """A hidden-subgroup table takes the fold, |K|/N on K^perp, and that is
-    the dense circuit's law; multi-register laws read it."""
-    law = _coset_fold(inst.label_table(inst.domain.moduli))
-    assert law is not None
-    assert_law(law.reshape(-1), dense_coset_law(inst))
+    """A hidden-subgroup table's law is |K|/N on K^perp, exactly so for a
+    multi-register table, and that is the dense circuit's law."""
+    law = hsp_control_distribution(inst)
+    expected = perp_law(inst.truth.subgroup)
     if inst.domain.rank > 1:
-        assert np.array_equal(hsp_control_distribution(inst), law.reshape(-1))
+        assert np.array_equal(law, expected)
+    assert_law(law, dense_coset_law(inst))
+    assert np.abs(law - expected).max() <= TOL
 
 
-@given(hidden_subgroup_instances(), st.data())
-def test_fold_takes_merged_tables_only_when_they_are_coset_tables(inst, data):
-    """A merge of coset labels folds exactly when it is again a table with
-    one label per coset of its stabiliser, found here by brute force."""
-    inst = merged(inst, data)
-    table = inst.label_table(inst.domain.moduli)
-    stabiliser = subgroup_enumerate(classical_invariance_subgroup(inst))
-    law = _coset_fold(table)
-    assert (law is not None) == (np.unique(table).size * len(stabiliser) == table.size)
-    if law is not None:
-        assert_law(law.reshape(-1), dense_coset_law(inst))
+@given(hidden_subgroup_instances() | few_label_tables(), st.booleans(), st.data())
+def test_grown_stabiliser_is_the_invariance_subgroup(inst, merge, data):
+    """The stabiliser search over the level set of the first label, or over
+    any part of it that holds the stabiliser, finds the brute-force
+    invariance subgroup, and the mask of its annihilator."""
+    if merge:
+        inst = merged(inst, data)
+    spec = inst.domain
+    table = inst.label_table(spec.moduli)
+    truth = classical_invariance_subgroup(inst)
+    candidates = table == table.flat[0]
+    if data.draw(st.booleans()):  # a random part of it that still holds K
+        members = np.zeros(spec.order, dtype=bool)
+        members[[spec.element_index(h) for h in subgroup_enumerate(truth)]] = True
+        kept = data.draw(st.lists(st.booleans(), min_size=spec.order, max_size=spec.order))
+        candidates &= (np.array(kept) | members).reshape(spec.moduli)
+    generators, perp, order = _table_stabiliser(table, candidates)
+    assert subgroups_equal(SubgroupGenerators.of(spec, generators), truth)
+    assert np.array_equal(perp.reshape(-1), perp_law(truth) > 0) and order == truth.order
 
 
 @pytest.mark.parametrize("rows", [[0, 0, 1, 1], [[0, 0, 1, 1], [1, 1, 0, 0]]])
-def test_fold_refuses_a_level_set_that_is_no_subgroup(rows):
+def test_level_set_that_is_no_subgroup_matches_dense(rows):
     """S0 has N / labels points, as a coset table's would, but is no
-    subgroup: the law comes from the one-hot path, and matches the dense law."""
+    subgroup: the stabiliser found is smaller than S0, so the law comes from
+    the pair counts, and matches the dense law."""
     table = np.array(rows, dtype=np.int64)
-    assert _coset_fold(table) is None
-    inst = OracleInstance(
-        domain=GroupSpec.of(table.shape), codomain_size=2, eval_fn=lambda x: table[x],
-        descriptor={"kind": "table"},
-    )
+    inst = table_group_instance(table)
+    _, _, order = _table_stabiliser(table, table == table.flat[0])
+    assert order < np.count_nonzero(table == 0)
+    assert_law(hsp_control_distribution(inst), dense_coset_law(inst))
+
+
+def test_pair_law_is_clamped_at_zero():
+    """A two-label table over Z_6 x Z_6 with stabiliser {0}, on which the
+    FFT of its pair counts leaves a zero of the law at about -1.4e-18: the
+    law is clamped at 0, and matches the dense law."""
+    table = np.array([
+        [0, 1, 1, 1, 0, 0], [1, 1, 0, 0, 1, 0], [0, 1, 0, 0, 1, 1],
+        [0, 0, 1, 1, 1, 1], [1, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0],
+    ])
+    inst = table_group_instance(table)
     assert_law(hsp_control_distribution(inst), dense_coset_law(inst))
 
 
 def test_coset_law_cap_bounds_points_and_is_checked_before_tabulating():
-    """The fold needs no labels x points one-hot, so an injective table on
+    """A coset table needs no pairs scattered, so an injective table on
     Z_8 x Z_8 (64 labels x 64 points) folds under a cap of 64; a cap below
-    |G| raises CapExceeded before f is tabulated."""
+    |G| raises CapExceeded before f is tabulated.  The same table merged
+    2-to-1 has 32 labels and 128 same-label pairs (a one-hot would hold
+    2048 entries): the cap bounds those pairs, so 128 admits the law and
+    127 raises."""
     spec = GroupSpec.of((8, 8))
     inst = make_hidden_subgroup_instance(spec, [], relabel_seed=1)
     dense = dense_coset_law(inst)
     fresh = make_hidden_subgroup_instance(spec, [], relabel_seed=1)
     fresh.label_table = lambda shape: pytest.fail("tabulated above the cap")
+    pair = bucket_merged(inst, 2, seed=1)
+    pair_dense = dense_coset_law(pair)
     previous = dimension_cap()
     set_dimension_cap(64)
     try:
@@ -224,9 +308,15 @@ def test_coset_law_cap_bounds_points_and_is_checked_before_tabulating():
         set_dimension_cap(63)
         with pytest.raises(CapExceeded):
             hsp_control_distribution(fresh)
+        set_dimension_cap(128)
+        pair_law = hsp_control_distribution(pair)
+        set_dimension_cap(127)
+        with pytest.raises(CapExceeded, match="pair count 128"):
+            hsp_control_distribution(bucket_merged(inst, 2, seed=1))
     finally:
         set_dimension_cap(previous)
     assert_law(law, dense)
+    assert_law(pair_law, pair_dense)
 
 
 @st.composite
