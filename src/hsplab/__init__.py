@@ -31,14 +31,11 @@ from .qft import (
 )
 from .groups import (
     CharacterSample,
-    CoprimeComponent,
     GroupSpec,
     SubgroupGenerators,
     all_subgroups,
     character_kernel,
     character_phase_numerator,
-    coprime_split,
-    join_subgroups,
     orthogonality_holds,
     subgroup_enumerate,
     subgroups_equal,

@@ -279,8 +279,8 @@ def solve_hsp_general(instance: OracleInstance, params: SolverParams) -> HspResu
     """Hidden subgroup over any finite Abelian group.
 
     Batches of coset-sampler outcomes (4·rank + 10 per batch) over the whole
-    group feed the character-kernel solver, which splits each sampled
-    character into its prime components; every generator of the candidate
+    group feed the character-kernel solver, which reads the kernel off the
+    dual of the sampled characters' lattice; every generator of the candidate
     kernel is then checked against the function at a random point — exact
     for an honest promise, since f is constant on K-cosets and distinct
     across them.  A generator that fails means the samples do not yet span,

@@ -393,7 +393,8 @@ def sample_control(
     outcomes = rng.choice(len(law), size=int(count), p=law)
     instance.counter.add(int(count))
     return [
-        PhaseSample(int(x), int(register_size), float(law[int(x)]), seed) for x in outcomes
+        PhaseSample(x, int(register_size), p, seed)
+        for x, p in zip(outcomes.tolist(), law[outcomes].tolist())
     ]
 
 
@@ -433,7 +434,7 @@ def hsp_sample_batch(instance: OracleInstance, count: int, seed: int = 0) -> lis
     flat = rng.choice(len(law), size=int(count), p=law)
     instance.counter.add(int(count))
     coords = np.unravel_index(flat, tuple(spec.moduli))
-    return [tuple(int(c[i]) for c in coords) for i in range(int(count))]
+    return list(zip(*(c.tolist() for c in coords)))
 
 
 def _coordinate_law(instance: OracleInstance, coordinate: int, measured: dict) -> np.ndarray:

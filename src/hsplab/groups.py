@@ -7,15 +7,13 @@ of G, pairing with h as sum_j t_j * h_j / d_j (mod 1).  Every sample
 annihilates the hidden subgroup K, and K is recovered as the joint kernel
 of the characters seen so far.
 
-Kernel solving splits the samples, not the group's elements: `coprime_split`
-decomposes G into prime components, each sample maps to a character of
-every component, and each component is solved on its own.  The split is
-exact because a product of roots of unity of coprime orders is 1 only when
-every factor is.  Over a component of exponent p^m the system lives in
-Z_{p^m}, a local ring, so Gaussian elimination pivots on entries of minimal
-p-adic valuation rather than on nonzero entries.
+The samples and the relations d_j * e_j span a lattice with D*Z^l <= Lambda
+<= Z^l, D = diag(d), and K is its dual scaled by D: h lies in K exactly when
+B * D^-1 * h is integral, B the Hermite basis of Lambda, so K = D * B^-1 * Z^l.
+One Hermite form and one triangular solve give K for any moduli, prime or
+composite.
 
-A subgroup is a lattice L with D*Z^l <= L <= Z^l, D = diag(d), and its
+A subgroup is likewise a lattice L with D*Z^l <= L <= Z^l, and its
 Hermite basis is unique.  Generating sets are stored in that canonical form
 (the generator rows stacked on the modulus relations, row reduced), so
 equality of subgroups is a tuple comparison, a subgroup's order is |G| over
@@ -58,14 +56,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _prime_power(n: int) -> tuple[int, int] | None:
-    f = _factorize(n)
-    if len(f) != 1:
-        return None
-    [(p, e)] = f.items()
-    return p, e
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Moduli of the cyclic factors, left to right."""
@@ -92,17 +82,6 @@ class GroupSpec:
     @property
     def rank(self) -> int:
         return len(self.moduli)
-
-    def prime_power(self) -> tuple[int, tuple[int, ...]]:
-        """Return (p, exponents) if every modulus is a positive power of one
-        prime p, else raise.  Exponents follow the coordinate order."""
-        pps = [_prime_power(d) for d in self.moduli]
-        if any(pp is None for pp in pps):
-            raise ValueError(f"moduli {self.moduli} are not all prime powers")
-        primes = {p for p, _ in pps}
-        if len(primes) != 1:
-            raise ValueError(f"moduli {self.moduli} mix primes {sorted(primes)}")
-        return pps[0][0], tuple(e for _, e in pps)
 
     def reduce(self, coords) -> Element:
         if len(coords) != self.rank:
@@ -343,169 +322,31 @@ def orthogonality_holds(spec: GroupSpec, t: Element, subgroup: SubgroupGenerator
     return all(character_phase_numerator(spec, t, h) == 0 for h in subgroup.generators)
 
 
-def _val(a: int, p: int, m: int) -> int:
-    """p-adic valuation of a mod p^m, with val(0) = m."""
-    if a % p**m == 0:
-        return m
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
-
-
 def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
     """Generators of {h in G : every sample annihilates h}, for any finite
     Abelian G.  An empty sample list yields all of G.
 
-    Each sample t is split into one character per prime component: on
-    component coordinate (j, q) it reads t_j * u mod q with
-    u = (d_j/q)^(-1) mod q.  The unit enters because `lift` embeds v as
-    v * (d_j/q) * u, so t pairs with the lift of v as sum t_j * u * v / q.
-    The component kernels then join into the kernel over G.
+    With B the Hermite basis of the samples and the relations d_j * e_j, the
+    kernel is D * B^-1 * Z^l, D = diag(d): the columns of M = D * B^-1, an
+    integer matrix since D * Z^l lies in B's lattice.  Row i of M solves
+    m * B = d_i * e_i by forward substitution over the columns.
     """
-    ts = []
+    ts = set()
     for s in samples:
         t = s.t if isinstance(s, CharacterSample) else tuple(s)
         if len(t) != spec.rank:
             raise ValueError("sample arity does not match group rank")
-        ts.append(t)
-    components = coprime_split(spec)
-    parts = []
-    for comp in components:
-        units = [(j, q, pow(spec.moduli[j] // q, -1, q)) for j, q in comp.positions]
-        local = [[t[j] * u % q for j, q, u in units] for t in ts]
-        parts.append(_local_kernel(local, comp.spec))
-    return join_subgroups(spec, components, parts)
-
-
-def _local_kernel(samples: list[list[int]], spec: GroupSpec) -> SubgroupGenerators:
-    """Kernel over a group whose moduli are all powers of one prime p.
-
-    Linear system over Z_{p^m}: row per sample, column per factor, entry
-    p^(m-m_j) * t_j.  Diagonalize by row/column operations pivoting on the
-    entry of minimal p-adic valuation (its unit part is invertible in the
-    local ring); a diagonal p^v frees solutions p^(m-v) * Z along the
-    transformed coordinate.  Column operations are recorded so solutions
-    map back to original coordinates.
-    """
-    p, exps = spec.prime_power()
-    m = max(exps)
-    pm = p**m
-    l = spec.rank
-
-    rows = [[(p ** (m - mj) * tj) % pm for mj, tj in zip(exps, t)] for t in samples]
-
-    v_matrix = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
-    nrows = len(rows)
-    pivots: list[int] = []  # valuation of the pivot at (i, i)
-    i = 0
-    while i < min(nrows, l):
-        best = None
-        best_val = m
-        for r in range(i, nrows):
-            for c in range(i, l):
-                v = _val(rows[r][c], p, m)
-                if v < best_val:
-                    best_val, best = v, (r, c)
-        if best is None:
-            break
-        r0, c0 = best
-        rows[i], rows[r0] = rows[r0], rows[i]
-        if c0 != i:
-            for row in rows:
-                row[i], row[c0] = row[c0], row[i]
-            for row in v_matrix:
-                row[i], row[c0] = row[c0], row[i]
-        unit = rows[i][i] // p**best_val
-        inv = pow(unit, -1, pm)
-        rows[i] = [(inv * a) % pm for a in rows[i]]
-        for r in range(nrows):
-            if r != i and rows[r][i]:
-                q = rows[r][i] // p**best_val
-                rows[r] = [(a - q * b) % pm for a, b in zip(rows[r], rows[i])]
-        for c in range(l):
-            if c != i and rows[i][c]:
-                q = rows[i][c] // p**best_val
-                for row in rows:
-                    row[c] = (row[c] - q * row[i]) % pm
-                for row in v_matrix:
-                    row[c] = row[c] - q * row[i]
-        pivots.append(best_val)
-        i += 1
-
-    gens = []
-    for c in range(l):
-        v = pivots[c] if c < len(pivots) else m
-        factor = p ** (m - v) if v < m else 1
-        gens.append(tuple((factor * v_matrix[row][c]) % spec.moduli[row] for row in range(l)))
-    return SubgroupGenerators.of(spec, gens)
-
-
-# --- CRT decomposition -----------------------------------------------------
-
-
-def _crt_pair(a1: int, n1: int, a2: int, n2: int) -> int:
-    """x with x = a1 (mod n1), x = a2 (mod n2); n1, n2 coprime."""
-    if n1 == 1:
-        return a2 % n2
-    if n2 == 1:
-        return a1 % n1
-    inv = pow(n1, -1, n2)
-    return (a1 + n1 * ((a2 - a1) * inv % n2)) % (n1 * n2)
-
-
-@dataclass(frozen=True)
-class CoprimeComponent:
-    """One prime-power slice of a composite group, with its embedding data.
-
-    `positions[i] = (j, q)` says component coordinate i is the reduction of
-    original coordinate j mod q (q the p-part of d_j).
-    """
-
-    prime: int
-    spec: GroupSpec
-    positions: tuple[tuple[int, int], ...]
-
-    def project(self, element: Element) -> Element:
-        return tuple(element[j] % q for j, q in self.positions)
-
-    def lift(self, comp_element: Element, ambient: GroupSpec) -> Element:
-        """Element of the ambient group reducing to comp_element here and to
-        zero in every other component."""
-        coords = [0] * ambient.rank
-        for (j, q), v in zip(self.positions, comp_element):
-            other = ambient.moduli[j] // q
-            coords[j] = _crt_pair(v % q, q, 0, other)
-        return ambient.reduce(coords)
-
-
-def coprime_split(spec: GroupSpec) -> list[CoprimeComponent]:
-    """Decompose Z_{d_1} x ... x Z_{d_l} into prime-power components.
-
-    Each component collects the p-parts of all moduli divisible by p,
-    sorted so exponents ascend.  Factors equal to 1
-    contribute nothing; a fully trivial group yields an empty list.
-    """
-    by_prime: dict[int, list[tuple[int, int]]] = {}
-    for j, d in enumerate(spec.moduli):
-        for p, e in _factorize(d).items():
-            by_prime.setdefault(p, []).append((j, p**e))
-    components = []
-    for p in sorted(by_prime):
-        positions = sorted(by_prime[p], key=lambda jq: (jq[1], jq[0]))
-        comp_spec = GroupSpec.of([q for _, q in positions])
-        components.append(CoprimeComponent(prime=p, spec=comp_spec, positions=tuple(positions)))
-    return components
-
-
-def join_subgroups(spec: GroupSpec, components: list[CoprimeComponent], parts: list[SubgroupGenerators]) -> SubgroupGenerators:
-    """Recombine per-component subgroups into the ambient subgroup."""
-    gens: list[Element] = []
-    for comp, part in zip(components, parts):
-        for g in part.generators:
-            gens.append(comp.lift(g, spec))
-    return SubgroupGenerators.of(spec, gens)
+        ts.add(t)
+    moduli = spec.moduli
+    basis = _hermite_basis(ts, moduli)
+    rows = []
+    for i, d in enumerate(moduli):
+        m = [0] * len(moduli)
+        m[i] = d // basis[i][i]
+        for c in range(i + 1, len(moduli)):
+            m[c] = -sum(m[r] * basis[r][c] for r in range(i, c)) // basis[c][c]
+        rows.append(m)
+    return SubgroupGenerators.of(spec, zip(*rows))
 
 
 def all_subgroups(spec: GroupSpec) -> list[SubgroupGenerators]:

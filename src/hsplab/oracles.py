@@ -93,7 +93,7 @@ class OracleInstance:
         multiplicity_bound: int = 1,
         truth: PlantedTruth | None = None,
         descriptor: dict | None = None,
-        cosets_per_label: dict[int, int] | None = None,
+        cosets_per_label: np.ndarray | None = None,
     ) -> None:
         if (domain is None) == (period_labels is None) or (domain is None) != (eval_fn is None):
             raise ValueError("an integer domain takes period_labels, a finite domain eval_fn")
@@ -111,7 +111,13 @@ class OracleInstance:
         self.truth = truth or PlantedTruth()
         self.descriptor = descriptor or {}
         self.counter = QueryCounter()
-        self._cosets_per_label = cosets_per_label or {}
+        self._cosets_per_label = (  # cosets of the planted subgroup per label
+            np.zeros(self.codomain_size, dtype=np.int64)
+            if cosets_per_label is None
+            else np.asarray(cosets_per_label, dtype=np.int64)
+        )
+        if self._cosets_per_label.shape != (self.codomain_size,):
+            raise ValueError("cosets_per_label needs one count per codomain label")
         self._dist_cache: dict = {}  # estimation-layer memo of exact laws
 
     @property
@@ -172,6 +178,13 @@ class OracleInstance:
         return dict(self.descriptor)
 
 
+def _one_coset_each(labels, size: int) -> np.ndarray:
+    """Cosets per label of a function whose every label names one coset."""
+    counts = np.zeros(size, dtype=np.int64)
+    counts[np.asarray(labels, dtype=np.int64)] = 1
+    return counts
+
+
 def _multiplicative_order(a: int, n: int) -> int:
     r, v = 1, a % n
     while v != 1:
@@ -210,7 +223,7 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
         shift_fn=shift,
         truth=PlantedTruth(period=len(powers)),
         descriptor={"kind": "order", "modulus": n, "base": a},
-        cosets_per_label={p: 1 for p in powers},
+        cosets_per_label=_one_coset_each(powers, n),
     )
 
 
@@ -235,7 +248,7 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
         shift_fn=None,
         truth=PlantedTruth(period=r),
         descriptor={"kind": "period", "period": r, "relabeling": relab},
-        cosets_per_label={v: 1 for v in relab},
+        cosets_per_label=np.ones(r, dtype=np.int64),
     )
 
 
@@ -293,7 +306,7 @@ def make_hidden_subgroup_instance(
             "generators": [list(g) for g in subgroup.generators],
             "relabel_seed": int(relabel_seed),
         },
-        cosets_per_label={v: 1 for v in range(n_labels)},
+        cosets_per_label=np.ones(n_labels, dtype=np.int64),
     )
 
 
@@ -378,7 +391,7 @@ def make_dlog_instance(
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup, dlog_exponent=m),
         descriptor=desc,
-        cosets_per_label={v: 1 for v in image},
+        cosets_per_label=_one_coset_each(image, codomain),
     )
 
 
@@ -397,7 +410,6 @@ def make_deutsch_instance(f0: int, f1: int) -> OracleInstance:
             return np.arange(2, dtype=np.int64)
         return np.array([1, 0], dtype=np.int64)
 
-    cosets = {f0: 1} if constant else {f0: 1, f1: 1}
     return OracleInstance(
         domain=spec,
         codomain_size=2,
@@ -405,7 +417,7 @@ def make_deutsch_instance(f0: int, f1: int) -> OracleInstance:
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup),
         descriptor={"kind": "deutsch", "f0": f0, "f1": f1},
-        cosets_per_label=cosets,
+        cosets_per_label=_one_coset_each([f0, f1], 2),
     )
 
 
@@ -457,7 +469,7 @@ def make_stabiliser_instance(
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup),
         descriptor=descriptor or {"kind": "stabiliser", "moduli": list(spec.moduli), "points": points, "x0": x0},
-        cosets_per_label={v: 1 for v in np.unique(orbit).tolist()},
+        cosets_per_label=_one_coset_each(orbit.reshape(-1), points),
     )
 
 
@@ -487,11 +499,8 @@ def wrap_many_to_one(
     table = relabeled.astype(np.int64)
     new_size = int(table.max()) + 1 if table.size else 0
 
-    new_cosets: dict[int, int] = {}
-    for label, cosets in inner._cosets_per_label.items():
-        v = int(table[label])
-        new_cosets[v] = new_cosets.get(v, 0) + cosets
-    worst = max(new_cosets.values(), default=1)
+    new_cosets = np.bincount(table, weights=inner._cosets_per_label, minlength=new_size).astype(np.int64)
+    worst = int(new_cosets.max(initial=1))
     if worst > multiplicity:
         raise ValueError(f"merge is {worst}-to-1 on cosets, above the stated bound {multiplicity}")
 

@@ -253,7 +253,7 @@ def test_hsp_detects_inconsistent_black_box():
         eval_fn=flaky,
         truth=PlantedTruth(subgroup=SubgroupGenerators.of(spec, [(1, 1)])),
         descriptor={"kind": "test-flaky"},
-        cosets_per_label={0: 2, 1: 2},
+        cosets_per_label=np.array([2, 2, 0, 0, 0, 0, 0, 0]),
     )
     hsp_control_distribution(inst)  # freeze the law while the box is honest
     state["honest"] = False

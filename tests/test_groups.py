@@ -1,9 +1,10 @@
-"""Finite Abelian group layer: specs, subgroups, characters, CRT plumbing.
+"""Finite Abelian group layer: specs, subgroups, characters, kernels.
 
-The character-kernel solver works over the local ring Z_{p^m} and is the
-piece most likely to harbor subtle bugs, so it gets an exhaustive
+The character-kernel solver, a triangular solve against a Hermite basis, is
+the piece most likely to harbor subtle bugs, so it gets an exhaustive
 cross-check against literal enumeration over every subgroup of every small
-prime-power group.
+prime-power group, and property tests against the brute-force annihilator
+over random composite groups.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsplab import groups
@@ -23,8 +24,6 @@ from hsplab.groups import (
     all_subgroups,
     character_kernel,
     character_phase_numerator,
-    coprime_split,
-    join_subgroups,
     orthogonality_holds,
     subgroup_enumerate,
     subgroups_equal,
@@ -42,14 +41,6 @@ def test_spec_validation():
         GroupSpec.of([0, 2])
     assert GroupSpec.of([4, 2]).order == 8
     assert GroupSpec.of([4, 2]).rank == 2
-
-
-def test_prime_power_accepts_descending_exponents():
-    assert GroupSpec.of([2, 2, 8]).prime_power() == (2, (1, 1, 3))
-    assert GroupSpec.of([4, 2]).prime_power() == (2, (2, 1))  # descending
-    for moduli in ([2, 3], [6]):  # mixed primes
-        with pytest.raises(ValueError):
-            GroupSpec.of(moduli).prime_power()
 
 
 def test_element_arithmetic():
@@ -301,7 +292,7 @@ def test_spans_full_character_group_examples():
 
 
 # Composite moduli sharing a prime across coordinates with different
-# cofactors: only these make the CRT unit of the character split differ from 1.
+# cofactors, so the Hermite pivots mix primes within one coordinate.
 SHARED_PRIME_GROUPS = [(3, 6), (6, 12), (10, 20), (2, 6), (6, 4), (6,)]
 RANDOM_GROUPS = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 15]), min_size=1, max_size=3).filter(
     lambda m: prod(m) <= 600
@@ -322,52 +313,6 @@ def test_kernel_matches_brute_force_annihilator(data, moduli):
     assert subgroup_enumerate(character_kernel(samples, spec)) == expected
 
 
-# --- CRT decomposition -------------------------------------------------------
-
-
-def test_coprime_split_z6():
-    comps = coprime_split(GroupSpec.of([6]))
-    assert [c.spec.moduli for c in comps] == [(2,), (3,)]
-
-
-def test_coprime_split_prime_power_unchanged():
-    comps = coprime_split(GroupSpec.of([4, 8]))
-    assert len(comps) == 1
-    assert comps[0].spec.moduli == (4, 8)
-
-
-def test_coprime_split_z12_z2():
-    comps = coprime_split(GroupSpec.of([12, 2]))
-    by_prime = {c.prime: c.spec.moduli for c in comps}
-    assert by_prime == {2: (2, 4), 3: (3,)}  # 2-part sorted ascending
-
-
-def test_coprime_split_descending_input_reorders():
-    comps = coprime_split(GroupSpec.of([4, 2]))
-    assert len(comps) == 1
-    assert comps[0].spec.moduli == (2, 4)
-    assert comps[0].spec.prime_power() == (2, (1, 2))
-
-
-@pytest.mark.parametrize("moduli", [(6,), (12, 2), (4, 2), (60,), (10, 12), (30, 30)])
-def test_crt_round_trip_is_isomorphism(moduli):
-    spec = GroupSpec.of(moduli)
-    comps = coprime_split(spec)
-    seen = set()
-    for x in spec.elements():
-        parts = [c.project(x) for c in comps]
-        seen.add(tuple(parts))
-    assert len(seen) == spec.order  # injective, hence bijective
-    # homomorphism property on a few pairs
-    elems = list(spec.elements())
-    for i in range(0, len(elems), max(1, len(elems) // 7)):
-        for j in range(0, len(elems), max(1, len(elems) // 5)):
-            x, y = elems[i], elems[j]
-            lhs = [c.project(spec.add(x, y)) for c in comps]
-            rhs = [c.spec.add(c.project(x), c.project(y)) for c in comps]
-            assert lhs == rhs
-
-
 @pytest.mark.parametrize(
     "moduli,gens",
     [
@@ -379,19 +324,40 @@ def test_crt_round_trip_is_isomorphism(moduli):
     ],
 )
 def test_subgroup_split_join_round_trip(moduli, gens):
+    """A subgroup of a composite group comes back from its annihilator,
+    K -> K^perp -> ker(K^perp) = K, in one solve over the whole group with
+    no split into prime components and no join."""
     spec = GroupSpec.of(moduli)
     k = SubgroupGenerators.of(spec, gens)
-    comps = coprime_split(spec)
-    parts = [SubgroupGenerators.of(c.spec, [c.project(g) for g in k.generators]) for c in comps]
-    joined = join_subgroups(spec, comps, parts)
+    annihilators = [t for t in spec.elements() if orthogonality_holds(spec, t, k)]
+    joined = character_kernel(annihilators, spec)
     assert subgroups_equal(k, joined)
+    assert joined == k
 
 
-def test_lift_reduces_to_component_and_zero_elsewhere():
-    spec = GroupSpec.of([12])
-    comps = coprime_split(spec)
-    three_part = next(c for c in comps if c.prime == 3)
-    lifted = three_part.lift((2,), spec)
-    assert three_part.project(lifted) == (2,)
-    two_part = next(c for c in comps if c.prime == 2)
-    assert two_part.project(lifted) == (0,)
+@st.composite
+def _groups_and_sample_lists(draw):
+    """A group of rank <= 4 and order <= 216, any moduli, and 0-8 samples
+    drawn from a pool of characters and the zero character, so lists repeat."""
+    moduli, budget = [], 216
+    for _ in range(draw(st.integers(1, 4))):
+        moduli.append(draw(st.integers(1, budget)))
+        budget //= moduli[-1]
+    characters = st.tuples(*(st.integers(0, d - 1) for d in moduli))
+    pool = draw(st.lists(characters, min_size=1, max_size=4)) + [(0,) * len(moduli)]
+    return GroupSpec.of(moduli), draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+@settings(max_examples=200)
+@given(_groups_and_sample_lists())
+def test_kernel_is_the_scanned_annihilator(case):
+    """The dual-lattice kernel equals a scan of G for the elements every
+    sample annihilates, as a set and in canonical form."""
+    spec, samples = case
+    scanned = [
+        h for h in spec.elements()
+        if all(character_phase_numerator(spec, t, h) == 0 for t in samples)
+    ]
+    kernel = character_kernel(samples, spec)
+    assert subgroup_enumerate(kernel) == frozenset(scanned)
+    assert kernel == SubgroupGenerators.of(spec, scanned)
