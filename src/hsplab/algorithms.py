@@ -42,20 +42,20 @@ class PromiseViolation(RuntimeError):
     """The function contradicted the hidden-subgroup promise."""
 
 
-_OPTIONAL_FIELDS = ("control_bits", "register_size", "period_bound", "multiplicity")
+_OPTIONAL_FIELDS = ("control_bits", "period_bound", "multiplicity")
 
 
 @dataclass(frozen=True)
 class SolverParams:
     """Shared solver knobs.
 
-    Register sizing precedence: `control_bits` (size 2^bits), then
-    `register_size`, then a size derived from `period_bound` and `epsilon`.
+    Register sizing precedence: `control_bits` (size 2^bits), then a size
+    derived from the period bound and `epsilon`.  Order and period finding
+    without a `period_bound` double a guessed bound until a period verifies.
     `multiplicity` overrides the instance's own many-to-1 bound when set.
     """
 
     control_bits: int | None = None
-    register_size: int | None = None
     trials: int = 20
     epsilon: float = 0.25
     seed: int = 0
@@ -63,15 +63,11 @@ class SolverParams:
     multiplicity: int | None = None
     zero_run_threshold: int = 5
     spot_checks: int = 10
-    doubling: bool = False
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             v = getattr(self, name)
-            if name == "doubling":
-                if not isinstance(v, bool):
-                    raise ValueError(f"doubling must be true or false, got {v!r}")
-            elif v is None and name in _OPTIONAL_FIELDS:
+            if v is None and name in _OPTIONAL_FIELDS:
                 continue
             elif isinstance(v, bool) or not isinstance(v, Real if name == "epsilon" else Integral):
                 kind = "a number" if name == "epsilon" else "an integer"
@@ -155,8 +151,6 @@ class DlogResult:
 def _register_size_for(params: SolverParams, bound: int) -> int:
     if params.control_bits is not None:
         return 1 << params.control_bits
-    if params.register_size is not None:
-        return params.register_size
     return choose_register_size(2 * bound * bound, params.epsilon)
 
 
@@ -226,22 +220,16 @@ def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
     evaluations; denominators from continued fractions are lcm-combined
     until f(r) = f(0) verifies, then stripped to the least verified period.
     """
-    bound = params.period_bound
-    if bound is None:
-        if params.doubling:
-            return _run_with_doubling(instance, params, None, 0)
-        raise ValueError("period_bound required (or set doubling=True)")
-    return _recover_period(instance, params, bound, None, 0)
+    if params.period_bound is None:
+        return _run_with_doubling(instance, params, None, 0)
+    return _recover_period(instance, params, params.period_bound, None, 0)
 
 
 def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
     """Period finding through plain oracle queries only (no shift maps)."""
-    bound = params.period_bound
-    if bound is None:
-        if params.doubling:
-            return _run_with_doubling(instance, params, "oracle", 0)
-        raise ValueError("period_bound required (or set doubling=True)")
-    return _recover_period(instance, params, bound, "oracle", 0)
+    if params.period_bound is None:
+        return _run_with_doubling(instance, params, "oracle", 0)
+    return _recover_period(instance, params, params.period_bound, "oracle", 0)
 
 
 def factor_via_order(n: int, params: SolverParams) -> int:

@@ -16,7 +16,11 @@ register by a single recycled qubit measured between steps, with each
 measured bit feeding a rotation into the next step.  Its outcome law is the
 shift route's register law on 2^bits levels (the Griffiths-Niu semiclassical
 Fourier transform), so `control_distribution` is its one law; tests check
-it against an independent walk of the cascade's binary branch tree.
+it against an independent walk of the cascade's binary branch tree.  The
+runner draws its bits from the same eigenphase mixture: the basis target
+is a uniform superposition of the L shift eigenvectors on its cycle, so a
+run carries L weights on the phases k/L, each bit's law is their weighted
+sum, and the measured bit conditions them.
 Estimations chained on one kept target, as the discrete log runs them,
 need no state either: the shifts along the domain generators commute, so
 estimating them one after another draws jointly from the coset sampler's
@@ -44,10 +48,10 @@ stabiliser instances write, it is |K|/N on K^perp with no FFT; other
 tables, such as merged ones, take one FFT over their same-label pairs of
 coset representatives, which the cap bounds with the points.  The dense
 joint state (`_pre_measurement_state`) is only the reference that tests
-compare the laws against; the dual-route check and the semiclassical
-runner are the other circuits built on it.  Laws describe the instance
-rather than query it and bill nothing; samplers bill one query per draw
-and the semiclassical runner one per step."""
+compare the laws against; the dual-route check is the one other circuit
+built on it.  Laws describe the instance rather than query it and bill
+nothing; samplers bill one query per draw and the semiclassical runner one
+per step."""
 
 from __future__ import annotations
 
@@ -60,19 +64,16 @@ from .amplitudes import (
     CapExceeded,
     QuantumState,
     RegisterLayout,
-    apply_on_register,
     basis_state,
     dimension_cap,
     from_amplitudes,
     l2_distance,
-    measure_register,
 )
 from .groups import _factorize, _hermite_basis, _table_stabiliser
 from .oracles import OracleInstance, apply_oracle, apply_shift
 from .qft import apply_fourier
 
 _BLOCK = 1 << 16  # control points per pass of `_periodic_law`
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -522,7 +523,7 @@ class SemiclassicalStep:
 class SemiclassicalRun:
     steps: tuple[SemiclassicalStep, ...]
     sample: PhaseSample
-    live_dimension: int
+    live_dimension: int  # eigenphases the cascade carries: the target's shift cycle L
 
     def to_json(self) -> dict:
         return {
@@ -531,10 +532,6 @@ class SemiclassicalRun:
             "register_size": self.sample.register_size,
             "live_dimension": self.live_dimension,
         }
-
-
-def _rotation(turns: Fraction) -> np.ndarray:
-    return np.diag([1.0, np.exp(2j * np.pi * float(turns))]).astype(np.complex128)
 
 
 def phase_estimate_semiclassical(
@@ -548,24 +545,32 @@ def phase_estimate_semiclassical(
     """Iterative estimation with one control qubit, measured and recycled.
 
     Step s (1-based index s+1 in the transcript) applies the controlled
-    shift ladder raised to 2^(n_bits-1-s), rotates the |1> branch back by
-    the phase already pinned down by earlier bits, and measures after a
-    Hadamard; bit s is the 2^s digit of the final outcome.  The outcome law
-    is `control_distribution(instance, 2**n_bits, route="shift")`, the
-    register route's on 2^n_bits levels.  Live state never
-    exceeds 2 * codomain levels.  Costs one query per step plus one
-    `evaluate` when the default target is requested.
+    shift ladder raised to p = 2^(n_bits-1-s), rotates the |1> branch back
+    by the phase already pinned down by earlier bits, turns = -v / 2^(s+1)
+    for the bits v measured so far, and measures after a Hadamard; bit s is
+    the 2^s digit of the final outcome.
+
+    The basis target (None means f at the identity) is the uniform
+    superposition of the L shift eigenvectors on its cycle, and the cascade
+    only kicks their phases k/L back onto the control, so the run carries L
+    weights in place of a state: bit 0 has probability
+    cos^2(pi (p k / L + turns)) under phase k, the bit is drawn from the
+    weighted sum, and the weights are conditioned on it.  The outcome law is
+    `control_distribution(instance, 2**n_bits, route="shift")`, the register
+    route's on 2^n_bits levels (Griffiths-Niu).  Costs one query per step
+    plus one `evaluate` when the default target is requested.
     """
     n_bits = int(n_bits)
     if n_bits < 1:
         raise ValueError("need at least one bit")
     if not instance.homomorphism_available:
         raise ValueError("semiclassical route needs shift maps")
-    x_size = instance.codomain_size
-    layout = RegisterLayout.of((2, x_size), ("control", "target"))
-    if target is None:
-        target = instance.evaluate(_identity_point(instance))
-    vec = _target_amplitudes(instance, target)
+    if target is not None and not isinstance(target, (int, np.integer)):
+        raise ValueError("the cascade takes a basis-label target or None")
+    label = instance.evaluate(_identity_point(instance)) if target is None else int(target)
+    period = _shift_orbit(instance, label, int(generator), instance.codomain_size).size
+    phases = np.arange(period, dtype=np.int64)  # eigenphase k / period
+    weights = np.full(period, 1.0 / period)
     rng = np.random.default_rng(seed)
 
     v = 0
@@ -574,22 +579,17 @@ def phase_estimate_semiclassical(
     for s in range(n_bits):
         power = 1 << (n_bits - 1 - s)
         turns = Fraction(-v, 1 << (s + 1))
-        amps = np.zeros((2, x_size), dtype=np.complex128)
-        amps[0] = vec
-        state = from_amplitudes(layout, amps.reshape(-1))
-        state = apply_on_register(state, 0, _HADAMARD)
-        state = apply_shift(state, 0, 1, instance, generator=generator, step=power)
         instance.counter.add(1)
-        if turns:
-            state = apply_on_register(state, 0, _rotation(turns))
-        state = apply_on_register(state, 0, _HADAMARD)
-        record, state = measure_register(state, 0, int(rng.integers(1 << 62)))
-        bit = record.outcome
-        total_probability *= record.probability
-        vec = np.take(state.amplitudes.reshape(2, x_size), bit, axis=0)
-        vec = vec / np.linalg.norm(vec)
+        angle = (power % period) * phases % period / period + float(turns)
+        angle *= np.pi
+        factors = (np.cos(angle) ** 2, np.sin(angle) ** 2)  # of bit 0 and bit 1
+        probs = np.maximum([weights @ factors[0], weights @ factors[1]], 0.0)
+        bit = int(np.random.default_rng(int(rng.integers(1 << 62))).choice(2, p=probs / probs.sum()))
+        total_probability *= float(probs[bit])
+        weights *= factors[bit]
+        weights /= weights.sum()
         v += bit << s
         steps.append(SemiclassicalStep(s + 1, power, turns, bit))
 
     sample = PhaseSample(v, 1 << n_bits, total_probability, seed)
-    return SemiclassicalRun(tuple(steps), sample, 2 * x_size)
+    return SemiclassicalRun(tuple(steps), sample, period)

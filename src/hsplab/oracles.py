@@ -93,7 +93,6 @@ class OracleInstance:
         multiplicity_bound: int = 1,
         truth: PlantedTruth | None = None,
         descriptor: dict | None = None,
-        cosets_per_label: np.ndarray | None = None,
     ) -> None:
         if (domain is None) == (period_labels is None) or (domain is None) != (eval_fn is None):
             raise ValueError("an integer domain takes period_labels, a finite domain eval_fn")
@@ -111,13 +110,6 @@ class OracleInstance:
         self.truth = truth or PlantedTruth()
         self.descriptor = descriptor or {}
         self.counter = QueryCounter()
-        self._cosets_per_label = (  # cosets of the planted subgroup per label
-            np.zeros(self.codomain_size, dtype=np.int64)
-            if cosets_per_label is None
-            else np.asarray(cosets_per_label, dtype=np.int64)
-        )
-        if self._cosets_per_label.shape != (self.codomain_size,):
-            raise ValueError("cosets_per_label needs one count per codomain label")
         self._dist_cache: dict = {}  # estimation-layer memo of exact laws
 
     @property
@@ -175,14 +167,15 @@ class OracleInstance:
         return self._shift_fn(self._coerce(g))
 
     def to_json(self) -> dict:
-        return dict(self.descriptor)
+        """The descriptor as JSON values: arrays, such as a merge table, as
+        lists, in nested descriptors too."""
+        return _json_value(self.descriptor)
 
 
-def _one_coset_each(labels, size: int) -> np.ndarray:
-    """Cosets per label of a function whose every label names one coset."""
-    counts = np.zeros(size, dtype=np.int64)
-    counts[np.asarray(labels, dtype=np.int64)] = 1
-    return counts
+def _json_value(value):
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _multiplicative_order(a: int, n: int) -> int:
@@ -223,7 +216,6 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
         shift_fn=shift,
         truth=PlantedTruth(period=len(powers)),
         descriptor={"kind": "order", "modulus": n, "base": a},
-        cosets_per_label=_one_coset_each(powers, n),
     )
 
 
@@ -248,7 +240,6 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
         shift_fn=None,
         truth=PlantedTruth(period=r),
         descriptor={"kind": "period", "period": r, "relabeling": relab},
-        cosets_per_label=np.ones(r, dtype=np.int64),
     )
 
 
@@ -262,8 +253,8 @@ def _coset_labeling(spec: GroupSpec, subgroup: SubgroupGenerators, relabel_seed:
     lexicographically least element: representatives are exactly the box
     prod [0, p_i), and their order is the mixed-radix order with radices p.
 
-    Returns (labels: int64 array shaped like the group, read-only; rep_of:
-    array whose row v is the least element of the coset labelled v)."""
+    Returns (labels: int64 array shaped like the group, read-only; pivots:
+    the radices of the representatives' box)."""
     moduli = spec.moduli
     basis = _hermite_basis(subgroup.generators, moduli)
     pivots = tuple(basis[i][i] for i in range(spec.rank))
@@ -272,9 +263,7 @@ def _coset_labeling(spec: GroupSpec, subgroup: SubgroupGenerators, relabel_seed:
     perm = np.random.default_rng(relabel_seed).permutation(prod(pivots))
     labels = perm[rank].reshape(moduli)
     labels.setflags(write=False)
-    rep_of = np.empty((perm.size, spec.rank), dtype=np.int64)
-    rep_of[perm] = np.indices(pivots, dtype=np.int64).reshape(spec.rank, -1).T
-    return labels, rep_of
+    return labels, pivots
 
 
 def make_hidden_subgroup_instance(
@@ -288,11 +277,16 @@ def make_hidden_subgroup_instance(
         if isinstance(generators, SubgroupGenerators)
         else SubgroupGenerators.of(spec, generators)
     )
-    labels, rep_of = _coset_labeling(spec, subgroup, relabel_seed)
-    n_labels = len(rep_of)
+    labels, pivots = _coset_labeling(spec, subgroup, relabel_seed)
+    n_labels = prod(pivots)
 
     def shift(g: Element) -> np.ndarray:
-        return labels[tuple(((rep_of + g) % spec.moduli).T)]
+        # each coset's label moves to the label of its least element plus g
+        box = np.indices(pivots, dtype=np.int64).reshape(spec.rank, -1)
+        moved = (box + np.reshape(g, (-1, 1))) % np.reshape(spec.moduli, (-1, 1))
+        perm = np.empty(n_labels, dtype=np.int64)
+        perm[labels[tuple(box)]] = labels[tuple(moved)]
+        return perm
 
     return OracleInstance(
         domain=spec,
@@ -306,7 +300,6 @@ def make_hidden_subgroup_instance(
             "generators": [list(g) for g in subgroup.generators],
             "relabel_seed": int(relabel_seed),
         },
-        cosets_per_label=np.ones(n_labels, dtype=np.int64),
     )
 
 
@@ -391,7 +384,6 @@ def make_dlog_instance(
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup, dlog_exponent=m),
         descriptor=desc,
-        cosets_per_label=_one_coset_each(image, codomain),
     )
 
 
@@ -417,7 +409,6 @@ def make_deutsch_instance(f0: int, f1: int) -> OracleInstance:
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup),
         descriptor={"kind": "deutsch", "f0": f0, "f1": f1},
-        cosets_per_label=_one_coset_each([f0, f1], 2),
     )
 
 
@@ -469,7 +460,6 @@ def make_stabiliser_instance(
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup),
         descriptor=descriptor or {"kind": "stabiliser", "moduli": list(spec.moduli), "points": points, "x0": x0},
-        cosets_per_label=_one_coset_each(orbit.reshape(-1), points),
     )
 
 
@@ -479,12 +469,12 @@ def wrap_many_to_one(
     """Collapse codomain labels of a planted instance: f' = merge . f.
 
     `merge` maps each inner label to a new label; at most `multiplicity`
-    cosets of the planted subgroup may share an output (checked against the
-    inner instance's coset bookkeeping; exceeding the stated bound is an
-    error).  When the bound reaches the smallest prime factor of the planted
-    subgroup's order (period, for integer domains), distinct subgroups can
-    become indistinguishable; that is the caller's risk, so the builder
-    warns — or rejects when `strict` is set.
+    cosets of the planted subgroup may share an output (checked on one point
+    per coset when the inner instance has a planted truth; exceeding the
+    stated bound is an error).  When the bound reaches the smallest prime
+    factor of the planted subgroup's order (period, for integer domains),
+    distinct subgroups can become indistinguishable; that is the caller's
+    risk, so the builder warns — or rejects when `strict` is set.
 
     Merged labels carry no shift structure (two cosets sharing a label may
     shift apart), so the wrapped instance drops the homomorphism flag.
@@ -492,23 +482,27 @@ def wrap_many_to_one(
     multiplicity = int(multiplicity)
     if multiplicity < 1:
         raise ValueError("multiplicity bound must be >= 1")
-    merge = np.asarray(merge, dtype=np.int64)
+    merge = np.array(merge, dtype=np.int64)
     if merge.shape != (inner.codomain_size,):
         raise ValueError("merge table must cover the inner codomain")
+    merge.setflags(write=False)
     _, relabeled = np.unique(merge, return_inverse=True)
     table = relabeled.astype(np.int64)
     new_size = int(table.max()) + 1 if table.size else 0
 
-    new_cosets = np.bincount(table, weights=inner._cosets_per_label, minlength=new_size).astype(np.int64)
-    worst = int(new_cosets.max(initial=1))
-    if worst > multiplicity:
-        raise ValueError(f"merge is {worst}-to-1 on cosets, above the stated bound {multiplicity}")
-
-    k_order = None
+    k_order = reps = None  # planted subgroup's order, one point per coset
     if inner.domain is None:
         k_order = inner.truth.period
+        reps = None if k_order is None else (k_order,)
     elif inner.truth.subgroup is not None:
-        k_order = inner.truth.subgroup.order
+        basis = _hermite_basis(inner.truth.subgroup.generators, inner.domain.moduli)
+        reps = tuple(row[i] for i, row in enumerate(basis))  # the Hermite box
+        k_order = inner.domain.order // prod(reps)
+    if reps is not None:
+        worst = int(np.bincount(table[inner.label_table(reps).reshape(-1)]).max())
+        if worst > multiplicity:
+            raise ValueError(f"merge is {worst}-to-1 on cosets, above the stated bound {multiplicity}")
+
     spf = min(_factorize(k_order), default=None) if k_order else None
     if spf is not None and multiplicity >= spf:
         msg = (
@@ -530,11 +524,10 @@ def wrap_many_to_one(
         truth=inner.truth,
         descriptor={
             "kind": "many_to_one",
-            "inner": inner.to_json(),
-            "merge": [int(v) for v in merge],
+            "inner": dict(inner.descriptor),
+            "merge": merge,
             "multiplicity": multiplicity,
         },
-        cosets_per_label=new_cosets,
     )
 
 
@@ -554,7 +547,7 @@ def dilated_view(parent: OracleInstance, acc: int) -> OracleInstance:
         shift_fn=None,
         multiplicity_bound=parent.multiplicity_bound,
         truth=parent.truth,
-        descriptor={"kind": "dilated_view", "inner": parent.to_json()},
+        descriptor={"kind": "dilated_view", "inner": dict(parent.descriptor)},
     )
     view.counter = parent.counter
     view._dist_cache = parent._dist_cache.setdefault(("dilation", acc), {})

@@ -105,7 +105,6 @@ def _shifted_period_instance(r: int, relabel_seed: int) -> OracleInstance:
         shift_fn=shift,
         truth=PlantedTruth(period=r),
         descriptor={"kind": "shifted-period", "period": r},
-        cosets_per_label=np.ones(r, dtype=np.int64),
     )
 
 

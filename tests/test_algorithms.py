@@ -112,13 +112,17 @@ def test_find_order_budget_exhaustion_distinct_from_promise():
 
 
 def test_find_order_doubling_mode():
-    res = find_order(make_order_instance(15, 2), SolverParams(seed=5, doubling=True))
+    res = find_order(make_order_instance(15, 2), SolverParams(seed=5))
     assert res.value == 4
 
 
-def test_find_order_requires_bound_or_doubling():
-    with pytest.raises(ValueError):
-        find_order(make_order_instance(15, 2), SolverParams(seed=0))
+def test_find_order_without_bound_doubles():
+    # bounds 2, 4, ...: a bound of 2 cannot verify r = 6, so the run only
+    # ends once a doubled bound reaches it, after more than one budget
+    inst = make_order_instance(7, 3)
+    res = find_order(inst, SolverParams(seed=0, trials=3))
+    assert res.value == 6
+    assert inst.query_count > 3
 
 
 # --- period finding ----------------------------------------------------------
@@ -159,7 +163,7 @@ def test_find_period_query_frugality(r):
 
 def test_find_period_doubling_mode():
     inst = make_period_instance(10, relabel_seed=4)
-    res = find_period(inst, SolverParams(seed=4, doubling=True))
+    res = find_period(inst, SolverParams(seed=4))
     assert res.value == 10
 
 
@@ -181,7 +185,7 @@ def test_stage_one_samples_uniform_over_k():
 
 @pytest.mark.parametrize("n,factors", [(15, {3, 5}), (21, {3, 7}), (33, {3, 11}), (35, {5, 7})])
 def test_factor_composites(n, factors):
-    f = factor_via_order(n, SolverParams(seed=7, doubling=True))
+    f = factor_via_order(n, SolverParams(seed=7))
     assert f in factors
     assert n % f == 0
 
@@ -189,7 +193,7 @@ def test_factor_composites(n, factors):
 def test_factor_rejects_bad_inputs():
     for bad in (14, 9, 27, 13, 8):
         with pytest.raises(ValueError):
-            factor_via_order(bad, SolverParams(seed=0, doubling=True))
+            factor_via_order(bad, SolverParams(seed=0))
 
 
 # --- hidden subgroup, exact promise ---------------------------------------------
@@ -253,7 +257,6 @@ def test_hsp_detects_inconsistent_black_box():
         eval_fn=flaky,
         truth=PlantedTruth(subgroup=SubgroupGenerators.of(spec, [(1, 1)])),
         descriptor={"kind": "test-flaky"},
-        cosets_per_label=np.array([2, 2, 0, 0, 0, 0, 0, 0]),
     )
     hsp_control_distribution(inst)  # freeze the law while the box is honest
     state["honest"] = False

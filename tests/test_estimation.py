@@ -423,13 +423,44 @@ def test_semiclassical_law_is_the_shift_register_law(case, bits):
     assert_allclose(law, branch_tree_law(inst, bits, generator=generator), rtol=0, atol=1e-12)
 
 
-def test_semiclassical_eigenstate_deterministic_msb():
-    inst = make_order_instance(15, 4)  # r = 2
-    target = np.zeros(15)
-    target[[1, 4]] = np.array([1.0, -1.0]) / np.sqrt(2.0)  # phase 1/2
+@given(cascade_cases(), st.integers(1, 8), st.integers(0, 2**32))
+def test_semiclassical_run_draws_from_the_branch_tree_law(case, bits, seed):
+    """The runner's reported probability of its outcome is the cascade's
+    law there, and its transcript is that outcome's digits."""
+    inst, generator = case
+    run = phase_estimate_semiclassical(inst, bits, generator=generator, seed=seed)
+    law = branch_tree_law(inst, bits, generator=generator)
+    assert abs(run.sample.probability - law[run.sample.observed]) < 1e-12
+    assert run.sample.observed == sum(step.bit << i for i, step in enumerate(run.steps))
+
+
+def test_semiclassical_forty_bits_exact():
+    # r = 4 divides 2^40, so the outcome is a multiple of 2^38, each with 1/4
     for seed in range(4):
-        run = phase_estimate_semiclassical(inst, 4, seed=seed, target=target)
-        assert run.sample.observed == 8  # x = 2^(n-1)
+        run = phase_estimate_semiclassical(make_order_instance(15, 2), 40, seed=seed)
+        assert run.sample.observed % 2**38 == 0
+        assert run.sample.probability == pytest.approx(0.25, abs=1e-12)
+        assert run.live_dimension == 4
+
+
+def test_semiclassical_rejects_a_vector_target():
+    inst = make_order_instance(15, 4)
+    target = np.zeros(15)
+    target[[1, 4]] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    with pytest.raises(ValueError, match="basis-label"):
+        phase_estimate_semiclassical(inst, 4, seed=0, target=target)
+
+
+def test_semiclassical_takes_the_target_cycle():
+    # 3 is not a power of 2 mod 15, but its cycle {3, 6, 12, 9} under x2 has
+    # the same length, while 5's cycle {5, 10} is half the period
+    for target, cycle in ((3, 4), (5, 2), (1, 4)):
+        inst = make_order_instance(15, 2)
+        law = control_distribution(inst, 16, target=target, route="shift")
+        for seed in range(6):
+            run = phase_estimate_semiclassical(inst, 4, seed=seed, target=target)
+            assert run.live_dimension == cycle
+            assert abs(run.sample.probability - law[run.sample.observed]) < 1e-12
 
 
 def test_semiclassical_transcript_conventions():

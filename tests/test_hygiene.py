@@ -96,7 +96,6 @@ DENSE_ALLOWED = frozenset({
     ("oracles.py", "_scatter_axes"),
     ("estimation.py", "_pre_measurement_state"),
     ("estimation.py", "verify_main_equality"),
-    ("estimation.py", "phase_estimate_semiclassical"),
 })
 
 
