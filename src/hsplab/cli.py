@@ -48,6 +48,7 @@ from .algorithms import (
 from .estimation import control_distribution
 from .groups import SubgroupGenerators, subgroups_equal
 from .oracles import (
+    check_merge,
     classical_invariance_subgroup,
     classical_least_period,
     classical_order,
@@ -187,6 +188,10 @@ def _load_config(args) -> dict:
             raise ConfigError(f"n must be an integer, got {config['n']!r}")
     else:
         _check_descriptor(config["instance"])
+        if config["instance"].get("kind") == "many_to_one":
+            # checked once here: the trials rebuild the instance unchecked, in
+            # pool threads; the robust solvers accept an ambiguous bound
+            check_merge(instance_from_json(config["instance"]))
 
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed

@@ -39,7 +39,17 @@ fixed by the same-label pairs of one period counted by lag mod n: two
 Dirichlet kernels weight those counts' spectra, in O(n) memory.  Distinct
 labels, as in honest order and period functions and every shift orbit,
 pair only with themselves and give the closed form of two kernels; an m-to-1
-merge of labels only changes the counts.  A multi-register table is read
+merge of labels only changes the counts.  The one-register sampler
+(`sample_control`) builds no n-point law and reads one outcome at a time
+(`_point_law`).  The target is a uniform superposition of the L orthogonal
+shift eigenvectors of its cycle, so for distinct labels the law is the
+mixture (1/L) sum_k F_n(k/L, .) of single-phase estimator laws
+(Cleve-Ekert-Macchiavello-Mosca), drawn exactly at O(1) a draw: k uniform,
+then the outcome by rejection from an envelope law on Z (`_draw_mixture`).
+An m-to-1 merge is at most m times that mixture, so a mixture draw is kept
+with probability law / (m mixture), at O(L) a proposal.  The cap bounds
+the cycle's L labels, not n; the n-point laws serve `dump` and the tests.
+A multi-register table is read
 over its stabiliser K, found by rolls of the table (`_table_stabiliser`):
 the coset states are shift eigenvectors with the characters in K^perp as
 eigenvalues, so the law lives on K^perp, fixed by which K-cosets share a
@@ -55,6 +65,7 @@ per step."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -318,22 +329,53 @@ def level_set_law(table) -> np.ndarray:
     return _stabiliser_law(table)
 
 
-def _shift_orbit(instance: OracleInstance, label: int, generator: int, n: int) -> np.ndarray:
-    """One period of the target labels the shift route's control points
-    t < n write: label moved by t unit shifts along the generator.  Shifts
-    compose additively, so this is the cycle of label under one unit-shift
-    permutation, cut at n points; it has at most |X| labels."""
+def _orbit_length(instance: OracleInstance, label: int, generator: int, limit: int) -> int:
+    """Length of the cycle of `label` under the unit shift along the
+    generator, counted up to `limit`: the period of the target labels the
+    shift route's control points write.  A permutation's cycle holds
+    distinct labels, so its length is all a law needs of it."""
     if not 0 <= label < instance.codomain_size:
         raise ValueError(f"target label {label} outside the codomain")
     spec = instance.domain
-    perm = instance.shift_permutation(1 if spec is None else spec.generator(generator))
-    orbit = [label]
-    for _ in range(min(n, instance.codomain_size) - 1):
-        label = int(perm[label])
-        if label == orbit[0]:
-            break
-        orbit.append(label)
-    return np.asarray(orbit, dtype=np.int64)
+    step = instance.shift_permutation(1 if spec is None else spec.generator(generator)).tolist()
+    length, current = 1, step[label]
+    while current != label and length < limit:
+        current = step[current]
+        length += 1
+    return length
+
+
+def _register_cycle(instance: OracleInstance, n: int, generator: int, target, route: str | None) -> tuple:
+    """(L, labels, m) of the labels an n-point control register writes,
+    cut at n points: L their least cyclic period, `labels` one period as
+    indices into the occupied labels, or None when those L labels are
+    distinct, and m the largest count of one label in a period.
+
+    The oracle route reads `period_labels`, the shift route the cycle of the
+    basis target (None means f at the identity) under the unit shift.  The
+    cap bounds L; cached on the instance."""
+    route = _resolve_route(instance, route)
+    if target is not None and not isinstance(target, (int, np.integer)):
+        raise ValueError("control laws take a basis-label target or None")
+    key = ("cycle", route, n, generator, target)
+    if key in instance._dist_cache:
+        return instance._dist_cache[key]
+    if route == "oracle":
+        cycle = instance.period_labels[:n]
+        length = cycle.size
+    else:
+        label = instance._raw(_identity_point(instance)) if target is None else int(target)
+        length = _orbit_length(instance, label, generator, min(n, dimension_cap() + 1))
+    if length > dimension_cap():
+        raise CapExceeded(f"register cycle of at least {length} labels exceeds cap {dimension_cap()}")
+    entry = (length, None, 1)
+    # a plain unique first: distinct labels, the common case, need no inverse
+    if route == "oracle" and np.unique(cycle).size < length:
+        labels = np.unique(cycle, return_inverse=True)[1]
+        labels = labels[: _cyclic_period(labels)]
+        entry = (labels.size, labels, int(np.bincount(labels).max()))
+    instance._dist_cache[key] = entry
+    return entry
 
 
 def control_distribution(
@@ -344,30 +386,101 @@ def control_distribution(
     target=None,
     route: str | None = None,
 ) -> np.ndarray:
-    """Exact control-register law of the estimation circuit.  Bills nothing.
-
-    The shift route's target must be a basis label (None means f at the
-    identity).  Cached on the instance, since the circuit before measurement
-    is deterministic.
-    """
-    route = _resolve_route(instance, route)
-    if target is not None and not isinstance(target, (int, np.integer)):
-        raise ValueError("control laws take a basis-label target or None")
-    key = ("control", route, int(register_size), int(generator), target)
-    if key in instance._dist_cache:
-        return instance._dist_cache[key]
+    """Exact control-register law of the estimation circuit, as an n-point
+    array: `dump` and the tests read it, and the sampler does not.  Bills
+    nothing.  The shift route's target must be a basis label (None means f
+    at the identity)."""
     n = int(register_size)
     if n > dimension_cap():
         raise CapExceeded(f"control law over {n} points exceeds cap {dimension_cap()}")
-    if route == "oracle":
-        cycle = instance.period_labels
+    period, labels, _ = _register_cycle(instance, n, int(generator), target, route)
+    return _periodic_law(np.arange(period) if labels is None else labels, n)
+
+
+def _sin_turn(r: int, n: int) -> float:
+    """sin(pi r / n) for an integer r in [0, n], as `_sin_turns` folds it."""
+    return math.sin(math.pi * min(r, n - r) / n)
+
+
+def _point_law(x: int, n: int, period: int, labels) -> tuple[float, float]:
+    """The register law of `_periodic_law` at the one outcome x, and the
+    mixture (1/L) sum_k F_n(k/L, x) of single-phase laws over its period L,
+    which is the law of L distinct labels: (s K_{Q+1} + (L - s) K_Q) / n^2.
+
+    With merged `labels`, n^2 times the law is sum over labels of
+    |conj(E) A + B|^2, with A and B the sums of w^(x a) over the label's
+    points a < L and a < s of one period and conj(E) as in `_periodic_law`;
+    that costs O(L).  Each label's amplitude sums at most m residue terms,
+    so by Cauchy-Schwarz the law is at most m times the mixture.  Arguments
+    are reduced in Python ints, so no n overflows."""
+    q, s = divmod(n, period)
+    y = x * period % n
+    r = q * y % n
+    if y == 0:  # S_Q and S_{Q+1}, the roots of the kernels
+        root, root_next = q, q + 1
     else:
-        label = instance._raw(_identity_point(instance)) if target is None else int(target)
-        cycle = _shift_orbit(instance, label, int(generator), n)
-    probs = _periodic_law(cycle, n)
-    probs.setflags(write=False)
-    instance._dist_cache[key] = probs
-    return probs
+        denominator = _sin_turn(y, n)
+        root, root_next = _sin_turn(r, n) / denominator, _sin_turn((r + y) % n, n) / denominator
+    scale = float(n) * n
+    mixture = ((period - s) * root * root + s * root_next * root_next) / scale
+    if labels is None:
+        return mixture, mixture
+    conj_e = root * np.exp(1j * math.pi * ((y + r) / n))
+    a = np.arange(period, dtype=np.int64 if x * period < 1 << 63 else object)
+    w = np.exp((a * x % n).astype(float) * (-2j * math.pi / n))  # w^(x a)
+    amplitude = conj_e * w
+    amplitude[:s] += w[:s]
+    law = np.bincount(labels, amplitude.real) ** 2 + np.bincount(labels, amplitude.imag) ** 2
+    return float(law.sum()) / scale, mixture
+
+
+def _tail_index(g: float, v: float) -> int:
+    """i >= 1 with P(i > I) = g / (I + g) when v is uniform on (0, 1]."""
+    return math.floor(g / v - g) + 1
+
+
+def _draw_tail(rng, f: float) -> int:
+    """j >= 2 or j <= -1 with probability proportional to 1 / (j - f)^2.
+    The right side (j = 1 + i, g = 1 - f) is proposed with probability f,
+    the left (j = -i, g = f) otherwise, i by `_tail_index`, and i is kept
+    with probability (i + g - 1) / (i + g): both sides then weigh
+    f (1 - f) / (i + g)^2."""
+    while True:
+        right = rng.random() < f
+        g = 1.0 - f if right else f
+        i = _tail_index(g, 1.0 - rng.random())
+        if rng.random() * (i + g) < i + g - 1:
+            return 1 + i if right else -i
+
+
+def _draw_mixture(rng, period: int, n: int) -> int:
+    """One outcome of the mixture (1/L) sum_k F_n(k/L, .), exactly.
+
+    Draw k uniform in [0, L); with n k = base L + num and f = num / L, the
+    outcome is base + j mod n, where j = 0 when f = 0 and otherwise follows
+    F_n(k/L, base + j) = sin^2(pi f) / (n^2 sin^2(pi t / n)), t = j - f
+    taken in (-n/2, n/2].  That j is drawn by rejection from the envelope
+    e(j) = sin^2(pi f) / (pi^2 (j - f)^2), a law on Z: since
+    sin(pi u) >= 2u on [0, 1/2], F_n <= (pi^2 / 4) e, and j is kept with
+    probability F_n / ((pi^2 / 4) e) = (2u / sin(pi u))^2, u = |t| / n, so 4 /
+    pi^2 of proposals are kept.  A rejection keeps k: redrawing it would
+    favour the phases with f = 0, which are never rejected."""
+    k = int(rng.integers(period))
+    base, num = divmod(n * k, period)
+    if num == 0:
+        return base
+    f, g = num / period, (period - num) / period
+    mass = (_sin_turn(num, period) / math.pi) ** 2
+    zero, zero_or_one = mass / (f * f), mass / (f * f) + mass / (g * g)  # e(0), e(0) + e(1)
+    width = n * period
+    while True:
+        pick = rng.random()
+        j = 0 if pick < zero else 1 if pick < zero_or_one else _draw_tail(rng, f)
+        offset = j * period - num  # t L
+        if -width < 2 * offset <= width:
+            u = abs(offset) / width
+            if rng.random() * math.sin(math.pi * u) ** 2 < 4.0 * u * u:
+                return (base + j) % n
 
 
 def sample_control(
@@ -380,23 +493,31 @@ def sample_control(
     target=None,
     route: str | None = None,
 ) -> list[PhaseSample]:
-    """Draw measurement outcomes from the exact control law.
+    """Draw measurement outcomes from the exact control law, each with its
+    probability, and with no n-point array.
 
-    Each draw stands for one execution of the circuit and costs one query;
-    the pre-measurement state is deterministic, so re-simulating it per draw
-    would only repeat identical arithmetic.
+    The target is a uniform superposition of the L orthogonal shift
+    eigenvectors of its cycle, so the law of L distinct labels is the
+    mixture (1/L) sum_k F_n(k/L, .) of single-phase laws, drawn by
+    `_draw_mixture` at O(1) per draw.  An m-to-1 merge of labels is at most
+    m times that mixture, so its draws keep a mixture draw x with
+    probability law(x) / (m mixture(x)), which costs O(L) per proposal; with
+    m = 1 every draw is kept.  Each draw stands for one execution of the
+    circuit and costs one query.
     """
-    route = _resolve_route(instance, route)
-    law = control_distribution(
-        instance, register_size, generator=generator, target=target, route=route
-    )
+    n = int(register_size)
+    period, labels, multiplicity = _register_cycle(instance, n, int(generator), target, route)
     rng = np.random.default_rng(seed)
-    outcomes = rng.choice(len(law), size=int(count), p=law)
+    samples = []
+    for _ in range(int(count)):
+        while True:
+            x = _draw_mixture(rng, period, n)
+            law, mixture = _point_law(x, n, period, labels)
+            if rng.random() * multiplicity * mixture < law:
+                break
+        samples.append(PhaseSample(x, n, law, seed))
     instance.counter.add(int(count))
-    return [
-        PhaseSample(x, int(register_size), p, seed)
-        for x, p in zip(outcomes.tolist(), law[outcomes].tolist())
-    ]
+    return samples
 
 
 def _hsp_layout(instance: OracleInstance) -> RegisterLayout:
@@ -568,7 +689,7 @@ def phase_estimate_semiclassical(
     if target is not None and not isinstance(target, (int, np.integer)):
         raise ValueError("the cascade takes a basis-label target or None")
     label = instance.evaluate(_identity_point(instance)) if target is None else int(target)
-    period = _shift_orbit(instance, label, int(generator), instance.codomain_size).size
+    period = _orbit_length(instance, label, int(generator), instance.codomain_size)
     phases = np.arange(period, dtype=np.int64)  # eigenphase k / period
     weights = np.full(period, 1.0 / period)
     rng = np.random.default_rng(seed)

@@ -110,7 +110,7 @@ class OracleInstance:
         self.truth = truth or PlantedTruth()
         self.descriptor = descriptor or {}
         self.counter = QueryCounter()
-        self._dist_cache: dict = {}  # estimation-layer memo of exact laws
+        self._dist_cache: dict = {}  # estimation-layer memo of register cycles and coset laws
 
     @property
     def homomorphism_available(self) -> bool:
@@ -469,16 +469,56 @@ def wrap_many_to_one(
     """Collapse codomain labels of a planted instance: f' = merge . f.
 
     `merge` maps each inner label to a new label; at most `multiplicity`
-    cosets of the planted subgroup may share an output (checked on one point
-    per coset when the inner instance has a planted truth; exceeding the
-    stated bound is an error).  When the bound reaches the smallest prime
-    factor of the planted subgroup's order (period, for integer domains),
-    distinct subgroups can become indistinguishable; that is the caller's
-    risk, so the builder warns — or rejects when `strict` is set.
+    cosets of the planted subgroup may share an output (`check_merge`).
+    When the bound reaches the smallest prime factor of the planted
+    subgroup's order (period, for integer domains), distinct subgroups can
+    become indistinguishable; that is the caller's risk, so the builder
+    warns — or rejects when `strict` is set.
 
     Merged labels carry no shift structure (two cosets sharing a label may
     shift apart), so the wrapped instance drops the homomorphism flag.
     """
+    wrapped = _many_to_one(inner, merge, multiplicity)
+    ambiguity = check_merge(wrapped)
+    if ambiguity is not None:
+        if strict:
+            raise ValueError(ambiguity)
+        warnings.warn(ambiguity, stacklevel=2)
+    return wrapped
+
+
+def check_merge(instance: OracleInstance) -> str | None:
+    """Check that at most `multiplicity_bound` cosets of the planted
+    subgroup share a label, on one point per coset, and raise ValueError
+    when more do; an instance without a planted truth passes.  Returns the
+    warning of `wrap_many_to_one` when the bound reaches the smallest prime
+    factor of the planted subgroup's order, else None."""
+    reps = k_order = None  # one point per coset, planted subgroup's order
+    if instance.domain is None:
+        k_order = instance.truth.period
+        reps = None if k_order is None else (k_order,)
+    elif instance.truth.subgroup is not None:
+        basis = _hermite_basis(instance.truth.subgroup.generators, instance.domain.moduli)
+        reps = tuple(row[i] for i, row in enumerate(basis))  # the Hermite box
+        k_order = instance.domain.order // prod(reps)
+    bound = instance.multiplicity_bound
+    if reps is not None:
+        worst = int(np.bincount(instance.label_table(reps).reshape(-1)).max())
+        if worst > bound:
+            raise ValueError(f"merge is {worst}-to-1 on cosets, above the stated bound {bound}")
+    spf = min(_factorize(k_order), default=None) if k_order else None
+    if spf is not None and bound >= spf:
+        return (
+            f"multiplicity bound {bound} reaches the smallest prime factor "
+            f"{spf} of the planted subgroup's order; recovery may be ambiguous"
+        )
+    return None
+
+
+def _many_to_one(inner: OracleInstance, merge, multiplicity: int) -> OracleInstance:
+    """The instance f' = merge . f with the stated bound, unchecked against
+    the planted subgroup: `wrap_many_to_one` and the JSON rebuild of a
+    descriptor share it."""
     multiplicity = int(multiplicity)
     if multiplicity < 1:
         raise ValueError("multiplicity bound must be >= 1")
@@ -489,30 +529,6 @@ def wrap_many_to_one(
     _, relabeled = np.unique(merge, return_inverse=True)
     table = relabeled.astype(np.int64)
     new_size = int(table.max()) + 1 if table.size else 0
-
-    k_order = reps = None  # planted subgroup's order, one point per coset
-    if inner.domain is None:
-        k_order = inner.truth.period
-        reps = None if k_order is None else (k_order,)
-    elif inner.truth.subgroup is not None:
-        basis = _hermite_basis(inner.truth.subgroup.generators, inner.domain.moduli)
-        reps = tuple(row[i] for i, row in enumerate(basis))  # the Hermite box
-        k_order = inner.domain.order // prod(reps)
-    if reps is not None:
-        worst = int(np.bincount(table[inner.label_table(reps).reshape(-1)]).max())
-        if worst > multiplicity:
-            raise ValueError(f"merge is {worst}-to-1 on cosets, above the stated bound {multiplicity}")
-
-    spf = min(_factorize(k_order), default=None) if k_order else None
-    if spf is not None and multiplicity >= spf:
-        msg = (
-            f"multiplicity bound {multiplicity} reaches the smallest prime factor "
-            f"{spf} of the planted subgroup's order; recovery may be ambiguous"
-        )
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=2)
-
     integers = inner.domain is None
     return OracleInstance(
         domain=inner.domain,
@@ -593,10 +609,8 @@ def instance_from_json(descriptor: dict) -> OracleInstance:
             spec, action, descriptor.get("x0", 0), points, descriptor=dict(descriptor)
         )
     if kind == "many_to_one":
-        inner = instance_from_json(descriptor["inner"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return wrap_many_to_one(inner, descriptor["merge"], descriptor["multiplicity"])
+        # unchecked: a descriptor is checked once where it is made or loaded
+        return _many_to_one(instance_from_json(descriptor["inner"]), descriptor["merge"], descriptor["multiplicity"])
     raise ValueError(f"unknown instance kind {kind!r}")
 
 

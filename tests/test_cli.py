@@ -294,6 +294,15 @@ def verify_config_error(capsys, tmp_path, **fields) -> str:
     return err
 
 
+def test_merge_above_its_bound_is_config_error(capsys, tmp_path):
+    """A config's merge is checked once when it is loaded, since the trials
+    rebuild the instance unchecked: three cosets onto one label exceed m = 2."""
+    merged = {"kind": "many_to_one", "inner": {"kind": "period", "period": 6, "relabel_seed": 0},
+              "merge": [0, 0, 0, 1, 1, 1], "multiplicity": 2}
+    err = verify_config_error(capsys, tmp_path, solver="robust-period", instance=merged)
+    assert "above the stated bound 2" in err
+
+
 def test_string_seed_is_config_error(capsys, tmp_path):
     err = verify_config_error(capsys, tmp_path, seed="1")
     assert "seed" in err
@@ -427,9 +436,14 @@ def test_cap_exceeded_is_resource_limit(capsys):
     code, _, err = run(capsys, "dump", "--kind", "register-pe",
                        "--instance", instance, "--bits", "6", "--cap", "16")
     assert code == 2 and err.startswith("resource limit:")
-    code, report, err = run(capsys, "order", "--modulus", "15", "--base", "2", "--seed", "7",
-                            "--cap", "16")
+    # the sampler reads the period alone: 2 has order 12 mod 35, above a cap of 8
+    code, report, err = run(capsys, "order", "--modulus", "35", "--base", "2", "--seed", "7",
+                            "--cap", "8")
     assert code == 2 and report is None and err.startswith("resource limit:")
+    # while order 4 mod 15 fits a cap of 16, though the register has 1,125 points
+    code, report, _ = run(capsys, "order", "--modulus", "15", "--base", "2", "--seed", "7",
+                          "--cap", "16")
+    assert code == 0 and report["match"] is True
 
 
 def test_cap_override_lasts_one_run(capsys):

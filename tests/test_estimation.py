@@ -9,10 +9,16 @@ cascade (`branch_tree_law`), and estimations chained on one kept target must
 draw from the laws of the dense two-stage chain (`dense_register_run`),
 which measures the dense joint state and keeps the collapsed target — each
 computed here from scratch, independent of the law engine.
+
+The one-register sampler's pointwise law is pinned to the n-point law and to
+the single-phase mixture, its envelope and tail proposal are checked
+exactly, and its draws face one fixed-seed chi-square test per path.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from fractions import Fraction
 from math import gcd
 from unittest.mock import patch
@@ -24,11 +30,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hsplab import algorithms
-from hsplab.algorithms import SolverParams, solve_dlog
-from hsplab.amplitudes import CapExceeded, marginal_distribution, measure_register
+from hsplab.algorithms import SolverParams, find_order, solve_dlog
+from hsplab.amplitudes import (
+    CapExceeded,
+    dimension_cap,
+    marginal_distribution,
+    measure_register,
+    set_dimension_cap,
+)
 from hsplab.estimation import (
     _coordinate_law,
+    _periodic_law,
+    _point_law,
     _pre_measurement_state,
+    _register_cycle,
+    _tail_index,
     control_distribution,
     hsp_control_distribution,
     hsp_sample_batch,
@@ -39,12 +55,15 @@ from hsplab.estimation import (
 )
 from hsplab.groups import GroupSpec, orthogonality_holds
 from hsplab.oracles import (
+    OracleInstance,
+    classical_order,
     make_deutsch_instance,
     make_dlog_instance,
     make_hidden_subgroup_instance,
     make_order_instance,
     make_period_instance,
     make_simon_instance,
+    wrap_many_to_one,
 )
 from hsplab.qft import estimator_distribution
 
@@ -206,6 +225,180 @@ def test_query_accounting_per_run():
     assert inst.query_count == before  # exact laws bill nothing
 
 
+# --- the exact eigenphase sampler ---------------------------------------------
+
+
+def merged_instance(period: int, multiplicity: int, seed: int) -> OracleInstance:
+    """A period instance with its labels merged m-to-1 at random; m = 1
+    keeps them distinct."""
+    inner = make_period_instance(period, relabel_seed=seed)
+    merge = np.random.default_rng(seed).permutation(period) // multiplicity
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return wrap_many_to_one(inner, merge, multiplicity)
+
+
+@st.composite
+def register_cycles(draw):
+    """A period of L labels, distinct or an m-to-1 merge of distinct ones,
+    and a register size n that L divides or does not, below or above L."""
+    period = draw(st.integers(1, 40))
+    inst = merged_instance(period, draw(st.integers(1, 3)), draw(st.integers(0, 1000)))
+    shape = draw(st.sampled_from(["multiple", "remainder", "short", "large"]))
+    if shape == "multiple":
+        n = draw(st.integers(1, 6)) * period
+    elif shape == "remainder":
+        n = draw(st.integers(1, 6)) * period + draw(st.integers(0, period - 1))
+    elif shape == "short":
+        n = draw(st.integers(1, period))
+    else:
+        n = draw(st.integers(40_001, 45_000))
+    return inst, n
+
+
+@given(register_cycles(), st.integers(0, 2**32))
+def test_point_law_matches_the_register_law(case, seed):
+    """The sampler's pointwise law is `_periodic_law` at every outcome (at
+    300 random outcomes of a large register), it is the single-phase
+    mixture of its period for distinct labels, and at most m times that
+    mixture for an m-to-1 merge."""
+    inst, n = case
+    period, labels, merged = _register_cycle(inst, n, 0, None, "oracle")
+    law = _periodic_law(inst.period_labels, n)
+    points = range(n) if n <= 500 else np.random.default_rng(seed).integers(n, size=300).tolist()
+    for x in points:
+        at, mixture = _point_law(x, n, period, labels)
+        assert abs(at - law[x]) < 1e-12
+        assert at <= merged * mixture * (1 + 1e-12) + 1e-15
+        if labels is None:
+            assert merged == 1 and at == mixture
+
+
+def single_phase_mixture(x: int, n: int, period: int) -> float:
+    """Independent oracle: (1/L) sum_k F_n(k/L, x), each single-phase law
+    F_n = sin^2(pi n d) / (n sin(pi d))^2 at d = k/L - x/n, reduced exactly
+    as d = r / (L n) with r an integer."""
+    total = 0.0
+    for k in range(period):
+        r = (k * n - x * period) % (period * n)
+        if r == 0:
+            total += 1.0
+        else:
+            r = min(r, period * n - r)  # sin(pi d)^2 is even in d and periodic
+            total += (math.sin(math.pi * (r % period) / period) / (n * math.sin(math.pi * r / (period * n)))) ** 2
+    return total / period
+
+
+@pytest.mark.parametrize("period, n", [(7, 10**13 + 3), (12, 5 * 64507**2), (5, 2**62 + 1), (3, 3 * 10**15)])
+def test_point_law_is_the_single_phase_mixture_at_any_size(period, n):
+    """Registers far beyond int64 products: arguments are reduced in Python
+    ints, so the closed form keeps its relative accuracy."""
+    rng = np.random.default_rng(period)
+    for x in [0, 1, n - 1, n // period, n // period + 1] + [int(v) for v in rng.integers(n, size=20)]:
+        at, mixture = _point_law(x, n, period, None)
+        assert at == mixture == pytest.approx(single_phase_mixture(x, n, period), rel=1e-9, abs=0.0)
+
+
+def test_envelope_bounds_every_single_phase_law():
+    """F_n(k/L, base + j) <= (pi^2 / 4) e(j), e(j) = sin^2(pi f) / (pi^2 (j -
+    f)^2), on the window t = j - f in (-n/2, n/2], for every n < 33, L < 13
+    and k with f = (n k mod L) / L nonzero."""
+    for n in range(1, 33):
+        for period in range(1, 13):
+            for k in range(period):
+                base, num = divmod(n * k, period)
+                if num == 0:
+                    continue
+                f = num / period
+                probs = estimator_distribution(k / period, n).probs
+                for x in range(n):
+                    j = (x - base) % n  # then the representative with t in (-n/2, n/2]
+                    if 2 * (j * period - num) > n * period:
+                        j -= n
+                    if 2 * (j * period - num) <= -n * period:
+                        j += n  # n = 1, f > 1/2
+                    envelope = math.sin(math.pi * f) ** 2 / (math.pi * (j - f)) ** 2
+                    assert probs[x] <= math.pi**2 / 4 * envelope * (1 + 1e-12)
+
+
+def test_tail_proposal_law():
+    """P(i > I) = g / (I + g) for i = `_tail_index`(g, V), V uniform on (0, 1]:
+    i = I exactly on V in (g / (I + g), g / (I - 1 + g)].  Kept with
+    probability (I + g - 1) / (I + g), i weighs g / (I + g)^2, and proposing
+    the right side (j = 1 + i, g = 1 - f) with probability f and the left
+    (j = -i, g = f) otherwise weighs both sides f (1 - f) / (j - f)^2, in
+    proportion to the envelope's tails."""
+
+    def kept(g, i):  # P(i = I) times the probability of keeping it
+        return (g / (i - 1 + g) - g / (i + g)) * (i + g - 1) / (i + g)
+
+    fractions = (Fraction(1, 8), Fraction(3, 10), Fraction(1, 2), Fraction(3, 4), Fraction(39, 40))
+    for g in fractions:
+        for i in range(1, 400):
+            upper, lower = g / (i - 1 + g), g / (i + g)
+            for v in (lower + (upper - lower) / 4, (lower + upper) / 2, upper - (upper - lower) / 4):
+                assert _tail_index(float(g), float(v)) == i
+            assert kept(g, i) == g / (i + g) ** 2
+    for f in fractions:
+        for i in range(1, 50):
+            assert f * kept(1 - f, i) == f * (1 - f) / ((1 + i) - f) ** 2
+            assert (1 - f) * kept(f, i) == f * (1 - f) / (-i - f) ** 2
+
+
+def chi_square(observed: np.ndarray, law: np.ndarray, draws: int) -> tuple[float, int]:
+    """Pearson's statistic with outcomes expected fewer than 5 times pooled
+    into one bin, and its degrees of freedom."""
+    expected = law * draws
+    rare = expected < 5
+    obs = np.append(observed[~rare], observed[rare].sum())
+    exp = np.append(expected[~rare], expected[rare].sum())
+    keep = exp > 0
+    return float(((obs[keep] - exp[keep]) ** 2 / exp[keep]).sum()), int(keep.sum()) - 1
+
+
+@pytest.mark.parametrize(
+    "make, n, draws",
+    [
+        (lambda: make_order_instance(35, 2), 281, 60_000),  # distinct, r = 12
+        (lambda: make_period_instance(10, relabel_seed=3), 257, 60_000),  # distinct, r = 10
+        (lambda: merged_instance(12, 2, 1), 97, 20_000),  # merged, 6 labels
+        (lambda: merged_instance(9, 3, 2), 64, 20_000),  # merged, 3 labels
+    ],
+    ids=["order-35", "period-10", "merged-12-by-2", "merged-9-by-3"],
+)
+def test_sampler_chi_square_smoke(make, n, draws):
+    """Fixed-seed draws of each path against the exact law: the statistic
+    stays within five standard deviations of its degrees of freedom."""
+    inst = make()
+    law = control_distribution(inst, n)
+    observed = np.bincount([s.observed for s in sample_control(inst, n, draws, seed=2024)], minlength=n)
+    statistic, dof = chi_square(observed, law, draws)
+    assert statistic < dof + 5 * math.sqrt(2 * dof), (statistic, dof)
+
+
+@pytest.mark.parametrize("modulus, base", [(1003, 3), (4087, 2), (64507, 3)])
+def test_find_order_reaches_past_the_n_point_law(modulus, base):
+    """n = 5 N^2 is 5e6 to 2e10 points here, above the default cap; the
+    sampler reads the cycle of the target (464 to 32,000 labels) alone."""
+    inst = make_order_instance(modulus, base)
+    res = find_order(inst, SolverParams(seed=1, period_bound=modulus))
+    assert res.verified and res.value == classical_order(base, modulus)
+
+
+def test_register_cycle_is_capped_on_its_labels():
+    inst = make_order_instance(35, 2)  # r = 12
+    previous = dimension_cap()
+    set_dimension_cap(11)
+    try:
+        for route in ("oracle", "shift"):
+            with pytest.raises(CapExceeded, match="register cycle"):
+                sample_control(inst, 1 << 30, 1, route=route)
+        set_dimension_cap(12)
+        assert sample_control(inst, 1 << 30, 1, route="shift")[0].register_size == 1 << 30
+    finally:
+        set_dimension_cap(previous)
+
+
 # --- collapsed-target reuse -----------------------------------------------------
 
 
@@ -225,11 +418,20 @@ def overlaps(vec: np.ndarray, modulus: int, base: int, r: int) -> np.ndarray:
     return np.array([abs(np.vdot(order_eigenvector(modulus, base, k), vec)) ** 2 for k in range(r)])
 
 
+def assert_sampler_shares_the_dense_law(inst, n: int, record, *, seed: int) -> None:
+    """The dense run's outcome and the sampler's draw for the same seed
+    each carry the probability the exact law gives them."""
+    law = control_distribution(inst, n)
+    assert record.probability == pytest.approx(law[record.outcome], abs=1e-12)
+    (sample,) = sample_control(inst, n, 1, seed=seed)
+    assert sample.probability == pytest.approx(law[sample.observed], abs=1e-12)
+
+
 def test_keep_target_exact_phase_unit_fidelity():
     inst = make_order_instance(15, 2)  # r = 4 divides N = 8
     record, kept = dense_register_run(inst, 8, seed=3)
     assert record.outcome % 2 == 0
-    assert sample_control(inst, 8, 1, seed=3)[0].observed == record.outcome
+    assert_sampler_shares_the_dense_law(inst, 8, record, seed=3)
     fidelity = overlaps(kept, 15, 2, 4)
     assert fidelity[record.outcome // 2] == pytest.approx(1.0, abs=1e-9)  # k/4 = x/8
 
@@ -237,8 +439,9 @@ def test_keep_target_exact_phase_unit_fidelity():
 def test_keep_target_inexact_phase_high_fidelity():
     inst = make_order_instance(7, 2)  # r = 3
     seed = next(s for s in range(200) if dense_register_run(inst, 8, seed=s)[0].outcome == 3)
-    assert sample_control(inst, 8, 1, seed=seed)[0].observed == 3
-    fidelity = overlaps(dense_register_run(inst, 8, seed=seed)[1], 7, 2, 3)
+    record, kept = dense_register_run(inst, 8, seed=seed)
+    assert_sampler_shares_the_dense_law(inst, 8, record, seed=seed)
+    fidelity = overlaps(kept, 7, 2, 3)
     assert fidelity.argmax() == 1  # 3/8 is the estimate of 1/3
     assert fidelity[1] >= 0.9
 

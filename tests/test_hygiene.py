@@ -12,6 +12,7 @@ that keep the dense circuit as the reference the exact laws are tested
 against, so no production path samples from a state vector.  A fourth
 checks that every private top-level function is referenced somewhere in the
 package outside its own body; a helper only tests call belongs in the tests.
+A fifth checks that the one-register sampler draws with no n-point law.
 """
 
 from __future__ import annotations
@@ -149,3 +150,23 @@ def test_private_helpers_have_callers_in_the_package():
         and not any(top.name in names for other, names in references if other is not top)
     }
     assert unreferenced == TEST_REFERENCES
+
+
+# The n-point register law and the sampling over an array of it.
+N_POINT_LAW = frozenset({"control_distribution", "_periodic_law", "choice"})
+
+
+def test_sampler_draws_without_the_n_point_law():
+    """`sample_control`, and every estimation function it reaches, names
+    neither the n-point law nor `.choice`: that law stays with `dump` and
+    the tests, and a draw costs O(1), or O(L) for merged labels."""
+    path = Path(hsplab.__file__).parent / "estimation.py"
+    tops = {top.name: top for top in ast.parse(path.read_text()).body if isinstance(top, ast.FunctionDef)}
+    reached, pending = set(), ["sample_control"]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += sorted(_references(tops[name]) & tops.keys())
+    named = {name: sorted(_references(tops[name]) & N_POINT_LAW) for name in sorted(reached)}
+    assert not any(named.values()), f"the sampler reaches the n-point law: {named}"

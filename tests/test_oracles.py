@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 import threading
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -680,6 +681,24 @@ def test_many_to_one_descriptor_round_trip():
     rebuilt = instance_from_json(wrapped.descriptor)
     for t in range(18):
         assert rebuilt._raw(t) == wrapped._raw(t)
+
+
+def test_many_to_one_rebuild_leaves_warning_filters_alone():
+    """The JSON rebuild skips the check its descriptor passed where it was
+    made or loaded, so it warns nothing and touches none of the
+    process-wide warning filters, which the CLI's trial threads share."""
+    inner = make_period_instance(6, relabel_seed=1)
+    with pytest.warns(UserWarning):
+        wrapped = wrap_many_to_one(inner, np.arange(6) // 2, multiplicity=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        with patch.object(warnings, "catch_warnings", side_effect=AssertionError("catch_warnings")), \
+                patch.object(warnings, "simplefilter", side_effect=AssertionError("simplefilter")):
+            rebuilt = instance_from_json(wrapped.to_json())
+        assert warnings.filters == filters
+    assert caught == []
+    assert [rebuilt._raw(t) for t in range(12)] == [wrapped._raw(t) for t in range(12)]
 
 
 def test_unknown_kind_rejected():
