@@ -49,14 +49,22 @@ then the outcome by rejection from an envelope law on Z (`_draw_mixture`).
 An m-to-1 merge is at most m times that mixture, so a mixture draw is kept
 with probability law / (m mixture), at O(L) a proposal.  The cap bounds
 the cycle's L labels, not n; the n-point laws serve `dump` and the tests.
-A multi-register table is read
-over its stabiliser K, found by rolls of the table (`_table_stabiliser`):
-the coset states are shift eigenvectors with the characters in K^perp as
-eigenvalues, so the law lives on K^perp, fixed by which K-cosets share a
-label.  With one label per coset, as hidden-subgroup, discrete-log and
-stabiliser instances write, it is |K|/N on K^perp with no FFT; other
-tables, such as merged ones, take one FFT over their same-label pairs of
-coset representatives, which the cap bounds with the points.  The dense
+The coset sampler (`hsp_sample_batch`) builds no table over the group
+either.  A finite-domain instance is held on a subgroup H on which f is
+constant, with one label per point of H's box: the coset states are shift
+eigenvectors with the characters in H^perp as eigenvalues, so a draw is
+t = M x mod d for x uniform in G, M = D B^-1 over H's Hermite basis B, which
+is uniform on H^perp, at O(rank^2).  With one label per box point, as every
+builder but a merge writes, that is the law; a merged box keeps a proposal
+with probability law(t) / (m |H| / N), read from the box's labels in O(P)
+for P box points, which the cap bounds.
+The |G|-point coset law (`hsp_control_distribution`) serves the discrete
+log's chained coordinates and the tests: a multi-register table is
+read over its stabiliser K, found by rolls of the table
+(`_table_stabiliser`), and its law lives on K^perp, fixed by which K-cosets
+share a label.  With one label per coset it is |K|/N on K^perp with no FFT;
+other tables, such as merged ones, take one FFT over their same-label pairs
+of coset representatives, which the cap bounds with the points.  The dense
 joint state (`_pre_measurement_state`) is only the reference that tests
 compare the laws against; the dual-route check is the one other circuit
 built on it.  Laws describe the instance rather than query it and bill
@@ -80,7 +88,7 @@ from .amplitudes import (
     from_amplitudes,
     l2_distance,
 )
-from .groups import _factorize, _hermite_basis, _table_stabiliser
+from .groups import _dual_rows, _exact_dtype, _factorize, _hermite_basis, _table_stabiliser
 from .oracles import OracleInstance, apply_oracle, apply_shift
 from .qft import apply_fourier
 
@@ -352,8 +360,9 @@ def _register_cycle(instance: OracleInstance, n: int, generator: int, target, ro
     distinct, and m the largest count of one label in a period.
 
     The oracle route reads `period_labels`, the shift route the cycle of the
-    basis target (None means f at the identity) under the unit shift.  The
-    cap bounds L; cached on the instance."""
+    basis target (None means f at the identity) under the unit shift; on the
+    integers, f(0)'s cycle is read off `period_labels` too.  The cap bounds
+    L; cached on the instance."""
     route = _resolve_route(instance, route)
     if target is not None and not isinstance(target, (int, np.integer)):
         raise ValueError("control laws take a basis-label target or None")
@@ -363,6 +372,11 @@ def _register_cycle(instance: OracleInstance, n: int, generator: int, target, ro
     if route == "oracle":
         cycle = instance.period_labels[:n]
         length = cycle.size
+    elif instance.domain is None and (target is None or target == instance.period_labels[0]):
+        # the shift maps commute, so the unit shift walks f(0)'s label
+        # through f(1), f(2), ..., and its cycle ends at the first return
+        repeats = np.flatnonzero(instance.period_labels[1:] == instance.period_labels[0])
+        length = min(int(repeats[0]) + 1 if repeats.size else instance.period_labels.size, n)
     else:
         label = instance._raw(_identity_point(instance)) if target is None else int(target)
         length = _orbit_length(instance, label, generator, min(n, dimension_cap() + 1))
@@ -529,7 +543,9 @@ def _hsp_layout(instance: OracleInstance) -> RegisterLayout:
 
 
 def hsp_control_distribution(instance: OracleInstance) -> np.ndarray:
-    """Exact joint law over all coordinate controls of the coset sampler.
+    """Exact joint law over all coordinate controls of the coset sampler,
+    read from f's table over the whole group: the discrete log's chained
+    coordinates and the tests read it, and `hsp_sample_batch` does not.
 
     Returned flattened in row-major coordinate order.  Bills nothing; cached.
     """
@@ -547,16 +563,92 @@ def hsp_control_distribution(instance: OracleInstance) -> np.ndarray:
     return law
 
 
+def _coset_sampler(instance: OracleInstance) -> tuple:
+    """What a coset-sampler draw reads of a finite-domain instance, cached
+    on it: M = D B^-1 for the Hermite basis B of the instance's subgroup H
+    (`_dual_rows`), each row reduced mod its modulus, as an array of the
+    dtype `_exact_dtype` picks; m, the largest count of box points that
+    share a label; and for m > 1 the box's labels, ranked among the distinct
+    ones and flattened in mixed-radix order, with the box's shape.  The cap
+    bounds those points."""
+    key = ("coset sampler",)
+    if key in instance._dist_cache:
+        return instance._dist_cache[key]
+    spec = instance.domain
+    if spec is None:
+        raise ValueError("hidden-subgroup sampling needs a finite group domain")
+    rows = _dual_rows(instance.basis, spec.moduli)
+    dual = np.array([[a % d for a in row] for row, d in zip(rows, spec.moduli)], dtype=_exact_dtype(spec.moduli))
+    entry = (dual, 1, None)
+    labels = instance.box_labels.reshape(-1)
+    if (multiplicity := int(np.bincount(labels).max())) > 1:
+        if labels.size > dimension_cap():
+            raise CapExceeded(f"merged coset law over {labels.size} box points exceeds cap {dimension_cap()}")
+        entry = (dual, multiplicity, (np.unique(labels, return_inverse=True)[1], instance.pivots))
+    instance._dist_cache[key] = entry
+    return entry
+
+
+def _coset_proposals(dual: np.ndarray, x: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """t = M x mod d for each row x of points of G, M the rows of `dual`."""
+    return x.astype(dual.dtype, copy=False) @ dual.T % np.array(moduli, dtype=dual.dtype)
+
+
+def _box_acceptance(t: np.ndarray, moduli: tuple[int, ...], multiplicity: int, labels, pivots) -> np.ndarray:
+    """law(t) / (m |H| / N) at each row t of characters that annihilate H.
+
+    f is constant on H-cosets, so the amplitude of label l at t is |H|/N
+    times the sum of chi_t(b) = exp(2 pi i sum_j t_j b_j / d_j) over its box
+    points b: law(t) = (|H|/N)^2 sum_l |sum_{f(b)=l} chi_t(b)|^2, which is
+    at most m |H|/N by Cauchy-Schwarz, and with P = N/|H| box points the
+    ratio is sum_l |...|^2 / (m P).  The box is a grid, so chi_t over it is
+    the outer product of one row of p_j roots per coordinate, and the sums
+    per label are two weighted counts.  Rows are taken in blocks."""
+    size, width = labels.size, int(labels.max()) + 1
+    ratio = np.empty(len(t))
+    step = max(1, _BLOCK // size)
+    for start in range(0, len(t), step):
+        rows = t[start : start + step]
+        chi = np.ones((len(rows), 1), dtype=np.complex128)
+        for j, (p, d) in enumerate(zip(pivots, moduli)):
+            turns = (np.multiply.outer(rows[:, j], np.arange(p, dtype=rows.dtype)) % d).astype(float) / d
+            chi = (chi[:, :, None] * np.exp(2j * np.pi * turns)[:, None, :]).reshape(len(rows), -1)
+        index = (np.arange(len(rows))[:, None] * width + labels).reshape(-1)
+        power = sum(np.bincount(index, part.reshape(-1), len(rows) * width) ** 2 for part in (chi.real, chi.imag))
+        ratio[start : start + step] = power.reshape(len(rows), width).sum(axis=1)
+    return ratio / (multiplicity * size)
+
+
 def hsp_sample_batch(instance: OracleInstance, count: int, seed: int = 0) -> list:
     """Draw `count` coset-sampler outcomes (group elements of the character
-    group, identified with domain coordinates).  One query per draw."""
+    group, identified with domain coordinates), with no table over G and no
+    law array.  One query per draw.
+
+    f is constant on the cosets of the instance's subgroup H, so the coset
+    states are shift eigenvectors whose eigenvalues are the characters in
+    H^perp, and the law vanishes off H^perp (Mosca-Ekert).  A proposal is
+    t = M x mod d for x uniform in G, M = D B^-1 as `_coset_sampler` reads
+    it: M is upper triangular with diagonal d_i / p_i, so coordinate i adds
+    (d_i / p_i) x_i, uniform on a subgroup of p_i residues, to whatever the
+    later coordinates give, and the proposals, which lie in H^perp, are
+    uniform on its prod p_i points.  With one label per box point, as every
+    builder but a merge writes, that is the law, at O(rank^2) a draw.  An
+    m-to-1 box keeps a proposal with probability law(t) / (m |H| / N)
+    (`_box_acceptance`), at O(P) a proposal for P box points; with m = 1
+    every proposal is kept."""
     spec = instance.domain
-    law = hsp_control_distribution(instance)
+    dual, multiplicity, box = _coset_sampler(instance)
     rng = np.random.default_rng(seed)
-    flat = rng.choice(len(law), size=int(count), p=law)
-    instance.counter.add(int(count))
-    coords = np.unravel_index(flat, tuple(spec.moduli))
-    return list(zip(*(c.tolist() for c in coords)))
+    count = int(count)
+    draws: list = []
+    while len(draws) < count:
+        x = rng.integers(0, spec.moduli, size=((count - len(draws)) * multiplicity, spec.rank))
+        t = _coset_proposals(dual, x, spec.moduli)
+        if multiplicity > 1:
+            t = t[rng.random(len(t)) < _box_acceptance(t, spec.moduli, multiplicity, *box)]
+        draws.extend(map(tuple, t.tolist()))
+    instance.counter.add(count)
+    return draws[:count]
 
 
 def _coordinate_law(instance: OracleInstance, coordinate: int, measured: dict) -> np.ndarray:

@@ -165,14 +165,25 @@ def _hermite_basis(gens, moduli: tuple[int, ...]) -> list[list[int]]:
     return rows[:top]
 
 
-def _coset_reduce(coords: np.ndarray, basis, moduli: tuple[int, ...]) -> np.ndarray:
-    """Reduce each column of `coords` (one row per coordinate) in place to
-    the least element of its coset of the lattice with Hermite basis
-    `basis`, and return it: x_i becomes x_i mod p_i after subtracting the
-    multiples of the rows above.  A column reduces to zero exactly when it
-    lies in the lattice (modulo the moduli, which the lattice contains)."""
+def _exact_dtype(moduli: tuple[int, ...]):
+    """int64 when a sum over the coordinates of products of two residues
+    fits in it, else object, whose entries are Python ints."""
+    return np.int64 if len(moduli) * max(moduli, default=1) ** 2 < 1 << 63 else object
+
+
+def _coset_reduce(coords, basis, moduli: tuple[int, ...]):
+    """Reduce each column of `coords` (one row per coordinate) to the least
+    element of its coset of the lattice with Hermite basis `basis`, and
+    return it: x_i becomes x_i mod p_i after subtracting the multiples of
+    the rows above.  A column reduces to zero exactly when it lies in the
+    lattice (modulo the moduli, which the lattice contains).  An int64 array
+    is reduced in place, unless its products can overflow, when a copy of
+    Python ints is; a list of Python ints, one point, is reduced in place."""
+    if isinstance(coords, np.ndarray) and _exact_dtype(moduli) is object:
+        coords = coords.astype(object)
     for i, row in enumerate(basis):
-        steps, coords[i] = np.divmod(coords[i], row[i])
+        steps = coords[i] // row[i]
+        coords[i] %= row[i]
         for j in range(i + 1, len(moduli)):
             if row[j]:
                 coords[j] -= steps * row[j]
@@ -241,7 +252,12 @@ class SubgroupGenerators:
     @classmethod
     def of(cls, spec: GroupSpec, generators) -> "SubgroupGenerators":
         gens = [spec.reduce(g) for g in generators]
-        return cls(spec, _hnf_reduce(_hermite_basis(gens, spec.moduli), spec.moduli))
+        return cls.of_basis(spec, _hermite_basis(gens, spec.moduli))
+
+    @classmethod
+    def of_basis(cls, spec: GroupSpec, basis) -> "SubgroupGenerators":
+        """The subgroup whose lattice has the given Hermite basis."""
+        return cls(spec, _hnf_reduce(basis, spec.moduli))
 
     @classmethod
     def trivial(cls, spec: GroupSpec) -> "SubgroupGenerators":
@@ -322,23 +338,12 @@ def orthogonality_holds(spec: GroupSpec, t: Element, subgroup: SubgroupGenerator
     return all(character_phase_numerator(spec, t, h) == 0 for h in subgroup.generators)
 
 
-def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
-    """Generators of {h in G : every sample annihilates h}, for any finite
-    Abelian G.  An empty sample list yields all of G.
-
-    With B the Hermite basis of the samples and the relations d_j * e_j, the
-    kernel is D * B^-1 * Z^l, D = diag(d): the columns of M = D * B^-1, an
-    integer matrix since D * Z^l lies in B's lattice.  Row i of M solves
-    m * B = d_i * e_i by forward substitution over the columns.
-    """
-    ts = set()
-    for s in samples:
-        t = s.t if isinstance(s, CharacterSample) else tuple(s)
-        if len(t) != spec.rank:
-            raise ValueError("sample arity does not match group rank")
-        ts.add(t)
-    moduli = spec.moduli
-    basis = _hermite_basis(ts, moduli)
+def _dual_rows(basis, moduli: tuple[int, ...]) -> list[list[int]]:
+    """The rows of M = D * B^-1, D = diag(d), for the Hermite basis B of a
+    lattice that holds D * Z^l: an integer matrix, row i the solution of
+    m * B = d_i * e_i by forward substitution over the columns.  It is
+    upper triangular with diagonal d_i / p_i, p_i the pivots of B, and its
+    columns generate, mod d, the characters that annihilate B's lattice."""
     rows = []
     for i, d in enumerate(moduli):
         m = [0] * len(moduli)
@@ -346,6 +351,24 @@ def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
         for c in range(i + 1, len(moduli)):
             m[c] = -sum(m[r] * basis[r][c] for r in range(i, c)) // basis[c][c]
         rows.append(m)
+    return rows
+
+
+def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
+    """Generators of {h in G : every sample annihilates h}, for any finite
+    Abelian G.  An empty sample list yields all of G.
+
+    With B the Hermite basis of the samples and the relations d_j * e_j, the
+    kernel is D * B^-1 * Z^l, D = diag(d): the columns of M = D * B^-1
+    (`_dual_rows`).
+    """
+    ts = set()
+    for s in samples:
+        t = s.t if isinstance(s, CharacterSample) else tuple(s)
+        if len(t) != spec.rank:
+            raise ValueError("sample arity does not match group rank")
+        ts.add(t)
+    rows = _dual_rows(_hermite_basis(ts, spec.moduli), spec.moduli)
     return SubgroupGenerators.of(spec, zip(*rows))
 
 
@@ -370,5 +393,5 @@ def all_subgroups(spec: GroupSpec) -> list[SubgroupGenerators]:
                         raise ValueError(f"more than {SUBGROUP_CAP} subgroups")
                     grown.append([[p, *tail]] + [[0, *row] for row in below])
         bases = grown
-    subgroups = [SubgroupGenerators(spec, _hnf_reduce(basis, moduli)) for basis in bases]
+    subgroups = [SubgroupGenerators.of_basis(spec, basis) for basis in bases]
     return sorted(subgroups, key=lambda k: k.generators)

@@ -3,9 +3,15 @@
 An OracleInstance packages a function f from a group G (a finite GroupSpec,
 or the integers for order/period problems) onto integer labels [0, |X|),
 together with flags solvers may rely on.  A function on the integers is
-periodic by construction, so it is held as one period of labels; a function
-on a finite group is a callable that maps reduced coordinates elementwise,
-so one call tabulates it over the whole group.  The flags:
+periodic by construction, so it is held as one period of labels.  A
+function on a finite group is held as a subgroup H on which it is constant,
+given by its Hermite basis, and one label per point of H's box prod [0, p_i),
+the least elements of H's cosets: f(x) reduces x to its coset's least
+element and reads that point's label.  Builders pass the subgroup they
+plant (the hidden subgroup, the stabiliser, <(1, -m)> for a discrete log),
+so a box holds one label per coset and no table over G is built; a merge
+keeps its inner instance's subgroup and merges the box labels, and a raw
+table is its own box over H = {0}.  The flags:
 
   * `codomain_size` — the label-space size |X| (the image may be smaller);
   * `homomorphism_available` — whether the shift maps |f(y)> -> |f(y+g)>
@@ -76,34 +82,49 @@ class OracleInstance:
 
     On the integers f is given by `period_labels`, its labels over one period
     L: f(t) = period_labels[t mod L], and L need not be the least period.  On
-    a finite domain it is given by `eval_fn`, which receives a tuple of
-    coordinates reduced into the domain, one per factor, and maps them
-    elementwise: ints give one label, equal-shaped int64 arrays an array of
-    labels, so `label_table` is one call over `np.indices`.
+    a finite domain it is given by `basis`, the Hermite basis of a subgroup H
+    on which f is constant (None: H = {0}), and `box_labels`, f at the points
+    of H's box prod [0, p_i), shaped like the box.
     """
+
+    basis = box_labels = None  # finite domains only
+    pivots: tuple[int, ...] = ()
 
     def __init__(
         self,
         *,
         domain: GroupSpec | None,
         codomain_size: int,
-        eval_fn=None,
         period_labels=None,
+        basis=None,
+        box_labels=None,
         shift_fn=None,
         multiplicity_bound: int = 1,
         truth: PlantedTruth | None = None,
         descriptor: dict | None = None,
     ) -> None:
-        if (domain is None) == (period_labels is None) or (domain is None) != (eval_fn is None):
-            raise ValueError("an integer domain takes period_labels, a finite domain eval_fn")
+        if (domain is None) == (period_labels is None) or (domain is None) != (box_labels is None) or domain is None and basis is not None:
+            raise ValueError("an integer domain takes period_labels, a finite domain a basis and box labels")
         if domain is None:
             period_labels = np.array(period_labels, dtype=np.int64)
             if period_labels.ndim != 1 or not period_labels.size:
                 raise ValueError("period_labels must be a non-empty list of labels")
             period_labels.setflags(write=False)
+        else:
+            moduli = domain.moduli
+            if basis is None:
+                basis = [[d if i == j else 0 for j in range(domain.rank)] for i, d in enumerate(moduli)]
+            self.basis = tuple(tuple(int(a) for a in row) for row in basis)
+            self.pivots = tuple(row[i] for i, row in enumerate(self.basis))
+            if len(self.basis) != domain.rank or any(d % p for p, d in zip(self.pivots, moduli)):
+                raise ValueError(f"basis must have one row per coordinate, pivot i dividing d_i {moduli}")
+            box_labels = np.array(box_labels, dtype=np.int64)
+            if box_labels.shape != self.pivots:
+                raise ValueError(f"box labels of shape {box_labels.shape}, not the box {self.pivots}")
+            box_labels.setflags(write=False)
+            self.box_labels = box_labels
         self.domain = domain
         self.codomain_size = int(codomain_size)
-        self._eval_fn = eval_fn
         self.period_labels = period_labels
         self._shift_fn = shift_fn
         self.multiplicity_bound = int(multiplicity_bound)
@@ -129,27 +150,31 @@ class OracleInstance:
 
     def _raw(self, x) -> int:
         """Unbilled evaluation: plumbing for gates, exact laws and reference
-        checks, which describe the instance rather than query it."""
+        checks, which describe the instance rather than query it.  A finite
+        domain's point is reduced in Python ints, so no modulus overflows."""
         if self.domain is None:
             return int(self.period_labels[int(x) % self.period_labels.size])
-        return int(self._eval_fn(self._coerce(x)))
+        point = _coset_reduce(list(self._coerce(x)), self.basis, self.domain.moduli)
+        return int(self.box_labels[tuple(point)])
 
     def label_table(self, shape: tuple[int, ...]) -> np.ndarray:
         """Unbilled f at every point of a block of control registers of the
         given shape: one register of points t on the integers, which tiles
         the period; one register per coordinate on a finite domain, whose
-        points are reduced into the domain."""
+        points are reduced into the domain and then to their cosets' least
+        elements, in the box."""
         if self.domain is None:
             (n,) = shape
             return np.resize(self.period_labels, n)
         shape = tuple(shape)
-        if len(shape) != self.domain.rank:
-            raise ValueError(f"need one register per domain coordinate ({self.domain.rank})")
-        points = np.indices(shape, dtype=np.int64)
-        if shape != self.domain.moduli:
-            points %= np.reshape(self.domain.moduli, (-1,) + (1,) * len(shape))
-        values = np.asarray(self._eval_fn(tuple(points)), dtype=np.int64)
-        return np.broadcast_to(values, shape)
+        moduli = self.domain.moduli
+        if len(shape) != len(moduli):
+            raise ValueError(f"need one register per domain coordinate ({len(moduli)})")
+        points = np.indices(shape, dtype=np.int64).reshape(len(shape), -1)
+        if shape != moduli:
+            points %= np.reshape(moduli, (-1, 1))
+        box = tuple(np.asarray(_coset_reduce(points, self.basis, moduli), dtype=np.int64))
+        return self.box_labels[box].reshape(shape)
 
     def evaluate(self, x) -> int:
         """One classical query of f (counted)."""
@@ -243,55 +268,40 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
     )
 
 
-def _coset_labeling(spec: GroupSpec, subgroup: SubgroupGenerators, relabel_seed: int):
-    """One label per coset of the subgroup, scrambled by a seeded permutation.
-
-    Cosets are ranked by their least mixed-radix index, and coset rank i
-    gets label perm[i].  With the Hermite basis of the subgroup's lattice
-    (pivot p_i at column i), reducing x coordinate by coordinate, x_i mod
-    p_i after subtracting multiples of the rows above, gives the coset's
-    lexicographically least element: representatives are exactly the box
-    prod [0, p_i), and their order is the mixed-radix order with radices p.
-
-    Returns (labels: int64 array shaped like the group, read-only; pivots:
-    the radices of the representatives' box)."""
-    moduli = spec.moduli
-    basis = _hermite_basis(subgroup.generators, moduli)
-    pivots = tuple(basis[i][i] for i in range(spec.rank))
-    coords = np.indices(moduli, dtype=np.int64).reshape(spec.rank, -1)
-    rank = np.ravel_multi_index(tuple(_coset_reduce(coords, basis, moduli)), pivots)
-    perm = np.random.default_rng(relabel_seed).permutation(prod(pivots))
-    labels = perm[rank].reshape(moduli)
-    labels.setflags(write=False)
-    return labels, pivots
-
-
 def make_hidden_subgroup_instance(
     spec: GroupSpec, generators, relabel_seed: int = 0
 ) -> OracleInstance:
-    """Plant an arbitrary subgroup: f labels the cosets of <generators>,
-    with the label alphabet scrambled by `relabel_seed`.  The coset table is
-    held internally, so shift maps are available."""
-    subgroup = (
-        generators
-        if isinstance(generators, SubgroupGenerators)
-        else SubgroupGenerators.of(spec, generators)
-    )
-    labels, pivots = _coset_labeling(spec, subgroup, relabel_seed)
+    """Plant an arbitrary subgroup K: f labels the cosets of <generators>,
+    with the label alphabet scrambled by `relabel_seed`.
+
+    With the Hermite basis of K's lattice (pivot p_i at column i), reducing x
+    coordinate by coordinate gives its coset's least element, so the cosets'
+    representatives are the box prod [0, p_i).  Cosets are ranked by the
+    mixed-radix order of their representatives, and coset rank i gets label
+    perm[i], so the box labels are the seeded permutation itself.  The
+    basis is computed once, and the planted truth is read off it."""
+    if isinstance(generators, SubgroupGenerators):
+        generators = generators.generators
+    basis = _hermite_basis([spec.reduce(g) for g in generators], spec.moduli)
+    pivots = tuple(row[i] for i, row in enumerate(basis))
     n_labels = prod(pivots)
+    labels = np.random.default_rng(relabel_seed).permutation(n_labels)
+    subgroup = SubgroupGenerators.of_basis(spec, basis)
 
     def shift(g: Element) -> np.ndarray:
         # each coset's label moves to the label of its least element plus g
         box = np.indices(pivots, dtype=np.int64).reshape(spec.rank, -1)
         moved = (box + np.reshape(g, (-1, 1))) % np.reshape(spec.moduli, (-1, 1))
         perm = np.empty(n_labels, dtype=np.int64)
-        perm[labels[tuple(box)]] = labels[tuple(moved)]
+        reduced = np.asarray(_coset_reduce(moved, basis, spec.moduli), dtype=np.int64)
+        perm[labels] = labels[np.ravel_multi_index(tuple(reduced), pivots)]
         return perm
 
     return OracleInstance(
         domain=spec,
         codomain_size=n_labels,
-        eval_fn=lambda x: labels[x],
+        basis=basis,
+        box_labels=labels.reshape(pivots),
         shift_fn=shift,
         truth=PlantedTruth(subgroup=subgroup),
         descriptor={
@@ -329,7 +339,8 @@ def make_dlog_instance(
     and exponentiation means multiplication).  With r the order of a and
     b = a^m, the function f(x, y) = b^x * a^y on Z_r x Z_r hides
     K = <(1, -m)>; the shift along the second coordinate multiplies by a
-    (the eigenvalue-1/r ladder) and along the first by b.
+    (the eigenvalue-1/r ladder) and along the first by b.  K's cosets meet
+    {0} x Z_r once each, so f is held as the labels a^y on those points.
     """
     if (modulus is None) == (order is None):
         raise ValueError("give exactly one of modulus / order")
@@ -345,10 +356,7 @@ def make_dlog_instance(
         if b not in powers:
             raise ValueError(f"{b} is not a power of {a} mod {q}")
         m = powers.index(b)
-        apow = np.array(powers, dtype=np.int64)
-
-        def value(x, y):  # b^x a^y = a^(m x + y)
-            return apow[(m * x + y) % r]
+        labels = powers  # b^x a^y = a^(m x + y)
 
         def shift(g: Element) -> np.ndarray:
             mult = pow(b, g[0], q) * pow(a, g[1], q) % q
@@ -362,9 +370,7 @@ def make_dlog_instance(
         if r < 1 or (r > 1 and gcd(a, r) != 1):
             raise ValueError("a must generate the cyclic group")
         m = b * pow(a, -1, r) % r if r > 1 else 0
-
-        def value(x, y):
-            return (b * x + a * y) % r
+        labels = [a * y % r for y in range(r)]  # b x + a y = a (m x + y)
 
         def shift(g: Element) -> np.ndarray:
             step = (b * g[0] + a * g[1]) % r
@@ -374,28 +380,27 @@ def make_dlog_instance(
         desc = {"kind": "dlog", "order": r, "base": a, "target": b}
 
     spec = GroupSpec.of((r, r))
-    subgroup = SubgroupGenerators.of(spec, [(1, (-m) % r)])
-    steps = np.arange(r, dtype=np.int64)
-    image = np.unique(np.concatenate([value(steps, 0), value(0, steps)])).tolist()
+    basis = _hermite_basis([(1, (-m) % r)], spec.moduli)  # box {0} x [0, r)
     return OracleInstance(
         domain=spec,
         codomain_size=codomain,
-        eval_fn=lambda e: value(e[0], e[1]),
+        basis=basis,
+        box_labels=[labels],
         shift_fn=shift,
-        truth=PlantedTruth(subgroup=subgroup, dlog_exponent=m),
+        truth=PlantedTruth(subgroup=SubgroupGenerators.of_basis(spec, basis), dlog_exponent=m),
         descriptor=desc,
     )
 
 
 def make_deutsch_instance(f0: int, f1: int) -> OracleInstance:
-    """One-bit domain, one-bit codomain: hidden subgroup Z_2 iff constant."""
+    """One-bit domain, one-bit codomain: hidden subgroup Z_2 iff constant,
+    held as f0 on the box of Z_2, or as both values on that of {0}."""
     f0, f1 = int(f0), int(f1)
     if f0 not in (0, 1) or f1 not in (0, 1):
         raise ValueError("function values must be bits")
     spec = GroupSpec.of((2,))
     constant = f0 == f1
-    subgroup = SubgroupGenerators.of(spec, [(1,)] if constant else [])
-    table = np.array([f0, f1], dtype=np.int64)
+    basis = [[1]] if constant else [[2]]
 
     def shift(g: Element) -> np.ndarray:
         if g[0] == 0 or constant:
@@ -405,9 +410,10 @@ def make_deutsch_instance(f0: int, f1: int) -> OracleInstance:
     return OracleInstance(
         domain=spec,
         codomain_size=2,
-        eval_fn=lambda e: table[e[0]],
+        basis=basis,
+        box_labels=[f0] if constant else [f0, f1],
         shift_fn=shift,
-        truth=PlantedTruth(subgroup=subgroup),
+        truth=PlantedTruth(subgroup=SubgroupGenerators.of_basis(spec, basis)),
         descriptor={"kind": "deutsch", "f0": f0, "f1": f1},
     )
 
@@ -419,8 +425,10 @@ def make_stabiliser_instance(
 
     Action axioms — identity fixes every point, a(b(x)) = (ab)(x) — are
     checked exhaustively when |G|^2 * points fits under PROMISE_CHECK_CAP, else on
-    a seeded sample of that size.  f is held as its table of g(x0) over G,
-    and the planted subgroup, the stabiliser of x0, is read off that table.
+    a seeded sample of that size.  The planted subgroup, the stabiliser of
+    x0, is read off the table of g(x0) over G, and f is held as g(x0) on its
+    box; a sampled check that let a non-action through is caught when that
+    table is not constant on the stabiliser's cosets.
     """
     points = int(points)
     x0 = int(x0)
@@ -446,21 +454,24 @@ def make_stabiliser_instance(
             raise ValueError(f"element {g} does not act by permutation")
 
     orbit = np.array([action(g, x0) for g in elements], dtype=np.int64).reshape(spec.moduli)
-    orbit.setflags(write=False)
-    stab = [g for g, pt in zip(elements, orbit.flat) if pt == x0]
-    subgroup = SubgroupGenerators.of(spec, stab)
+    basis = _hermite_basis([g for g, pt in zip(elements, orbit.flat) if pt == x0], spec.moduli)
+    box = np.indices([row[i] for i, row in enumerate(basis)], dtype=np.int64)
 
     def shift(g: Element) -> np.ndarray:
         return np.array([action(g, pt) for pt in range(points)], dtype=np.int64)
 
-    return OracleInstance(
+    instance = OracleInstance(
         domain=spec,
         codomain_size=points,
-        eval_fn=lambda g: orbit[g],
+        basis=basis,
+        box_labels=orbit[tuple(box)],
         shift_fn=shift,
-        truth=PlantedTruth(subgroup=subgroup),
+        truth=PlantedTruth(subgroup=SubgroupGenerators.of_basis(spec, basis)),
         descriptor=descriptor or {"kind": "stabiliser", "moduli": list(spec.moduli), "points": points, "x0": x0},
     )
+    if not np.array_equal(instance.label_table(spec.moduli), orbit):
+        raise ValueError("not a group action: g(x0) is not constant on the cosets of the stabiliser of x0")
+    return instance
 
 
 def wrap_many_to_one(
@@ -533,8 +544,9 @@ def _many_to_one(inner: OracleInstance, merge, multiplicity: int) -> OracleInsta
     return OracleInstance(
         domain=inner.domain,
         codomain_size=new_size,
-        eval_fn=None if integers else lambda x: table[inner._eval_fn(x)],
         period_labels=table[inner.period_labels] if integers else None,
+        basis=inner.basis,
+        box_labels=None if integers else table[inner.box_labels],
         shift_fn=None,
         multiplicity_bound=multiplicity,
         truth=inner.truth,

@@ -8,6 +8,7 @@ by window scan, subgroups by exhaustive invariance checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -239,27 +240,20 @@ def test_hsp_oversampling_batch_size():
 
 def test_hsp_detects_inconsistent_black_box():
     # a "function" that changes its answers violates the promise; the solver
-    # must notice instead of returning garbage.  Here the box answers honestly
-    # (hiding <(1,1)>) while the sampling law is built, then drifts to fresh
-    # values for every later query, so the kernel's generator never verifies.
+    # must notice instead of returning garbage.  Here the sampler draws from
+    # the honest table (hiding <(1,1)>), held as its own box over {0}, while
+    # every classical query drifts to a fresh value, so the kernel's
+    # generator never verifies.
     spec = GroupSpec.of([2, 2])
-    state = {"honest": True, "n": 0}
-
-    def flaky(x):
-        if state["honest"]:
-            return (x[0] + x[1]) % 2
-        state["n"] += 1
-        return 2 + state["n"]
-
     inst = OracleInstance(
         domain=spec,
         codomain_size=8,
-        eval_fn=flaky,
+        box_labels=[[0, 1], [1, 0]],
         truth=PlantedTruth(subgroup=SubgroupGenerators.of(spec, [(1, 1)])),
         descriptor={"kind": "test-flaky"},
     )
-    hsp_control_distribution(inst)  # freeze the law while the box is honest
-    state["honest"] = False
+    drift = itertools.count(3)
+    inst.evaluate = lambda x: next(drift)
     with pytest.raises(PromiseViolation):
         solve_hsp_general(inst, SolverParams(seed=5, trials=3))
 

@@ -40,6 +40,9 @@ from hsplab.amplitudes import (
 )
 from hsplab.estimation import (
     _coordinate_law,
+    _coset_proposals,
+    _coset_sampler,
+    _orbit_length,
     _periodic_law,
     _point_law,
     _pre_measurement_state,
@@ -53,9 +56,18 @@ from hsplab.estimation import (
     sample_coset_coordinate,
     verify_main_equality,
 )
-from hsplab.groups import GroupSpec, orthogonality_holds
+from hsplab.groups import (
+    GroupSpec,
+    SubgroupGenerators,
+    _coset_reduce,
+    _dual_rows,
+    _hermite_basis,
+    orthogonality_holds,
+    subgroups_equal,
+)
 from hsplab.oracles import (
     OracleInstance,
+    PlantedTruth,
     classical_order,
     make_deutsch_instance,
     make_dlog_instance,
@@ -385,6 +397,41 @@ def test_find_order_reaches_past_the_n_point_law(modulus, base):
     assert res.verified and res.value == classical_order(base, modulus)
 
 
+@st.composite
+def shifted_integer_instances(draw):
+    """An order instance, or a period of distinct labels tiled k times (so
+    the period held is not the least one) with its shift maps."""
+    if draw(st.booleans()):
+        modulus = draw(st.integers(2, 200))
+        return make_order_instance(modulus, draw(st.sampled_from([a for a in range(1, modulus) if gcd(a, modulus) == 1])))
+    period = draw(st.integers(1, 20))
+    relabel = np.array(draw(st.permutations(range(period))), dtype=np.int64)
+    inverse = np.argsort(relabel)
+    return OracleInstance(
+        domain=None, codomain_size=period, period_labels=np.tile(relabel, draw(st.integers(1, 3))),
+        shift_fn=lambda g: relabel[(inverse + g) % period],
+    )
+
+
+@given(shifted_integer_instances(), st.integers(1, 400), st.booleans())
+def test_default_target_cycle_is_the_first_return_of_f0(inst, n, explicit):
+    """On the integers the unit shift walks f(0)'s label through f(1),
+    f(2), ..., so the first return of f(0) in one period is the cycle the
+    walk of `_orbit_length` counts, cut at n points."""
+    f0 = int(inst.period_labels[0])
+    cycle = _register_cycle(inst, n, 0, f0 if explicit else None, "shift")
+    assert cycle == (_orbit_length(inst, f0, 0, n), None, 1)
+
+
+def test_find_order_reads_its_cycle_off_the_period():
+    """N = 1,000,003: the shift route's cycle is the period of labels the
+    build holds, so no shift map of a million labels is built or walked."""
+    inst = make_order_instance(1_000_003, 2)
+    inst.shift_permutation = lambda g: pytest.fail("built a shift map")
+    res = find_order(inst, SolverParams(seed=1, period_bound=1_000_003))
+    assert res.verified and res.value == inst.truth.period and pow(2, res.value, 1_000_003) == 1
+
+
 def test_register_cycle_is_capped_on_its_labels():
     inst = make_order_instance(35, 2)  # r = 12
     previous = dimension_cap()
@@ -564,6 +611,79 @@ def test_hsp_batch_bills_queries():
     before = inst.query_count
     hsp_sample_batch(inst, 9, seed=0)
     assert inst.query_count - before == 9
+
+
+def bucket_merged_cosets(moduli, generators, multiplicity: int, seed: int) -> OracleInstance:
+    """A hidden-subgroup instance with its coset labels merged in runs of m."""
+    inner = make_hidden_subgroup_instance(GroupSpec.of(moduli), generators, relabel_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return wrap_many_to_one(inner, np.arange(inner.codomain_size) // multiplicity, multiplicity)
+
+
+@pytest.mark.parametrize(
+    "make, draws",
+    [
+        (lambda: make_hidden_subgroup_instance(GroupSpec.of([8, 9, 2]), [(2, 3, 1)], relabel_seed=3), 20_000),
+        (lambda: bucket_merged_cosets([6, 6], [], 3, 1), 20_000),
+    ],
+    ids=["one-label-per-coset", "merged-3-to-1"],
+)
+def test_coset_sampler_chi_square_smoke(make, draws):
+    """Fixed-seed coset-sampler draws against the exact coset law, with
+    every proposal kept (m = 1) and with proposals kept by their law
+    (m = 3): the statistic stays within five standard deviations of its
+    degrees of freedom."""
+    inst = make()
+    spec = inst.domain
+    law = hsp_control_distribution(inst)
+    drawn = [spec.element_index(t) for t in hsp_sample_batch(inst, draws, seed=2024)]
+    statistic, dof = chi_square(np.bincount(drawn, minlength=spec.order), law, draws)
+    assert statistic < dof + 5 * math.sqrt(2 * dof), (statistic, dof)
+    assert inst.query_count == draws
+
+
+def test_hsp_solver_reaches_past_any_table_over_the_group():
+    """Z_{2^30} x Z_{2^30} hiding <(1, 1), (0, 2)>, whose box {0} x {0, 1}
+    holds two labels: the solver draws from the dual lattice and verifies by
+    single evaluations, and f is never tabulated over G (2^60 points)."""
+    spec = GroupSpec.of((1 << 30, 1 << 30))
+    planted = SubgroupGenerators.of(spec, [(1, 1), (0, 2)])
+    inst = OracleInstance(
+        domain=spec, codomain_size=2, basis=_hermite_basis(planted.generators, spec.moduli),
+        box_labels=[[0, 1]], truth=PlantedTruth(subgroup=planted),
+    )
+    inst.label_table = lambda shape: pytest.fail("tabulated f over the group")
+    res = algorithms.solve_hsp_general(inst, SolverParams(seed=0))
+    assert res.verified and subgroups_equal(res.value, planted)
+    assert inst._raw((5, 7)) == inst._raw((0, 2)) == 0
+    assert inst._raw((5, 6)) == 1
+
+
+def test_coset_sampler_falls_back_to_python_ints_past_int64():
+    """On Z_{2^40} x Z_{2^40} a product of two residues overflows int64, so
+    M x and the coset reduction run in Python ints: the draws agree with
+    M x computed in Python ints, and every draw annihilates K."""
+    moduli = (1 << 40, 1 << 40)
+    spec = GroupSpec.of(moduli)
+    planted = SubgroupGenerators.of(spec, [(1, (1 << 40) - 3), (0, 4)])
+    basis = _hermite_basis(planted.generators, moduli)
+    inst = OracleInstance(
+        domain=spec, codomain_size=4, basis=basis, box_labels=[[0, 1, 2, 3]], truth=PlantedTruth(subgroup=planted),
+    )
+    draws = hsp_sample_batch(inst, 50, seed=9)
+    assert len(set(draws)) > 1
+    assert all(orthogonality_holds(spec, t, planted) for t in draws)
+    rows = _dual_rows(basis, moduli)
+    x = [[(1 << 40) - 1, (1 << 40) - 2], [3, (1 << 39) + 1]]
+    expected = [[sum(m * c for m, c in zip(row, point)) % d for row, d in zip(rows, moduli)] for point in x]
+    dual = _coset_sampler(inst)[0]
+    assert dual.dtype == object
+    assert _coset_proposals(dual, np.array(x, dtype=np.int64), moduli).tolist() == expected
+    point = [(1 << 40) - 1, 5]
+    reduced = _coset_reduce(np.array([[c] for c in point], dtype=np.int64), basis, moduli)
+    assert [int(c) for c in reduced[:, 0]] == _coset_reduce(list(point), basis, moduli) == [0, 2]
+    assert inst._raw(point) == 2
 
 
 # --- semiclassical variant --------------------------------------------------------

@@ -12,7 +12,8 @@ that keep the dense circuit as the reference the exact laws are tested
 against, so no production path samples from a state vector.  A fourth
 checks that every private top-level function is referenced somewhere in the
 package outside its own body; a helper only tests call belongs in the tests.
-A fifth checks that the one-register sampler draws with no n-point law.
+A fifth checks that the one-register sampler draws with no n-point law, and
+a sixth that the coset sampler draws with no table over the group.
 """
 
 from __future__ import annotations
@@ -152,6 +153,20 @@ def test_private_helpers_have_callers_in_the_package():
     assert unreferenced == TEST_REFERENCES
 
 
+def _named_on_the_way(start: str, forbidden: frozenset) -> dict[str, list[str]]:
+    """The forbidden names each estimation function reached from `start`
+    names, following calls between top-level estimation functions."""
+    path = Path(hsplab.__file__).parent / "estimation.py"
+    tops = {top.name: top for top in ast.parse(path.read_text()).body if isinstance(top, ast.FunctionDef)}
+    reached, pending = set(), [start]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += sorted(_references(tops[name]) & tops.keys())
+    return {name: sorted(_references(tops[name]) & forbidden) for name in sorted(reached)}
+
+
 # The n-point register law and the sampling over an array of it.
 N_POINT_LAW = frozenset({"control_distribution", "_periodic_law", "choice"})
 
@@ -160,13 +175,21 @@ def test_sampler_draws_without_the_n_point_law():
     """`sample_control`, and every estimation function it reaches, names
     neither the n-point law nor `.choice`: that law stays with `dump` and
     the tests, and a draw costs O(1), or O(L) for merged labels."""
-    path = Path(hsplab.__file__).parent / "estimation.py"
-    tops = {top.name: top for top in ast.parse(path.read_text()).body if isinstance(top, ast.FunctionDef)}
-    reached, pending = set(), ["sample_control"]
-    while pending:
-        name = pending.pop()
-        if name not in reached:
-            reached.add(name)
-            pending += sorted(_references(tops[name]) & tops.keys())
-    named = {name: sorted(_references(tops[name]) & N_POINT_LAW) for name in sorted(reached)}
+    named = _named_on_the_way("sample_control", N_POINT_LAW)
     assert not any(named.values()), f"the sampler reaches the n-point law: {named}"
+
+
+# The |G|-point coset law, the table it is read from, and sampling over it.
+COSET_TABLE_LAW = frozenset({
+    "hsp_control_distribution", "level_set_law", "_stabiliser_law", "_table_stabiliser",
+    "label_table", "choice",
+})
+
+
+def test_coset_sampler_draws_without_a_table_law():
+    """`hsp_sample_batch`, and every estimation function it reaches, names
+    neither the coset law, nor f's table over G, nor `.choice`: a draw reads
+    the dual lattice of the instance's subgroup and, for a merged box, that
+    box's labels alone."""
+    named = _named_on_the_way("hsp_sample_batch", COSET_TABLE_LAW)
+    assert not any(named.values()), f"the coset sampler reaches a table law: {named}"

@@ -38,10 +38,14 @@ from hsplab.amplitudes import (
     set_dimension_cap,
 )
 from hsplab.estimation import (
+    _box_acceptance,
+    _coset_proposals,
+    _coset_sampler,
     _cyclic_period,
     _hsp_layout,
     _periodic_law,
     _pre_measurement_state,
+    _stabiliser_law,
     control_distribution,
     hsp_control_distribution,
 )
@@ -60,10 +64,12 @@ from hsplab.oracles import (
     classical_order,
     dilated_view,
     instance_from_json,
+    make_deutsch_instance,
     make_dlog_instance,
     make_hidden_subgroup_instance,
     make_order_instance,
     make_period_instance,
+    make_simon_instance,
     wrap_many_to_one,
 )
 from hsplab.qft import apply_fourier
@@ -182,10 +188,11 @@ def bucket_merged(inner, m: int, seed: int):
 
 
 def table_group_instance(table: np.ndarray) -> OracleInstance:
-    """A finite-domain instance whose labels are the given table."""
+    """A finite-domain instance whose labels are the given table, the box
+    of the subgroup {0}."""
     return OracleInstance(
         domain=GroupSpec.of(table.shape), codomain_size=int(table.max()) + 1,
-        eval_fn=lambda x: table[x], descriptor={"kind": "table"},
+        box_labels=table, descriptor={"kind": "table"},
     )
 
 
@@ -317,6 +324,95 @@ def test_coset_law_cap_bounds_points_and_is_checked_before_tabulating():
         set_dimension_cap(previous)
     assert_law(law, dense)
     assert_law(pair_law, pair_dense)
+
+
+# --- coset-sampler draws ---------------------------------------------------------
+
+
+def enumerated_draws(inst) -> tuple[np.ndarray, np.ndarray]:
+    """The law of `hsp_sample_batch`'s draws, enumerated: every x of G
+    proposes t = M x mod d, kept with the sampler's acceptance probability
+    (1 with one label per box point).  Returns the law, flattened like the
+    coset law, and the acceptance probability of each x."""
+    spec = inst.domain
+    dual, multiplicity, box = _coset_sampler(inst)
+    x = np.indices(spec.moduli).reshape(spec.rank, -1).T
+    t = _coset_proposals(dual, x, spec.moduli)
+    kept = np.ones(len(t)) if multiplicity == 1 else _box_acceptance(t, spec.moduli, multiplicity, *box)
+    flat = np.ravel_multi_index(tuple(t.T.astype(np.int64)), spec.moduli)
+    return np.bincount(flat, kept, minlength=spec.order) / kept.sum(), kept
+
+
+@st.composite
+def stabiliser_instances(draw):
+    """Z_points turned by sum_j w_j g_j, with each w_j a multiple of
+    points / gcd(points, d_j), so that d_j g_j acts trivially."""
+    moduli = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(lambda m: prod(m) <= 48))
+    points = draw(st.integers(1, 12))
+    weights = [points // gcd(points, d) * draw(st.integers(0, d)) for d in moduli]
+    x0 = draw(st.integers(0, points - 1))
+    return instance_from_json(
+        {"kind": "stabiliser", "moduli": moduli, "weights": weights, "points": points, "x0": x0})
+
+
+@st.composite
+def simon_instances(draw):
+    bits = draw(st.integers(1, 5))
+    secret = draw(st.lists(st.integers(0, 1), min_size=bits, max_size=bits).filter(any))
+    return make_simon_instance(bits, secret)
+
+
+@st.composite
+def relabelled(draw):
+    """A hidden-subgroup instance whose labels are permuted: a merge that
+    stays one-to-one."""
+    inner = draw(hidden_subgroup_instances())
+    return wrap_many_to_one(inner, draw(st.permutations(range(inner.codomain_size))), 1)
+
+
+one_label_per_coset = (
+    hidden_subgroup_instances() | simon_instances() | dlog_instances() | stabiliser_instances()
+    | relabelled() | st.builds(make_deutsch_instance, st.integers(0, 1), st.integers(0, 1))
+)
+
+
+@settings(max_examples=150)
+@given(one_label_per_coset)
+def test_draw_image_is_the_coset_law(inst):
+    """Every builder writes one label per box point, so every proposal is
+    kept, and t = M x mod d over all x of G hits each character of H^perp
+    |H| times: exactly the coset law, with no table over G."""
+    law, kept = enumerated_draws(inst)
+    assert kept.min() == 1.0
+    assert np.array_equal(law, hsp_control_distribution(inst))
+
+
+@settings(max_examples=120)
+@given(hidden_subgroup_instances(), st.sampled_from(["merged", "m-to-1", "few labels"]), st.data())
+def test_merged_acceptance_is_the_stabiliser_law(inst, kind, data):
+    """With m > 1 box points to a label, law(t) read off the box is the
+    law `_stabiliser_law` reads off the whole table, within TOL; no
+    proposal is kept with probability above 1, a proposal is kept with
+    probability 1/m, and the draws' enumerated law is that law."""
+    if kind == "merged":
+        inst = merged(inst, data)
+    elif kind == "m-to-1":
+        inst = data.draw(bucket_merges())
+    else:
+        inst = data.draw(few_label_tables())
+    spec = inst.domain
+    dual, multiplicity, box = _coset_sampler(inst)
+    reference = _stabiliser_law(inst.label_table(spec.moduli)).reshape(-1)
+    law, kept = enumerated_draws(inst)
+    assert np.abs(law - reference).max() <= TOL
+    if multiplicity > 1:
+        box_size = prod(inst.pivots)
+        perp = np.unique(_coset_proposals(dual, np.indices(spec.moduli).reshape(spec.rank, -1).T, spec.moduli), axis=0)
+        at_perp = _box_acceptance(perp, spec.moduli, multiplicity, *box) * multiplicity / box_size
+        index = np.ravel_multi_index(tuple(perp.T), spec.moduli)
+        assert np.abs(at_perp - reference[index]).max() <= TOL
+        assert kept.max() <= 1.0 + TOL
+        assert abs(kept.mean() - 1.0 / multiplicity) <= TOL
 
 
 @st.composite

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hsplab import oracles
 from hsplab.amplitudes import RegisterLayout, basis_state, l2_distance, uniform_state
 from hsplab.groups import (
     GroupSpec,
@@ -130,14 +131,18 @@ def test_period_instances_hide_shifts():
 
 
 def test_instances_take_the_function_form_of_their_domain():
-    """Integer domains take one period of labels, finite domains a callable."""
+    """Integer domains take one period of labels, finite domains a Hermite
+    basis and labels shaped like its box."""
     spec = GroupSpec.of((2,))
     for bad in (
-        dict(domain=None, eval_fn=lambda t: t % 2),
+        dict(domain=None, box_labels=[0, 1]),
         dict(domain=None, period_labels=[]),
-        dict(domain=None, eval_fn=lambda t: t % 2, period_labels=[0, 1]),
+        dict(domain=None, box_labels=[0, 1], period_labels=[0, 1]),
         dict(domain=spec, period_labels=[0, 1]),
         dict(domain=spec),
+        dict(domain=spec, box_labels=[0, 1, 1]),
+        dict(domain=spec, basis=[[1]], box_labels=[0, 1]),
+        dict(domain=spec, basis=[[3]], box_labels=[0, 1, 0]),
     ):
         with pytest.raises(ValueError):
             OracleInstance(codomain_size=2, **bad)
@@ -219,6 +224,18 @@ def test_label_table_is_one_call_of_the_pointwise_function(make):
     assert table.reshape(-1).tolist() == [inst._raw(x) for x in spec.elements()]
     wide = tuple(d + 1 for d in spec.moduli)
     assert inst.label_table(wide).reshape(-1).tolist() == [inst._raw(x) for x in np.ndindex(wide)]
+
+
+def test_shift_maps_reduce_past_int64():
+    """On Z_{2^40} hiding <2> the box is {0, 1}, but a product of two
+    residues overflows int64, so the coset reduction runs in Python ints:
+    the shift map still gathers from the box, and an odd shift swaps the
+    two labels."""
+    inst = make_hidden_subgroup_instance(GroupSpec.of((1 << 40,)), [(2,)])
+    assert inst.box_labels.shape == (2,)
+    assert inst.shift_permutation((0,)).tolist() == [0, 1]
+    assert inst.shift_permutation(((1 << 40) - 1,)).tolist() == [1, 0]
+    assert inst._raw((5,)) != inst._raw((6,)) == inst._raw((0,))
 
 
 # --- Simon instances ---------------------------------------------------------
@@ -332,6 +349,18 @@ def test_stabiliser_rejects_broken_action():
     with pytest.raises(ValueError):
         # not additive in g: composition axiom fails
         make_stabiliser_instance(spec, lambda g, pt: (pt + g[0] * g[0]) % 4, 0, points=4)
+
+
+def test_stabiliser_rejects_a_non_action_the_sample_lets_through(monkeypatch):
+    """Z_4 acting on three points with 1 and 3 as different transpositions:
+    not an action, but with the check capped at two sampled pairs, ((3), (0))
+    and ((2), (2)), every sampled pair composes.  g(x0) then takes two
+    values on the coset {1, 3} of the stabiliser {0, 2}, and the builder
+    rejects it there."""
+    swaps = {0: (0, 1, 2), 1: (1, 0, 2), 2: (0, 1, 2), 3: (2, 1, 0)}
+    monkeypatch.setattr(oracles, "PROMISE_CHECK_CAP", 6)
+    with pytest.raises(ValueError, match="not constant on the cosets"):
+        make_stabiliser_instance(GroupSpec.of([4]), lambda g, pt: swaps[g[0]][pt], 0, points=3)
 
 
 # --- many-to-one wrapping ----------------------------------------------------
