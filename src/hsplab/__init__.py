@@ -30,7 +30,6 @@ from .qft import (
     inverse_fourier,
 )
 from .groups import (
-    CharacterSample,
     GroupSpec,
     SubgroupGenerators,
     all_subgroups,
@@ -69,7 +68,6 @@ from .estimation import (
     level_set_law,
     phase_estimate_semiclassical,
     sample_control,
-    sample_coset_coordinate,
     verify_main_equality,
 )
 from .postprocess import (

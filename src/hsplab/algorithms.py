@@ -20,7 +20,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .estimation import PhaseSample, hsp_sample_batch, sample_control, sample_coset_coordinate
+from .estimation import PhaseSample, _coset_law_at, hsp_sample_batch, sample_control
 from .groups import (
     Element,
     SubgroupGenerators,
@@ -293,7 +293,7 @@ def solve_hsp_general(instance: OracleInstance, params: SolverParams) -> HspResu
         kernel = character_kernel(collected, spec)
         failing = None
         for h in kernel.generators:
-            x = spec.element_at(int(rng.integers(spec.order)))
+            x = tuple(int(c) for c in rng.integers(0, spec.moduli))
             if fval(spec.add(x, h)) != fval(x):
                 failing = (h, x)
                 break
@@ -317,7 +317,7 @@ def _merge_congruence(a1: int, n1: int, a2: int, n2: int) -> tuple[int, int] | N
 
 def solve_dlog(instance: OracleInstance, params: SolverParams) -> DlogResult:
     """Discrete log on Z_r x Z_r, r the order of the base, by two chained
-    estimations per trial.
+    estimations per trial, drawn as one coset-sampler outcome.
 
     Stage one estimates k/r on an exactly r-level control driven by the
     second-coordinate shift (multiplication by the base); because the
@@ -326,10 +326,14 @@ def solve_dlog(instance: OracleInstance, params: SolverParams) -> DlogResult:
     collapsed target and drives the first-coordinate shift (multiplication
     by the power target), reading off k·m mod r on one fresh control — no
     second target register is ever prepared.  The two shifts commute, so the
-    chain draws from the coset sampler's law: stage one from its marginal
-    over t_1, stage two from its conditional over t_0 given t_1 = k.  Each
-    pair pins m modulo r/gcd(k, r); congruences accumulate until m is known
-    mod r.
+    chain draws from the coset law: stage one from its marginal over t_1,
+    stage two from its conditional over t_0 given t_1 = k.  That law lives
+    on H^perp = {(k·m, k)} for H = <(1, -m)>, and on part of it when merged
+    labels grow the stabiliser, so t_0 is fixed by t_1: one draw t is the
+    chain, stage one's probability is the law at t and stage two's is 1.
+    The draw bills stage one's query, and stage two, run only when k != 0,
+    bills one more.  Each pair pins m modulo r/gcd(k, r); congruences
+    accumulate until m is known mod r.
     """
     spec = instance.domain
     if spec is None or spec.rank != 2 or spec.moduli[0] != spec.moduli[1]:
@@ -343,15 +347,14 @@ def solve_dlog(instance: OracleInstance, params: SolverParams) -> DlogResult:
     known_rem, known_mod = 0, 1
     reuses = 0
     for trial in range(params.trials):
-        first = sample_coset_coordinate(instance, 1, seed=params.seed + 2 * trial)
-        samples.append(first)
-        k = first.observed
+        seed = params.seed + trial
+        ((x2, k),) = hsp_sample_batch(instance, 1, seed=seed)
+        samples.append(PhaseSample(k, r, _coset_law_at(instance, (x2, k)), seed))
         if k == 0:
             continue  # eigenvalue 1 carries no information about m; redraw
-        second = sample_coset_coordinate(instance, 0, {1: k}, seed=params.seed + 2 * trial + 1)
+        instance.counter.add(1)  # stage two runs on the collapsed target
         reuses += 1
-        samples.append(second)
-        x2 = second.observed  # k·m mod r, exactly
+        samples.append(PhaseSample(x2, r, 1.0, seed))  # x2 = k·m mod r, exactly
         d = gcd(k, r)
         if x2 % d:
             continue  # cannot happen for an honest instance

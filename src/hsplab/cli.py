@@ -234,13 +234,9 @@ def _truth_report(solver: str, instance) -> dict:
     if solver in ("simon", "deutsch", "hsp", "robust-hsp"):
         return {"subgroup": classical_invariance_subgroup(instance).to_json()}
     if solver == "dlog":
-        spec = instance.domain
-        r = spec.moduli[0]
-        base_of = {}
-        for t in range(r):
-            base_of.setdefault(instance._raw((0, t)), t)
-        m = base_of[instance._raw((1, 0))]
-        return {"exponent": m}
+        # the first t with f(0, t) = f(1, 0), read off one row of f's labels
+        powers = instance.label_table((1, instance.domain.moduli[0]))[0]
+        return {"exponent": int(np.flatnonzero(powers == instance._raw((1, 0)))[0])}
     return {}
 
 

@@ -21,11 +21,6 @@ runner draws its bits from the same eigenphase mixture: the basis target
 is a uniform superposition of the L shift eigenvectors on its cycle, so a
 run carries L weights on the phases k/L, each bit's law is their weighted
 sum, and the measured bit conditions them.
-Estimations chained on one kept target, as the discrete log runs them,
-need no state either: the shifts along the domain generators commute, so
-estimating them one after another draws jointly from the coset sampler's
-law, the first estimation from its marginal and each later one from its
-conditional given the outcomes before it (`sample_coset_coordinate`).
 
 The register and coset-sampler laws come from the level sets of the label
 table the circuit writes into the target (Mosca-Ekert): the law is the
@@ -57,14 +52,15 @@ t = M x mod d for x uniform in G, M = D B^-1 over H's Hermite basis B, which
 is uniform on H^perp, at O(rank^2).  With one label per box point, as every
 builder but a merge writes, that is the law; a merged box keeps a proposal
 with probability law(t) / (m |H| / N), read from the box's labels in O(P)
-for P box points, which the cap bounds.
-The |G|-point coset law (`hsp_control_distribution`) serves the discrete
-log's chained coordinates and the tests: a multi-register table is
-read over its stabiliser K, found by rolls of the table
-(`_table_stabiliser`), and its law lives on K^perp, fixed by which K-cosets
-share a label.  With one label per coset it is |K|/N on K^perp with no FFT;
-other tables, such as merged ones, take one FFT over their same-label pairs
-of coset representatives, which the cap bounds with the points.  The dense
+for P box points, which the cap bounds; `_coset_law_at` reads the law at
+one drawn t the same way.
+The |G|-point coset law (`hsp_control_distribution`) serves the tests
+alone: a multi-register table is read over its stabiliser K, found by
+rolls of the table (`_table_stabiliser`), and its law lives on K^perp,
+fixed by which K-cosets share a label.  With one label per coset it is
+|K|/N on K^perp with no FFT; other tables, such as merged ones, take one
+FFT over their same-label pairs of coset representatives, which the cap
+bounds with the points.  The dense
 joint state (`_pre_measurement_state`) is only the reference that tests
 compare the laws against; the dual-route check is the one other circuit
 built on it.  Laws describe the instance rather than query it and bill
@@ -544,23 +540,18 @@ def _hsp_layout(instance: OracleInstance) -> RegisterLayout:
 
 def hsp_control_distribution(instance: OracleInstance) -> np.ndarray:
     """Exact joint law over all coordinate controls of the coset sampler,
-    read from f's table over the whole group: the discrete log's chained
-    coordinates and the tests read it, and `hsp_sample_batch` does not.
+    read from f's table over the whole group: the tests' reference, which
+    no sampler or solver reads.  A group of more points than the cap raises
+    CapExceeded before f is tabulated.
 
-    Returned flattened in row-major coordinate order.  Bills nothing; cached.
+    Returned flattened in row-major coordinate order.  Bills nothing.
     """
-    key = ("hsp",)
-    if key in instance._dist_cache:
-        return instance._dist_cache[key]
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup sampling needs a finite group domain")
     if spec.order > dimension_cap():  # before the table is built
         raise CapExceeded(f"coset law over {spec.order} points exceeds cap {dimension_cap()}")
-    law = level_set_law(instance.label_table(tuple(spec.moduli))).reshape(-1)
-    law.setflags(write=False)
-    instance._dist_cache[key] = law
-    return law
+    return level_set_law(instance.label_table(tuple(spec.moduli))).reshape(-1)
 
 
 def _coset_sampler(instance: OracleInstance) -> tuple:
@@ -651,34 +642,17 @@ def hsp_sample_batch(instance: OracleInstance, count: int, seed: int = 0) -> lis
     return draws[:count]
 
 
-def _coordinate_law(instance: OracleInstance, coordinate: int, measured: dict) -> np.ndarray:
-    """Law of coordinate j of the coset sampler's outcome given the
-    coordinates already measured on the same target (axis -> outcome): the
-    joint coset law at those outcomes, summed over every other axis and
-    renormalised.  Bills nothing."""
-    law = hsp_control_distribution(instance).reshape(instance.domain.moduli)
-    others = [i for i in range(law.ndim) if i != coordinate]
-    if coordinate not in range(law.ndim) or not set(measured) <= set(others):
-        raise ValueError(f"coordinate {coordinate} given {sorted(measured)} outside rank {law.ndim}")
-    law = np.moveaxis(law, coordinate, 0)[(slice(None),) + tuple(measured.get(i, slice(None)) for i in others)]
-    weights = law.reshape(law.shape[0], -1).sum(axis=1)
-    if not weights.sum() > 0.0:
-        raise ValueError(f"measured outcomes {measured} have probability zero")
-    return weights / weights.sum()
-
-
-def sample_coset_coordinate(
-    instance: OracleInstance, coordinate: int, measured: dict | None = None, *, seed: int = 0
-) -> PhaseSample:
-    """Estimate the eigenphase t_j / d_j of the shift along generator j on a
-    d_j-level control, on the target |f(identity)> after earlier estimations
-    read the `measured` coordinates (axis -> outcome).  The shifts commute,
-    so this draws from the coset law's conditional given those outcomes.
-    One query per draw."""
-    law = _coordinate_law(instance, coordinate, dict(measured or {}))
-    outcome = int(np.random.default_rng(seed).choice(law.size, p=law))
-    instance.counter.add(1)
-    return PhaseSample(outcome, law.size, float(law[outcome]), seed)
+def _coset_law_at(instance: OracleInstance, t) -> float:
+    """The coset law at one character t in H^perp, as `hsp_sample_batch`
+    reads it: 1/P for P box points when each has its own label, else
+    law(t) = acceptance(t) m / P (`_box_acceptance`).  Bills nothing."""
+    spec = instance.domain
+    dual, multiplicity, box = _coset_sampler(instance)
+    points = math.prod(instance.pivots)
+    if multiplicity == 1:
+        return 1.0 / points
+    t = np.array([t], dtype=dual.dtype)
+    return float(_box_acceptance(t, spec.moduli, multiplicity, *box)[0]) * multiplicity / points
 
 
 # --- dual-route verification ---------------------------------------------------

@@ -308,23 +308,6 @@ def subgroups_equal(a: SubgroupGenerators, b: SubgroupGenerators) -> bool:
     return a.generators == b.generators
 
 
-@dataclass(frozen=True)
-class CharacterSample:
-    """One measured character tuple t, with t_j in [0, d_j)."""
-
-    spec: GroupSpec
-    t: Element
-
-    def __post_init__(self) -> None:
-        if len(self.t) != self.spec.rank:
-            raise ValueError("sample arity does not match group rank")
-        if any(not 0 <= tj < dj for tj, dj in zip(self.t, self.spec.moduli)):
-            raise ValueError(f"sample {self.t} out of range for {self.spec.moduli}")
-
-    def to_json(self) -> dict:
-        return {"moduli": list(self.spec.moduli), "t": list(self.t)}
-
-
 def character_phase_numerator(spec: GroupSpec, t: Element, h: Element) -> int:
     """sum_j (L/d_j) * h_j * t_j mod L, with L = lcm(d_1, ..., d_l): the
     pairing the sampler fixes, as a numerator over L (0 iff t annihilates h)."""
@@ -364,7 +347,7 @@ def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
     """
     ts = set()
     for s in samples:
-        t = s.t if isinstance(s, CharacterSample) else tuple(s)
+        t = tuple(s)
         if len(t) != spec.rank:
             raise ValueError("sample arity does not match group rank")
         ts.add(t)

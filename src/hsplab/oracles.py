@@ -131,7 +131,7 @@ class OracleInstance:
         self.truth = truth or PlantedTruth()
         self.descriptor = descriptor or {}
         self.counter = QueryCounter()
-        self._dist_cache: dict = {}  # estimation-layer memo of register cycles and coset laws
+        self._dist_cache: dict = {}  # estimation-layer memo of register cycles and coset samplers
 
     @property
     def homomorphism_available(self) -> bool:
@@ -346,16 +346,20 @@ def make_dlog_instance(
         raise ValueError("give exactly one of modulus / order")
     if modulus is not None:
         q = int(modulus)
+        if q < 2:
+            raise ValueError("modulus must be >= 2")
         a, b = int(a) % q, int(b) % q
         if gcd(a, q) != 1 or gcd(b, q) != 1:
             raise ValueError("a and b must be units")
-        r = _multiplicative_order(a, q)
-        powers = [1]
-        while len(powers) < r:
-            powers.append(powers[-1] * a % q)
-        if b not in powers:
-            raise ValueError(f"{b} is not a power of {a} mod {q}")
-        m = powers.index(b)
+        powers, v = [1], a  # one walk of the powers of a, up to its first return to 1
+        while v != 1:
+            powers.append(v)
+            v = v * a % q
+        r = len(powers)
+        try:
+            m = powers.index(b)
+        except ValueError:
+            raise ValueError(f"{b} is not a power of {a} mod {q}") from None
         labels = powers  # b^x a^y = a^(m x + y)
 
         def shift(g: Element) -> np.ndarray:

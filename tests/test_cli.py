@@ -15,7 +15,7 @@ import pytest
 
 from hsplab import amplitudes, cli
 from hsplab.groups import SubgroupGenerators, subgroups_equal
-from hsplab.oracles import instance_from_json
+from hsplab.oracles import PlantedTruth, instance_from_json, make_dlog_instance
 from test_estimation import branch_tree_law
 
 
@@ -73,6 +73,24 @@ def test_dlog_run(capsys):
     )
     assert code == 0
     assert report["results"][0]["recovered"] == 4
+
+
+def test_dlog_run_past_the_coset_table(capsys):
+    """p = 1,000,003 with base 2 (r = 1,000,002, a group of 10^12 points):
+    the solver draws from the dual lattice, and the brute-force truth reads
+    one row of f's labels."""
+    code, report, _ = run(
+        capsys, "dlog", "--base", "2", "--target", "3", "--modulus", "1000003", "--seed", "0"
+    )
+    assert code == 0 and report["match"] is True
+    for trial in report["results"]:
+        assert pow(2, trial["recovered"], 1000003) == 3 and trial["truth"] == trial["recovered"]
+
+
+def test_dlog_truth_reads_f_alone():
+    inst = make_dlog_instance(2, 4, modulus=7)  # 2 has order 3 mod 7, and 4 = 2^2
+    inst.truth = PlantedTruth()
+    assert cli._truth_report("dlog", inst) == {"exponent": 2}
 
 
 def test_factor_run(capsys):

@@ -5,10 +5,11 @@ shift picture.
 The central cross-checks: the exact control-register law must equal the
 uniform mixture over k of the closed-form estimator distributions at phase
 k/r, the one-qubit cascade's law must equal the branch-tree walk of that
-cascade (`branch_tree_law`), and estimations chained on one kept target must
-draw from the laws of the dense two-stage chain (`dense_register_run`),
-which measures the dense joint state and keeps the collapsed target — each
-computed here from scratch, independent of the law engine.
+cascade (`branch_tree_law`), and the dense two-stage chain
+(`dense_chain_laws`), which measures the dense joint state and keeps the
+collapsed target, must draw jointly from the coset law, as a discrete log's
+one coset-sampler draw per trial does — each computed here from scratch,
+independent of the law engine.
 
 The one-register sampler's pointwise law is pinned to the n-point law and to
 the single-phase mixture, its envelope and tail proposal are checked
@@ -29,19 +30,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hsplab import algorithms
-from hsplab.algorithms import SolverParams, find_order, solve_dlog
+from hsplab import algorithms, estimation
+from hsplab.algorithms import BudgetExhausted, SolverParams, find_order, solve_dlog
 from hsplab.amplitudes import (
     CapExceeded,
+    RegisterLayout,
+    basis_state,
     dimension_cap,
+    from_amplitudes,
     marginal_distribution,
     measure_register,
     set_dimension_cap,
 )
 from hsplab.estimation import (
-    _coordinate_law,
     _coset_proposals,
     _coset_sampler,
+    _hsp_layout,
     _orbit_length,
     _periodic_law,
     _point_law,
@@ -53,7 +57,6 @@ from hsplab.estimation import (
     hsp_sample_batch,
     phase_estimate_semiclassical,
     sample_control,
-    sample_coset_coordinate,
     verify_main_equality,
 )
 from hsplab.groups import (
@@ -68,6 +71,8 @@ from hsplab.groups import (
 from hsplab.oracles import (
     OracleInstance,
     PlantedTruth,
+    apply_oracle,
+    classical_invariance_subgroup,
     classical_order,
     make_deutsch_instance,
     make_dlog_instance,
@@ -77,7 +82,7 @@ from hsplab.oracles import (
     make_simon_instance,
     wrap_many_to_one,
 )
-from hsplab.qft import estimator_distribution
+from hsplab.qft import apply_fourier, estimator_distribution
 
 
 def mixture_law(instance, n: int) -> np.ndarray:
@@ -224,10 +229,6 @@ def test_sample_estimates_are_fractions():
 
 
 def test_query_accounting_per_run():
-    inst = make_dlog_instance(3, 4, modulus=7)
-    sample_coset_coordinate(inst, 1, seed=1)
-    sample_coset_coordinate(inst, 0, {1: 2}, seed=2)
-    assert inst.query_count == 2  # one per chained estimation
     inst = make_order_instance(15, 2)
     before = inst.query_count
     sample_control(inst, 8, 7, seed=2)
@@ -503,25 +504,39 @@ def test_keep_target_trivial_period():
 
 def dense_chain_laws(instance):
     """Independent oracle for two estimations chained on one target of a
-    two-coordinate instance: stage one's law along generator 1 from
-    |f(identity)>, and for every outcome k of nonzero probability stage
-    two's law along generator 0 on the collapsed, renormalised target."""
+    two-coordinate instance: stage one's law along generator 1, and for
+    every outcome k of nonzero probability stage two's law along generator
+    0 on the collapsed, renormalised target.  With shift maps the target
+    starts at |f(identity)> and each stage drives one shift ladder; without
+    them, as for merged labels, both controls start uniform, one oracle
+    application writes f, and each control is transformed back in turn."""
     d0, d1 = instance.domain.moduli
-    state = _pre_measurement_state(instance, d1, "shift", 1, None)
-    first = marginal_distribution(state, 0)
     second = {}
+    if instance.homomorphism_available:
+        state = _pre_measurement_state(instance, d1, "shift", 1, None)
+        first = marginal_distribution(state, 0)
+        for k in np.flatnonzero(first > 1e-9):
+            kept = state.reshaped()[k]
+            kept = kept / np.linalg.norm(kept)
+            second[int(k)] = marginal_distribution(_pre_measurement_state(instance, d0, "shift", 0, kept), 0)
+        return first, second
+    state = basis_state(_hsp_layout(instance), (0, 0, 0))
+    state = apply_fourier(apply_fourier(state, 0), 1)
+    state = apply_fourier(apply_oracle(state, [0, 1], 2, instance), 1, inverse=True)
+    first = marginal_distribution(state, 1)
+    layout = RegisterLayout.of((d0, instance.codomain_size))
     for k in np.flatnonzero(first > 1e-9):
-        kept = state.reshaped()[k]
-        kept = kept / np.linalg.norm(kept)
-        second[int(k)] = marginal_distribution(_pre_measurement_state(instance, d0, "shift", 0, kept), 0)
+        kept = state.reshaped()[:, k]
+        kept = from_amplitudes(layout, (kept / np.linalg.norm(kept)).reshape(-1))
+        second[int(k)] = marginal_distribution(apply_fourier(kept, 0, inverse=True), 0)
     return first, second
 
 
 @st.composite
-def chain_instances(draw):
+def chain_instances(draw, kinds=("modulus", "order", "hsp")):
     """A discrete-log instance in either form (modulus or order up to 31),
     or a hidden subgroup of a two-coordinate group, with its shift maps."""
-    kind = draw(st.sampled_from(["modulus", "order", "hsp"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "modulus":
         q = draw(st.integers(2, 31))
         a = draw(st.sampled_from([a for a in range(1, q) if gcd(a, q) == 1]))
@@ -538,49 +553,84 @@ def chain_instances(draw):
     )
 
 
-@given(chain_instances(), st.integers(0, 1000))
-def test_chained_sampler_equals_the_dense_chain(inst, seed):
-    """Stage one draws from the coset law's marginal over t_1 and stage two
-    from its conditional over t_0 given t_1 = k: the dense chain's laws.  A
-    discrete log draws each of its stages from one of these laws."""
+@st.composite
+def merged_dlog_instances(draw):
+    """A discrete log mod a prime up to 31 whose labels are merged 2-to-1
+    in seeded pairs: no shift maps, and a box with two points to a label."""
+    q = draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    a = draw(st.integers(2, q - 1))
+    inner = make_dlog_instance(a, pow(a, draw(st.integers(0, q)), q), modulus=q)
+    merge = np.empty(q, dtype=np.int64)
+    merge[np.random.default_rng(draw(st.integers(0, 1000))).permutation(q)] = np.arange(q) // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return wrap_many_to_one(inner, merge, 2)
+
+
+@given(chain_instances() | merged_dlog_instances())
+def test_one_coset_draw_is_the_dense_chain(inst):
+    """The dense chain's joint law, stage one's marginal at k times stage
+    two's conditional at t_0, is the coset law at (t_0, k): one coset-sampler
+    draw is the two-stage circuit, which is how a discrete log runs it."""
     first, second = dense_chain_laws(inst)
-    assert_allclose(_coordinate_law(inst, 1, {}), first, rtol=0, atol=1e-12)
-    for k, law in second.items():
-        assert_allclose(_coordinate_law(inst, 0, {1: k}), law, rtol=0, atol=1e-12)
-    if inst.descriptor["kind"] != "dlog":
-        return
-    drawn = []
+    law = hsp_control_distribution(inst).reshape(inst.domain.moduli)
+    joint = np.zeros_like(law)
+    for k, conditional in second.items():
+        joint[:, k] = first[k] * conditional
+    assert_allclose(joint, law, rtol=0, atol=1e-12)
 
-    def spy(instance, coordinate, measured=None, *, seed):
-        drawn.append(_coordinate_law(instance, coordinate, dict(measured or {})))
-        expected = first if not measured else second[measured[1]]
-        assert_allclose(drawn[-1], expected, rtol=0, atol=1e-12)
-        return sample_coset_coordinate(instance, coordinate, measured, seed=seed)
 
-    with patch.object(algorithms, "sample_coset_coordinate", spy):
+@given(chain_instances(("modulus", "order")) | merged_dlog_instances(), st.integers(0, 1000))
+def test_dlog_stage_probabilities_are_the_dense_chain(inst, seed):
+    """Each trial's stage-one probability is the dense chain's marginal at
+    k and, when k != 0, stage two's is its conditional at t_0 = k m mod r:
+    a point mass.  A merge that grows the stabiliser past <(1, -m)> pins m
+    only modulo a proper divisor of r, so it may exhaust the budget."""
+    first, second = dense_chain_laws(inst)
+    try:
         res = solve_dlog(inst, SolverParams(seed=seed))
-    assert res.verified and len(drawn) == len(res.samples)
+    except BudgetExhausted:
+        assert not subgroups_equal(classical_invariance_subgroup(inst), inst.truth.subgroup)
+        return
+    assert res.verified
+    samples = iter(res.samples)
+    for stage_one in samples:
+        k = stage_one.observed
+        assert abs(stage_one.probability - first[k]) <= 1e-12
+        if k:
+            stage_two = next(samples)
+            assert stage_two.probability == 1.0
+            assert abs(second[k][stage_two.observed] - 1.0) <= 1e-12
+            assert stage_two.observed == k * inst.truth.dlog_exponent % inst.domain.moduli[0]
 
 
-def test_chained_sampler_bills_one_query_per_draw_and_replays_its_seed():
-    inst = make_dlog_instance(3, 5, modulus=7)  # r = 6, m = 5
-    a = sample_coset_coordinate(inst, 1, seed=4)
-    b = sample_coset_coordinate(inst, 0, {1: a.observed}, seed=5)
-    assert inst.query_count == 2
-    assert a == sample_coset_coordinate(inst, 1, seed=4)
-    assert (a.register_size, b.register_size) == (6, 6)
-    assert b.observed == 5 * a.observed % 6 and b.probability == pytest.approx(1.0)
+def test_dlog_bills_each_draw_each_stage_two_and_the_checks():
+    """f(0, 0), one query per trial's draw, one per stage two run on the
+    collapsed target (only when k != 0), and the one verification."""
+    zero_trials = 0
+    for seed in range(40):
+        inst = make_dlog_instance(3, 5, modulus=7)  # r = 6, m = 5
+        res = solve_dlog(inst, SolverParams(seed=seed))
+        assert res.verified and res.value == 5
+        assert res.collapsed_reuses == len(res.samples) - res.trials_used >= 1
+        assert inst.query_count == 1 + res.trials_used + res.collapsed_reuses + 1
+        assert [s.seed for s in res.samples if s.probability != 1.0] == list(range(seed, seed + res.trials_used))
+        zero_trials += res.trials_used - res.collapsed_reuses
+    assert zero_trials  # some trial read k = 0 and ran no stage two
 
 
-def test_chained_sampler_refuses_bad_coordinates():
-    inst = make_dlog_instance(3, 4, modulus=7)
-    for coordinate, measured in ((2, {}), (0, {0: 1}), (1, {2: 0})):
-        with pytest.raises(ValueError):
-            sample_coset_coordinate(inst, coordinate, measured)
-    hsp = make_hidden_subgroup_instance(GroupSpec.of([2, 2]), [(1, 0)])  # t_0 = 0 always
-    with pytest.raises(ValueError):
-        sample_coset_coordinate(hsp, 1, {0: 1})
-    assert inst.query_count == hsp.query_count == 0
+def test_dlog_reaches_past_the_coset_table():
+    """p = 65,537: the |G|-point coset law would hold 2^32 points, far above
+    the cap, and neither it nor f's table over G is ever read."""
+    inst = make_dlog_instance(3, pow(3, 40_000, 65_537), modulus=65_537)
+    inst.label_table = lambda shape: pytest.fail("tabulated f over the group")
+
+    def refuse(*args, **kwargs):
+        pytest.fail("read the |G|-point coset law")
+
+    with patch.object(estimation, "hsp_control_distribution", refuse), patch.object(estimation, "level_set_law", refuse):
+        res = solve_dlog(inst, SolverParams(seed=0))
+    assert res.verified and res.value == 40_000
 
 
 # --- hidden-subgroup sampling ----------------------------------------------------
@@ -644,20 +694,23 @@ def test_coset_sampler_chi_square_smoke(make, draws):
 
 
 def test_hsp_solver_reaches_past_any_table_over_the_group():
-    """Z_{2^30} x Z_{2^30} hiding <(1, 1), (0, 2)>, whose box {0} x {0, 1}
+    """Z_{2^b} x Z_{2^b} hiding <(1, 1), (0, 2)>, whose box {0} x {0, 1}
     holds two labels: the solver draws from the dual lattice and verifies by
-    single evaluations, and f is never tabulated over G (2^60 points)."""
-    spec = GroupSpec.of((1 << 30, 1 << 30))
-    planted = SubgroupGenerators.of(spec, [(1, 1), (0, 2)])
-    inst = OracleInstance(
-        domain=spec, codomain_size=2, basis=_hermite_basis(planted.generators, spec.moduli),
-        box_labels=[[0, 1]], truth=PlantedTruth(subgroup=planted),
-    )
-    inst.label_table = lambda shape: pytest.fail("tabulated f over the group")
-    res = algorithms.solve_hsp_general(inst, SolverParams(seed=0))
-    assert res.verified and subgroups_equal(res.value, planted)
-    assert inst._raw((5, 7)) == inst._raw((0, 2)) == 0
-    assert inst._raw((5, 6)) == 1
+    single evaluations, and f is never tabulated over G (2^60 points, and
+    2^80, past int64, where each verification point is drawn one coordinate
+    at a time, as the sampler draws x)."""
+    for bits in (30, 40):
+        spec = GroupSpec.of((1 << bits, 1 << bits))
+        planted = SubgroupGenerators.of(spec, [(1, 1), (0, 2)])
+        inst = OracleInstance(
+            domain=spec, codomain_size=2, basis=_hermite_basis(planted.generators, spec.moduli),
+            box_labels=[[0, 1]], truth=PlantedTruth(subgroup=planted),
+        )
+        inst.label_table = lambda shape: pytest.fail("tabulated f over the group")
+        res = algorithms.solve_hsp_general(inst, SolverParams(seed=0))
+        assert res.verified and subgroups_equal(res.value, planted)
+        assert inst._raw((5, 7)) == inst._raw((0, 2)) == 0
+        assert inst._raw((5, 6)) == 1
 
 
 def test_coset_sampler_falls_back_to_python_ints_past_int64():

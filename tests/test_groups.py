@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from hsplab import groups
 from hsplab.groups import (
-    CharacterSample,
     GroupSpec,
     SubgroupGenerators,
     all_subgroups,
@@ -220,20 +219,6 @@ def test_kernel_full_character_group_is_trivial():
     samples = list(product(range(4), range(2)))
     k = character_kernel(samples, spec)
     assert subgroup_enumerate(k) == frozenset({(0, 0)})
-
-
-def test_kernel_accepts_character_sample_objects():
-    spec = GroupSpec.of([2, 2])
-    k = character_kernel([CharacterSample(spec, (1, 0))], spec)
-    assert subgroup_enumerate(k) == frozenset({(0, 0), (0, 1)})
-
-
-def test_character_sample_validation():
-    spec = GroupSpec.of([2, 2])
-    with pytest.raises(ValueError):
-        CharacterSample(spec, (2, 0))
-    with pytest.raises(ValueError):
-        CharacterSample(spec, (0,))
 
 
 def test_pairing_weights_mixed_exponents():

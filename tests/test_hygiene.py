@@ -12,8 +12,9 @@ that keep the dense circuit as the reference the exact laws are tested
 against, so no production path samples from a state vector.  A fourth
 checks that every private top-level function is referenced somewhere in the
 package outside its own body; a helper only tests call belongs in the tests.
-A fifth checks that the one-register sampler draws with no n-point law, and
-a sixth that the coset sampler draws with no table over the group.
+A fifth checks that the one-register sampler draws with no n-point law, a
+sixth that the coset sampler draws with no table over the group, and a
+seventh that no solver names a law array.
 """
 
 from __future__ import annotations
@@ -193,3 +194,20 @@ def test_coset_sampler_draws_without_a_table_law():
     box's labels alone."""
     named = _named_on_the_way("hsp_sample_batch", COSET_TABLE_LAW)
     assert not any(named.values()), f"the coset sampler reaches a table law: {named}"
+
+
+# The |G|-point coset law, the laws of an array, and sampling over one.
+ARRAY_LAWS = frozenset({
+    "hsp_control_distribution", "level_set_law", "_stabiliser_law", "control_distribution", "choice",
+})
+
+
+def test_solvers_draw_without_an_array_law():
+    """`algorithms.py` names no law array and no `.choice`: a discrete log
+    reads its two chained estimations off one coset-sampler draw and the
+    law at that draw (`_coset_law_at`), which reaches no table law either."""
+    path = Path(hsplab.__file__).parent / "algorithms.py"
+    named = sorted(_references(ast.parse(path.read_text())) & ARRAY_LAWS)
+    assert not named, f"algorithms.py names array laws: {named}"
+    reached = _named_on_the_way("_coset_law_at", COSET_TABLE_LAW)
+    assert not any(reached.values()), f"the law at a draw reaches a table law: {reached}"

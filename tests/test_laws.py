@@ -39,6 +39,7 @@ from hsplab.amplitudes import (
 )
 from hsplab.estimation import (
     _box_acceptance,
+    _coset_law_at,
     _coset_proposals,
     _coset_sampler,
     _cyclic_period,
@@ -385,6 +386,25 @@ def test_draw_image_is_the_coset_law(inst):
     law, kept = enumerated_draws(inst)
     assert kept.min() == 1.0
     assert np.array_equal(law, hsp_control_distribution(inst))
+
+
+@settings(max_examples=150)
+@given(one_label_per_coset, st.sampled_from(["as built", "merged", "m-to-1"]), st.data())
+def test_law_at_one_character_is_the_coset_law(inst, kind, data):
+    """`_coset_law_at`, which a discrete log reads at its draws, is the
+    |G|-point coset law on all of H^perp, for every builder as built, with
+    its labels merged at random, and merged in runs of m."""
+    if kind == "merged":
+        inst = merged(inst, data)
+    elif kind == "m-to-1":
+        inst = bucket_merged(inst, data.draw(st.sampled_from([2, 3])), data.draw(st.integers(0, 1000)))
+    spec = inst.domain
+    dual, _, _ = _coset_sampler(inst)
+    perp = np.unique(_coset_proposals(dual, np.indices(spec.moduli).reshape(spec.rank, -1).T, spec.moduli), axis=0)
+    law = hsp_control_distribution(inst).reshape(spec.moduli)
+    at_perp = np.array([_coset_law_at(inst, t) for t in map(tuple, perp.tolist())])
+    assert np.abs(at_perp - law[tuple(perp.T)]).max() <= TOL
+    assert abs(at_perp.sum() - 1.0) <= TOL  # H^perp carries the whole law
 
 
 @settings(max_examples=120)

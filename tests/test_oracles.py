@@ -29,7 +29,6 @@ from hsplab.groups import (
 from hsplab.estimation import (
     phase_estimate_semiclassical,
     sample_control,
-    sample_coset_coordinate,
     verify_main_equality,
 )
 from hsplab.oracles import (
@@ -302,9 +301,12 @@ def test_dlog_constant_on_planted_cosets():
 
 
 def test_dlog_rejects_target_outside_cyclic_subgroup():
-    # <4> = {1, 4} mod 15; 2 is not in it
-    with pytest.raises(ValueError):
-        make_dlog_instance(4, 2, modulus=15)
+    # <4> = {1, 4} mod 15 and <2> = {1, 2, 4} mod 7: the targets are in neither
+    for a, b, q in ((4, 2, 15), (2, 3, 7)):
+        with pytest.raises(ValueError, match=f"{b} is not a power of {a} mod {q}"):
+            make_dlog_instance(a, b, modulus=q)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        make_dlog_instance(0, 0, modulus=1)
 
 
 def test_dlog_abstract_cyclic_mode():
@@ -631,10 +633,6 @@ def test_counter_counts_evaluate_and_applications():
     assert inst.query_count == 7  # one per step
     phase_estimate_semiclassical(inst, 3, seed=0)
     assert inst.query_count == 11  # three steps plus the default target
-    dlog = make_dlog_instance(3, 4, modulus=7)
-    sample_coset_coordinate(dlog, 1, seed=0)
-    sample_coset_coordinate(dlog, 0, {1: 1}, seed=0)
-    assert dlog.query_count == 2  # one per chained estimation
 
 
 def test_counter_exact_while_verifier_runs():
