@@ -26,6 +26,7 @@ from .groups import (
     SubgroupGenerators,
     _annihilated,
     _factorize,
+    _strip_period,
     _table_stabiliser,
     character_kernel,
 )
@@ -61,8 +62,6 @@ class SolverParams:
     seed: int = 0
     period_bound: int | None = None
     multiplicity: int | None = None
-    zero_run_threshold: int = 5
-    spot_checks: int = 10
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
@@ -80,8 +79,6 @@ class SolverParams:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.zero_run_threshold < 1 or self.spot_checks < 1:
-            raise ValueError("thresholds must be >= 1")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -154,20 +151,11 @@ def _register_size_for(params: SolverParams, bound: int) -> int:
     return choose_register_size(2 * bound * bound, params.epsilon)
 
 
-def _recover_period(
-    instance: OracleInstance,
-    params: SolverParams,
-    bound: int,
-    route: str | None,
-    generator: int = 0,
-) -> OrderResult:
+def _recover_period(instance: OracleInstance, params: SolverParams, bound: int) -> OrderResult:
     if bound < 1:
         raise ValueError("period bound must be >= 1")
     n = _register_size_for(params, bound)
     f0 = instance.evaluate(0)
-    if route is None:
-        route = "shift" if instance.homomorphism_available else "oracle"
-    target = f0 if route == "shift" else None
 
     evals: dict[int, int] = {}
 
@@ -180,10 +168,7 @@ def _recover_period(
     acc = 1
     samples: list[PhaseSample] = []
     for trial in range(params.trials):
-        sample = sample_control(
-            instance, n, 1,
-            generator=generator, seed=params.seed + trial, target=target, route=route,
-        )[0]
+        sample = sample_control(instance, n, 1, seed=params.seed + trial)[0]
         samples.append(sample)
         q = best_denominator_bounded(sample.observed, n, bound).denominator
         merged = lcm(acc, q)
@@ -192,21 +177,18 @@ def _recover_period(
         # fresh reading rather than a possibly poisoned accumulator
         acc = merged if merged <= bound else q
         if divides_period(acc):
-            for p in sorted(_factorize(acc)):
-                while acc % p == 0 and divides_period(acc // p):
-                    acc //= p
-            return OrderResult(acc, trial + 1, samples, True)
+            return OrderResult(_strip_period(acc, divides_period), trial + 1, samples, True)
     raise BudgetExhausted(
         f"no verified period within {params.trials} trials (register {n}, bound {bound})"
     )
 
 
-def _run_with_doubling(instance, params, route, generator) -> OrderResult:
+def _run_with_doubling(instance, params) -> OrderResult:
     guess = 2
     cap = instance.codomain_size  # the period never exceeds the label count
     while True:
         try:
-            return _recover_period(instance, params, min(guess, cap), route, generator)
+            return _recover_period(instance, params, min(guess, cap))
         except BudgetExhausted:
             if guess >= cap:
                 raise
@@ -214,22 +196,22 @@ def _run_with_doubling(instance, params, route, generator) -> OrderResult:
 
 
 def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
-    """Multiplicative order via phase estimation on the shift ladder.
+    """Multiplicative order, or any period, via phase estimation.
 
     Each trial costs one circuit sample plus at most a few verification
     evaluations; denominators from continued fractions are lcm-combined
     until f(r) = f(0) verifies, then stripped to the least verified period.
+    The query circuit and the shift ladder prepare one state, so the sample
+    is the same whether or not the instance has shift maps.
     """
     if params.period_bound is None:
-        return _run_with_doubling(instance, params, None, 0)
-    return _recover_period(instance, params, params.period_bound, None, 0)
+        return _run_with_doubling(instance, params)
+    return _recover_period(instance, params, params.period_bound)
 
 
 def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
-    """Period finding through plain oracle queries only (no shift maps)."""
-    if params.period_bound is None:
-        return _run_with_doubling(instance, params, "oracle", 0)
-    return _recover_period(instance, params, params.period_bound, "oracle", 0)
+    """Period finding: `find_order`, on a function with or without shift maps."""
+    return find_order(instance, params)
 
 
 def factor_via_order(n: int, params: SolverParams) -> int:
@@ -383,10 +365,10 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
     Infrastructure of the honest solver plus three safeguards: the register
     is sized for failure rate epsilon/m² (collisions dilute the good
     outcomes by at most m²); continued-fraction denominators are treated as
-    dilation factors to recurse on f(acc·t); a run of uninformative zero
-    outcomes (threshold `zero_run_threshold`) triggers the trailing
-    classical scan over at most m² multiples.  Candidate periods must pass
-    `spot_checks` random consistency evaluations, and the final answer is
+    dilation factors to recurse on f(acc·t); a run of five uninformative
+    zero outcomes triggers the trailing classical scan over at most m²
+    multiples.  Candidate periods must pass ten random consistency
+    evaluations, and the final answer is
     verified and minimized deterministically over a full window, so a false
     factor can never survive into the result.
     """
@@ -397,6 +379,7 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
     if m <= 1:
         return find_period(instance, params)
 
+    zero_run_threshold, spot_checks = 5, 10
     eps_amp = params.epsilon / (m * m)
     f0 = instance.evaluate(0)
     memo: dict[int, int] = {0: f0}
@@ -413,7 +396,7 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
     rng = np.random.default_rng(params.seed)
 
     def spot_confirm(candidate: int) -> bool:
-        for i in range(params.spot_checks):
+        for i in range(spot_checks):
             if i % 2 == 0:
                 t = int(rng.integers(1, 2 * bound))
                 if fval(candidate * t) != f0:
@@ -432,7 +415,7 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
                 return acc * s, evals
         return None, evals
 
-    max_steps = 20 * (params.zero_run_threshold + 4)
+    max_steps = 20 * (zero_run_threshold + 4)
     for attempt in range(params.trials):
         acc, zeros, steps = 1, 0, 0
         scan_evals = 0
@@ -449,14 +432,12 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
                 break
             n = choose_register_size(2 * level_bound * level_bound, eps_amp)
             view = dilated_view(instance, acc)
-            sample = sample_control(
-                view, n, 1, seed=params.seed + 5000 * attempt + steps, route="oracle"
-            )[0]
+            sample = sample_control(view, n, 1, seed=params.seed + 5000 * attempt + steps)[0]
             samples.append(sample)
             q = best_denominator_bounded(sample.observed, n, level_bound).denominator
             if q == 1:
                 zeros += 1
-                if zeros >= params.zero_run_threshold:
+                if zeros >= zero_run_threshold:
                     candidate, scan_evals = tail_scan(acc, min(m * m, level_bound))
                     if candidate is not None:
                         break
@@ -469,12 +450,8 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
             acc *= q
         if candidate is None or not is_period(candidate):
             continue
-        value = candidate
-        for p in sorted(_factorize(value)):
-            while value % p == 0 and is_period(value // p):
-                value //= p
         return OrderResult(
-            value, attempt + 1, samples, True,
+            _strip_period(candidate, is_period), attempt + 1, samples, True,
             scan_evaluations=scan_evals, factors_accepted=tuple(factors),
         )
     raise BudgetExhausted(f"no verified period within {params.trials} robust attempts")

@@ -357,10 +357,11 @@ def _dump_command(args) -> int:
                 raise ConfigError("--instance JSON is required for pe dumps")
             instance = instance_from_json(json.loads(args.instance))
             n_bits = args.bits
-            if args.kind == "register-pe":
-                law = control_distribution(instance, 1 << n_bits)
-            else:  # the one-qubit cascade's law is the shift route's (Griffiths-Niu)
-                law = control_distribution(instance, 1 << n_bits, route="shift")
+            # the one-qubit cascade's law is the register's (Griffiths-Niu),
+            # and the cascade runs on shift maps
+            if args.kind == "semiclassical-pe" and not instance.homomorphism_available:
+                raise ConfigError("the one-qubit cascade needs computable shift maps")
+            law = control_distribution(instance, 1 << n_bits)
             payload = {"kind": args.kind, "bits": n_bits,
                        "instance": instance.to_json(),
                        "probs": [float(p) for p in law]}

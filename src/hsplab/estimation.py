@@ -1,22 +1,19 @@
 """Eigenvalue-estimation circuits, sampled from their exact outcome laws.
 
-Two physically equivalent routes produce the same control-register law:
-
-  * ``shift`` — the one-register route: the target starts in the cyclic
-    vector |f(0)> (a uniform superposition of shift eigenvectors) and a
-    controlled ladder of shift maps imprints the eigenvalue phase on the
-    control register;
-  * ``oracle`` — the plain-query route: the control is put in uniform
-    superposition, one oracle application writes f into the target, and the
-    control is transformed back.
+The two circuits of the paper prepare one state, sum_x |x>|f(x)>: querying f
+into a target from a control in uniform superposition, and running the
+controlled ladder of shift maps on the cyclic vector |f(0)>, a uniform
+superposition of shift eigenvectors (`verify_main_equality` checks it).  So
+the control's law after the inverse Fourier transform does not depend on
+which circuit ran, and each law has one computation.
 
 On an n-level control, outcome x estimates a phase as x/n (exact Fourier
 transform over Z_n, any n).  The semiclassical variant replaces the control
 register by a single recycled qubit measured between steps, with each
 measured bit feeding a rotation into the next step.  Its outcome law is the
-shift route's register law on 2^bits levels (the Griffiths-Niu semiclassical
-Fourier transform), so `control_distribution` is its one law; tests check
-it against an independent walk of the cascade's binary branch tree.  The
+register law on 2^bits levels (the Griffiths-Niu semiclassical Fourier
+transform), so `control_distribution` is its one law; tests check it
+against an independent walk of the cascade's binary branch tree.  The
 runner draws its bits from the same eigenphase mixture: the basis target
 is a uniform superposition of the L shift eigenvectors on its cycle, so a
 run carries L weights on the phases k/L, each bit's law is their weighted
@@ -26,9 +23,10 @@ The register and coset-sampler laws come from the level sets of the label
 table the circuit writes into the target (Mosca-Ekert): the law is the
 summed power spectrum of their indicators.  Every one-dimensional law is
 `_periodic_law`, read from one period of labels, never from the n-point
-table: an integer-domain instance's `period_labels` on the oracle route,
-the orbit of the target label under the unit shift on the shift route, and
-a rank-1 coset table as its own period.  Level sets are then unions of
+table: the default target's row of labels f(k g) along the generator, which
+is `period_labels` on the integers and one `label_table` row on a finite
+domain, an off-orbit basis target's cycle under the unit shift, and a
+rank-1 coset table as its own period.  Level sets are then unions of
 residue classes mod L, so the law is a mixture over the eigenphases k/L
 fixed by the same-label pairs of one period counted by lag mod n: two
 Dirichlet kernels weight those counts' spectra, in O(n) memory.  Distinct
@@ -62,7 +60,7 @@ fixed by which K-cosets share a label.  With one label per coset it is
 FFT over their same-label pairs of coset representatives, which the cap
 bounds with the points.  The dense
 joint state (`_pre_measurement_state`) is only the reference that tests
-compare the laws against; the dual-route check is the one other circuit
+compare the laws against; `verify_main_equality` is the one other circuit
 built on it.  Laws describe the instance rather than query it and bill
 nothing; samplers bill one query per draw and the semiclassical runner one
 per step."""
@@ -84,7 +82,7 @@ from .amplitudes import (
     from_amplitudes,
     l2_distance,
 )
-from .groups import _dual_rows, _exact_dtype, _factorize, _hermite_basis, _table_stabiliser
+from .groups import _dual_rows, _exact_dtype, _hermite_basis, _strip_period, _table_stabiliser
 from .oracles import OracleInstance, apply_oracle, apply_shift
 from .qft import apply_fourier
 
@@ -129,18 +127,6 @@ def _target_amplitudes(instance: OracleInstance, target) -> np.ndarray:
     return vec
 
 
-def _resolve_route(instance: OracleInstance, route: str | None) -> str:
-    if route is None:
-        route = "shift" if instance.homomorphism_available else "oracle"
-    if route == "shift" and not instance.homomorphism_available:
-        raise ValueError("shift route needs computable shift maps")
-    if route == "oracle" and instance.domain is not None:
-        raise ValueError("single-register oracle route is for integer domains")
-    if route not in ("shift", "oracle"):
-        raise ValueError(f"unknown route {route!r}")
-    return route
-
-
 def _pre_measurement_state(
     instance: OracleInstance,
     register_size: int,
@@ -149,8 +135,9 @@ def _pre_measurement_state(
     target,
 ) -> QuantumState:
     """The joint control-target state just before the control is measured,
-    built densely on n x |X| amplitudes: the laws' test reference, which
-    also takes an amplitude-vector target, such as one kept.  Bills nothing."""
+    built densely on n x |X| amplitudes by either circuit, the "oracle"
+    query or the "shift" ladder: the laws' test reference, which also takes
+    an amplitude-vector target, such as one kept.  Bills nothing."""
     n = int(register_size)
     x_size = instance.codomain_size
     layout = RegisterLayout.of((n, x_size), ("control", "target"))
@@ -171,15 +158,19 @@ def _pre_measurement_state(
 # --- exact outcome laws ------------------------------------------------------
 
 
-def _cyclic_period(cycle: np.ndarray) -> int:
-    """Least p with np.roll(cycle, p) == cycle.  The shifts that fix a cycle
-    of length L form a subgroup of Z_L, so the least one divides L, and it is
-    L stripped of each prime factor for as long as the roll still matches."""
-    period = cycle.size
-    for p in _factorize(cycle.size):
-        while period % p == 0 and np.array_equal(np.roll(cycle, period // p), cycle):
-            period //= p
-    return period
+def _reduced_cycle(cycle: np.ndarray) -> tuple:
+    """(L, labels) of a cycle of labels: L its least cyclic period, and
+    `labels` one period as indices into the occupied labels, or None when
+    the cycle's labels are distinct and it is its own least period.  The
+    rolls that fix a cycle form a subgroup of Z_size, so L divides the size
+    and is what `_strip_period` leaves of it."""
+    # a plain unique first: distinct labels, the common case, need no inverse,
+    # and skipping its allocations measured ~10% faster order finding
+    if np.unique(cycle).size == cycle.size:
+        return cycle.size, None
+    labels = np.unique(cycle, return_inverse=True)[1]
+    period = _strip_period(labels.size, lambda d: np.array_equal(np.roll(labels, d), labels))
+    return period, labels[:period]
 
 
 def _sin_turns(r: np.ndarray, n: int) -> np.ndarray:
@@ -221,13 +212,12 @@ def _pair_spectra(labels: np.ndarray, occupied: int, n: int) -> tuple:
     return spectra[0].real, spectra[0].imag, spectra[1]
 
 
-def _periodic_law(cycle: np.ndarray, n: int) -> np.ndarray:
-    """level_set_law of the n-point table that repeats `cycle`.
+def _periodic_law(period: int, labels, n: int) -> np.ndarray:
+    """level_set_law of the n-point table that repeats one period of L <= n
+    labels, given as `_reduced_cycle` gives them: `labels` as indices into
+    the occupied labels, or None when the L labels are distinct.
 
-    A cycle longer than n is cut to its first n labels.  A cycle with
-    repeated labels is first cut to its least cyclic period; a cycle of
-    distinct labels is its own.  With L that period and n = Q L + s,
-    a level set holds the points a + k L with a < L and
+    With n = Q L + s, a level set holds the points a + k L with a < L and
     k < Q, and k = Q too when a < s.  So its indicator's spectrum is
     A(x) D_Q(x) + B(x) w^(Q y), with w = exp(-2 pi i / n), y = x L mod n,
     D_Q = sum_{k<Q} w^(k y), and A, B the sums of w^(x a) over its points
@@ -243,17 +233,9 @@ def _periodic_law(cycle: np.ndarray, n: int) -> np.ndarray:
     spectra.  Distinct labels pair only with themselves, so every count sits
     at lag 0, the spectra are the constants L, s and s, and the law is
     (s K_{Q+1} + (L - s) K_Q) / n^2, with no FFT."""
-    cycle = np.asarray(cycle)[:n]
-    # a plain unique first: distinct labels, the common case, are their own
-    # least period, and skipping the fold's allocations there measured ~10%
-    # faster order finding
-    occupied = np.unique(cycle).size
-    if occupied < cycle.size:
-        cycle = np.unique(cycle, return_inverse=True)[1]
-        cycle = cycle[: _cyclic_period(cycle)]
-    period = cycle.size
     q, s = divmod(n, period)
-    spectra = (float(period), float(s), float(s)) if occupied == period else _pair_spectra(cycle, occupied, n)
+    occupied = period if labels is None else int(labels.max()) + 1
+    spectra = (float(period), float(s), float(s)) if occupied == period else _pair_spectra(labels, occupied, n)
     law = np.empty(n)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
@@ -323,20 +305,20 @@ def level_set_law(table) -> np.ndarray:
     shaped like the table.
 
     A table whose N points exceed the dimension cap raises CapExceeded.  A
-    one-dimensional table takes `_periodic_law` as the one period of
-    itself, a multi-register table `_stabiliser_law`."""
+    one-dimensional table takes `_periodic_law` over its least cyclic
+    period, a multi-register table `_stabiliser_law`."""
     table = np.asarray(table, dtype=np.int64)
     if table.size > dimension_cap():
         raise CapExceeded(f"label-table law over {table.size} points exceeds cap {dimension_cap()}")
     if table.ndim == 1:
-        return _periodic_law(table, table.size)
+        return _periodic_law(*_reduced_cycle(table), table.size)
     return _stabiliser_law(table)
 
 
 def _orbit_length(instance: OracleInstance, label: int, generator: int, limit: int) -> int:
     """Length of the cycle of `label` under the unit shift along the
     generator, counted up to `limit`: the period of the target labels the
-    shift route's control points write.  A permutation's cycle holds
+    shift ladder's control points write.  A permutation's cycle holds
     distinct labels, so its length is all a law needs of it."""
     if not 0 <= label < instance.codomain_size:
         raise ValueError(f"target label {label} outside the codomain")
@@ -349,41 +331,52 @@ def _orbit_length(instance: OracleInstance, label: int, generator: int, limit: i
     return length
 
 
-def _register_cycle(instance: OracleInstance, n: int, generator: int, target, route: str | None) -> tuple:
+def _register_cycle(instance: OracleInstance, n: int, generator: int, target) -> tuple:
     """(L, labels, m) of the labels an n-point control register writes,
     cut at n points: L their least cyclic period, `labels` one period as
-    indices into the occupied labels, or None when those L labels are
+    indices into the occupied labels, or None when the labels written are
     distinct, and m the largest count of one label in a period.
 
-    The oracle route reads `period_labels`, the shift route the cycle of the
-    basis target (None means f at the identity) under the unit shift; on the
-    integers, f(0)'s cycle is read off `period_labels` too.  The cap bounds
-    L; cached on the instance."""
-    route = _resolve_route(instance, route)
+    The default target (None or f at the identity) writes f's row of labels
+    f(k g) along the generator g: `period_labels` on the integers, one
+    `label_table` row of at most min(d_j, n, cap + 1) points on a finite
+    domain.  With shift maps that row is the orbit of f(0) under a
+    permutation, so its labels are distinct up to the first return of f(0),
+    where the cycle ends; without them the row is cut at n and reduced to
+    its least cyclic period (`_reduced_cycle`), and a finite domain, which
+    has no period of labels to cut, raises ValueError.  Any other basis
+    label's cycle is walked under the unit shift (`_orbit_length`).  The cap
+    bounds L, or the cut row when it is reduced; cached on the instance."""
     if target is not None and not isinstance(target, (int, np.integer)):
         raise ValueError("control laws take a basis-label target or None")
-    key = ("cycle", route, n, generator, target)
+    key = ("cycle", n, generator, target)
     if key in instance._dist_cache:
         return instance._dist_cache[key]
-    if route == "oracle":
-        cycle = instance.period_labels[:n]
-        length = cycle.size
-    elif instance.domain is None and (target is None or target == instance.period_labels[0]):
-        # the shift maps commute, so the unit shift walks f(0)'s label
-        # through f(1), f(2), ..., and its cycle ends at the first return
-        repeats = np.flatnonzero(instance.period_labels[1:] == instance.period_labels[0])
-        length = min(int(repeats[0]) + 1 if repeats.size else instance.period_labels.size, n)
+    spec = instance.domain
+    row = None  # the default target's row, when it is reduced
+    if target is not None and target != instance._raw(_identity_point(instance)):
+        length = _orbit_length(instance, int(target), generator, min(n, dimension_cap() + 1))
+    elif spec is not None and not instance.homomorphism_available:
+        raise ValueError("a single-register law on a finite domain needs shift maps")
     else:
-        label = instance._raw(_identity_point(instance)) if target is None else int(target)
-        length = _orbit_length(instance, label, generator, min(n, dimension_cap() + 1))
+        if spec is None:
+            row = instance.period_labels[:n]
+        else:
+            size = min(spec.moduli[generator], n, dimension_cap() + 1)
+            row = instance.label_table(tuple(size if j == generator else 1 for j in range(spec.rank))).reshape(-1)
+        length = row.size
+        if instance.homomorphism_available:
+            # the shift maps commute, so the unit shift walks f(0)'s label
+            # through f(g), f(2g), ..., and its cycle ends at the first return
+            returns = np.flatnonzero(row[1:] == row[0])
+            length, row = int(returns[0]) + 1 if returns.size else length, None
     if length > dimension_cap():
         raise CapExceeded(f"register cycle of at least {length} labels exceeds cap {dimension_cap()}")
     entry = (length, None, 1)
-    # a plain unique first: distinct labels, the common case, need no inverse
-    if route == "oracle" and np.unique(cycle).size < length:
-        labels = np.unique(cycle, return_inverse=True)[1]
-        labels = labels[: _cyclic_period(labels)]
-        entry = (labels.size, labels, int(np.bincount(labels).max()))
+    if row is not None:
+        period, labels = _reduced_cycle(row)
+        if labels is not None:
+            entry = (period, labels, int(np.bincount(labels).max()))
     instance._dist_cache[key] = entry
     return entry
 
@@ -394,17 +387,15 @@ def control_distribution(
     *,
     generator: int = 0,
     target=None,
-    route: str | None = None,
 ) -> np.ndarray:
     """Exact control-register law of the estimation circuit, as an n-point
     array: `dump` and the tests read it, and the sampler does not.  Bills
-    nothing.  The shift route's target must be a basis label (None means f
-    at the identity)."""
+    nothing.  The target must be a basis label (None means f at the
+    identity)."""
     n = int(register_size)
     if n > dimension_cap():
         raise CapExceeded(f"control law over {n} points exceeds cap {dimension_cap()}")
-    period, labels, _ = _register_cycle(instance, n, int(generator), target, route)
-    return _periodic_law(np.arange(period) if labels is None else labels, n)
+    return _periodic_law(*_register_cycle(instance, n, int(generator), target)[:2], n)
 
 
 def _sin_turn(r: int, n: int) -> float:
@@ -501,7 +492,6 @@ def sample_control(
     generator: int = 0,
     seed: int = 0,
     target=None,
-    route: str | None = None,
 ) -> list[PhaseSample]:
     """Draw measurement outcomes from the exact control law, each with its
     probability, and with no n-point array.
@@ -516,7 +506,7 @@ def sample_control(
     circuit and costs one query.
     """
     n = int(register_size)
-    period, labels, multiplicity = _register_cycle(instance, n, int(generator), target, route)
+    period, labels, multiplicity = _register_cycle(instance, n, int(generator), target)
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(int(count)):
@@ -742,10 +732,13 @@ def phase_estimate_semiclassical(
     only kicks their phases k/L back onto the control, so the run carries L
     weights in place of a state: bit 0 has probability
     cos^2(pi (p k / L + turns)) under phase k, the bit is drawn from the
-    weighted sum, and the weights are conditioned on it.  The outcome law is
-    `control_distribution(instance, 2**n_bits, route="shift")`, the register
-    route's on 2^n_bits levels (Griffiths-Niu).  Costs one query per step
-    plus one `evaluate` when the default target is requested.
+    weighted sum, and the weights are conditioned on it.  L is the target's
+    `_register_cycle` cut at the codomain size, which no permutation cycle
+    exceeds, so the default target's is read off f's row of labels and the
+    cap bounds it.  The outcome law is `control_distribution(instance,
+    2**n_bits)`, the register's on 2^n_bits levels (Griffiths-Niu).  Costs
+    one query per step plus one `evaluate` when the default target is
+    requested.
     """
     n_bits = int(n_bits)
     if n_bits < 1:
@@ -755,7 +748,7 @@ def phase_estimate_semiclassical(
     if target is not None and not isinstance(target, (int, np.integer)):
         raise ValueError("the cascade takes a basis-label target or None")
     label = instance.evaluate(_identity_point(instance)) if target is None else int(target)
-    period = _orbit_length(instance, label, int(generator), instance.codomain_size)
+    period = _register_cycle(instance, instance.codomain_size, int(generator), label)[0]
     phases = np.arange(period, dtype=np.int64)  # eigenphase k / period
     weights = np.full(period, 1.0 / period)
     rng = np.random.default_rng(seed)

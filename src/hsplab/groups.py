@@ -56,6 +56,18 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _strip_period(multiple: int, holds) -> int:
+    """Least divisor d of `multiple` with holds(d), when the divisors that
+    hold are the multiples of one of them, as the periods of a function
+    are: each prime factor, smallest first, is divided out for as long as
+    the quotient still holds."""
+    value = multiple
+    for p in sorted(_factorize(multiple)):
+        while value % p == 0 and holds(value // p):
+            value //= p
+    return value
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Moduli of the cyclic factors, left to right."""

@@ -15,8 +15,10 @@ table is its own box over H = {0}.  The flags:
 
   * `codomain_size` — the label-space size |X| (the image may be smaller);
   * `homomorphism_available` — whether the shift maps |f(y)> -> |f(y+g)>
-    are computable, which decides between the one-register estimation route
-    and the plain f-query route;
+    are computable, as the one-qubit cascade and estimations on targets off
+    f's orbit need; with them, f's row of labels f(k g) is the orbit of f(0)
+    under a permutation, so its labels are distinct up to their first
+    return;
   * `multiplicity_bound` — the known m for instances that are at most
     m-to-1 on cosets (1 for honest hidden-subgroup promises).
 
@@ -213,6 +215,16 @@ def _multiplicative_order(a: int, n: int) -> int:
     return r
 
 
+def _powers(a: int, n: int) -> list[int]:
+    """a^0, a^1, ... mod n, up to the first return to 1: one walk of a
+    unit's powers, whose count is its order."""
+    powers, v = [1], a
+    while v != 1:
+        powers.append(v)
+        v = v * a % n
+    return powers
+
+
 def make_order_instance(n: int, a: int) -> OracleInstance:
     """f(t) = a^t mod n on the integers; the period is the order of a.
 
@@ -226,10 +238,7 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
     a %= n
     if gcd(a, n) != 1:
         raise ValueError(f"base {a} is not a unit mod {n}")
-    powers, v = [1], a
-    while v != 1:
-        powers.append(v)
-        v = v * a % n
+    powers = _powers(a, n)
 
     def shift(g: int) -> np.ndarray:
         return (np.arange(n, dtype=np.int64) * pow(a, g, n)) % n
@@ -351,10 +360,7 @@ def make_dlog_instance(
         a, b = int(a) % q, int(b) % q
         if gcd(a, q) != 1 or gcd(b, q) != 1:
             raise ValueError("a and b must be units")
-        powers, v = [1], a  # one walk of the powers of a, up to its first return to 1
-        while v != 1:
-            powers.append(v)
-            v = v * a % q
+        powers = _powers(a, q)
         r = len(powers)
         try:
             m = powers.index(b)

@@ -50,6 +50,7 @@ from hsplab.estimation import (
     _periodic_law,
     _point_law,
     _pre_measurement_state,
+    _reduced_cycle,
     _register_cycle,
     _tail_index,
     control_distribution,
@@ -80,6 +81,7 @@ from hsplab.oracles import (
     make_order_instance,
     make_period_instance,
     make_simon_instance,
+    make_stabiliser_instance,
     wrap_many_to_one,
 )
 from hsplab.qft import apply_fourier, estimator_distribution
@@ -191,10 +193,14 @@ def test_register_exact_phase_quarters():
 
 @pytest.mark.parametrize("n", [8, 13, 21])
 def test_register_law_is_uniform_eigenvector_mixture(n):
+    """One law, the mixture, and the marginal of the dense state that the
+    query circuit and the shift ladder each prepare."""
     for inst in (make_order_instance(15, 2), make_order_instance(7, 3)):
+        law = control_distribution(inst, n)
+        assert_allclose(law, mixture_law(inst, n), atol=1e-10)
         for route in ("oracle", "shift"):
-            law = control_distribution(inst, n, route=route)
-            assert_allclose(law, mixture_law(inst, n), atol=1e-10)
+            dense = marginal_distribution(_pre_measurement_state(inst, n, route, 0, None), 0)
+            assert_allclose(law, dense, atol=1e-10)
 
 
 def test_register_oracle_route_for_period_instance():
@@ -205,10 +211,9 @@ def test_register_oracle_route_for_period_instance():
 
 def test_register_law_checks_cap_before_building_its_table():
     # a 2^40-point table would need 8 TiB; the cap must stop it first
-    inst = make_order_instance(15, 2)
-    for route in ("oracle", "shift"):
+    for inst in (make_order_instance(15, 2), make_period_instance(4)):
         with pytest.raises(CapExceeded):
-            control_distribution(inst, 1 << 40, route=route)
+            control_distribution(inst, 1 << 40)
 
 
 def test_sampler_law_total_variation():
@@ -276,8 +281,8 @@ def test_point_law_matches_the_register_law(case, seed):
     mixture of its period for distinct labels, and at most m times that
     mixture for an m-to-1 merge."""
     inst, n = case
-    period, labels, merged = _register_cycle(inst, n, 0, None, "oracle")
-    law = _periodic_law(inst.period_labels, n)
+    period, labels, merged = _register_cycle(inst, n, 0, None)
+    law = _periodic_law(*_reduced_cycle(inst.period_labels[:n]), n)
     points = range(n) if n <= 500 else np.random.default_rng(seed).integers(n, size=300).tolist()
     for x in points:
         at, mixture = _point_law(x, n, period, labels)
@@ -420,29 +425,91 @@ def test_default_target_cycle_is_the_first_return_of_f0(inst, n, explicit):
     f(2), ..., so the first return of f(0) in one period is the cycle the
     walk of `_orbit_length` counts, cut at n points."""
     f0 = int(inst.period_labels[0])
-    cycle = _register_cycle(inst, n, 0, f0 if explicit else None, "shift")
+    cycle = _register_cycle(inst, n, 0, f0 if explicit else None)
     assert cycle == (_orbit_length(inst, f0, 0, n), None, 1)
 
 
 def test_find_order_reads_its_cycle_off_the_period():
-    """N = 1,000,003: the shift route's cycle is the period of labels the
-    build holds, so no shift map of a million labels is built or walked."""
+    """N = 1,000,003: the default target's cycle is read off the period of
+    labels the build holds, so no shift map of a million labels is built or
+    walked."""
     inst = make_order_instance(1_000_003, 2)
     inst.shift_permutation = lambda g: pytest.fail("built a shift map")
     res = find_order(inst, SolverParams(seed=1, period_bound=1_000_003))
     assert res.verified and res.value == inst.truth.period and pow(2, res.value, 1_000_003) == 1
 
 
+@st.composite
+def shifted_finite_instances(draw):
+    """A finite-domain instance with shift maps and a generator index: a
+    hidden subgroup, Simon's problem, a discrete log in either form, or the
+    stabiliser of a point under a translation action of Z_d1 x Z_d2 on
+    Z_points, each weight a multiple of points / gcd(points, d_j)."""
+    kind = draw(st.sampled_from(["hsp", "simon", "modulus", "order", "stabiliser"]))
+    if kind == "hsp":
+        moduli = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(lambda m: math.prod(m) <= 64))
+        element = st.tuples(*(st.integers(0, d - 1) for d in moduli))
+        inst = make_hidden_subgroup_instance(
+            GroupSpec.of(moduli), draw(st.lists(element, max_size=2)), relabel_seed=draw(st.integers(0, 1000)),
+        )
+    elif kind == "simon":
+        bits = draw(st.integers(1, 5))
+        secret = draw(st.lists(st.integers(0, 1), min_size=bits, max_size=bits).filter(any))
+        inst = make_simon_instance(bits, secret)
+    elif kind in ("modulus", "order"):
+        inst = draw(chain_instances((kind,)))
+    else:
+        moduli = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+        points = draw(st.integers(1, 12))
+        weights = [points // gcd(points, d) * draw(st.integers(0, 3)) for d in moduli]
+        inst = make_stabiliser_instance(
+            GroupSpec.of(moduli), lambda g, pt: (pt + sum(w * c for w, c in zip(weights, g))) % points,
+            draw(st.integers(0, points - 1)), points,
+        )
+    return inst, draw(st.integers(0, inst.domain.rank - 1))
+
+
+@given(shifted_finite_instances(), st.integers(1, 64), st.booleans())
+def test_default_target_cycle_is_the_first_return_on_finite_domains(case, n, explicit):
+    """Along every generator g, the unit shift walks f(0)'s label through
+    f(g), f(2g), ..., so the first return of f(0) in f's row of labels is
+    the cycle the walk of `_orbit_length` counts, cut at n points."""
+    inst, generator = case
+    f0 = inst._raw(inst.domain.identity())
+    cycle = _register_cycle(inst, n, generator, f0 if explicit else None)
+    assert cycle == (_orbit_length(inst, f0, generator, n), None, 1)
+
+
+def test_finite_domain_register_law_needs_shift_maps():
+    """A finite domain without shift maps has no period of labels to cut, so
+    a single-register law there raises, as a merged coset table shows."""
+    inst = bucket_merged_cosets([6, 6], [], 3, 1)
+    with pytest.raises(ValueError, match="shift maps"):
+        control_distribution(inst, 8)
+
+
+def test_cascade_reads_its_default_cycle_off_the_period():
+    """N = 1,000,003, eight bits: the one-qubit cascade takes the default
+    target's cycle of 1,000,002 labels from the period of labels, so no
+    shift map is built or walked, and it bills one query per step plus f(0)."""
+    inst = make_order_instance(1_000_003, 2)
+    inst.shift_permutation = lambda g: pytest.fail("built a shift map")
+    run = phase_estimate_semiclassical(inst, 8, seed=3)
+    assert run.live_dimension == inst.truth.period == 1_000_002
+    assert inst.query_count == 9
+
+
 def test_register_cycle_is_capped_on_its_labels():
-    inst = make_order_instance(35, 2)  # r = 12
+    """With shift maps (order) and without (period), r = 12 labels."""
     previous = dimension_cap()
     set_dimension_cap(11)
     try:
-        for route in ("oracle", "shift"):
+        for inst in (make_order_instance(35, 2), make_period_instance(12)):
             with pytest.raises(CapExceeded, match="register cycle"):
-                sample_control(inst, 1 << 30, 1, route=route)
+                sample_control(inst, 1 << 30, 1)
         set_dimension_cap(12)
-        assert sample_control(inst, 1 << 30, 1, route="shift")[0].register_size == 1 << 30
+        for inst in (make_order_instance(35, 2), make_period_instance(12)):
+            assert sample_control(inst, 1 << 30, 1)[0].register_size == 1 << 30
     finally:
         set_dimension_cap(previous)
 
@@ -751,7 +818,7 @@ def test_semiclassical_trivial_period_all_zero_bits():
 
 def test_semiclassical_matches_register_law_exactly():
     inst = make_order_instance(15, 4)  # r = 2
-    reg = control_distribution(inst, 8, route="shift")
+    reg = control_distribution(inst, 8)
     semi = branch_tree_law(inst, 3)
     assert np.abs(reg - semi).sum() < 1e-9
     assert set(np.flatnonzero(semi > 1e-12)) == {0, 4}
@@ -764,7 +831,7 @@ def test_semiclassical_equivalence_battery(bits):
         make_order_instance(7, 3),
         make_order_instance(15, 4),
     ):
-        reg = control_distribution(inst, 2**bits, route="shift")
+        reg = control_distribution(inst, 2**bits)
         semi = branch_tree_law(inst, bits)
         assert np.abs(reg - semi).sum() < 1e-9
 
@@ -795,7 +862,7 @@ def cascade_cases(draw):
 @given(cascade_cases(), st.integers(1, 8))
 def test_semiclassical_law_is_the_shift_register_law(case, bits):
     inst, generator = case
-    law = control_distribution(inst, 2**bits, generator=generator, route="shift")
+    law = control_distribution(inst, 2**bits, generator=generator)
     assert_allclose(law, branch_tree_law(inst, bits, generator=generator), rtol=0, atol=1e-12)
 
 
@@ -832,7 +899,7 @@ def test_semiclassical_takes_the_target_cycle():
     # the same length, while 5's cycle {5, 10} is half the period
     for target, cycle in ((3, 4), (5, 2), (1, 4)):
         inst = make_order_instance(15, 2)
-        law = control_distribution(inst, 16, target=target, route="shift")
+        law = control_distribution(inst, 16, target=target)
         for seed in range(6):
             run = phase_estimate_semiclassical(inst, 4, seed=seed, target=target)
             assert run.live_dimension == cycle

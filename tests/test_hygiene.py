@@ -13,8 +13,10 @@ against, so no production path samples from a state vector.  A fourth
 checks that every private top-level function is referenced somewhere in the
 package outside its own body; a helper only tests call belongs in the tests.
 A fifth checks that the one-register sampler draws with no n-point law, a
-sixth that the coset sampler draws with no table over the group, and a
-seventh that no solver names a law array.
+sixth that the coset sampler draws with no table over the group, a seventh
+that no solver names a law array, and an eighth that no function but the
+dense reference takes a `route`: the query circuit and the shift ladder
+prepare one state, so no law or solver chooses between them.
 """
 
 from __future__ import annotations
@@ -211,3 +213,18 @@ def test_solvers_draw_without_an_array_law():
     assert not named, f"algorithms.py names array laws: {named}"
     reached = _named_on_the_way("_coset_law_at", COSET_TABLE_LAW)
     assert not any(reached.values()), f"the law at a draw reaches a table law: {reached}"
+
+
+def test_only_the_dense_reference_takes_a_route():
+    """The two circuits are built side by side only where the laws' dense
+    reference builds them; no other function in the package has a
+    parameter named `route`."""
+    taking = set()
+    for path in Path(hsplab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+                if "route" in names:
+                    taking.add((path.name, getattr(node, "name", "<lambda>")))
+    assert taking == {("estimation.py", "_pre_measurement_state")}

@@ -625,7 +625,7 @@ def test_counter_counts_evaluate_and_applications():
     assert inst.query_count == 1  # gates bill nothing; the samplers and runners do
     sample_control(inst, 8, 1, seed=0, target=1)
     assert inst.query_count == 2  # one circuit
-    sample_control(inst, 8, 1, seed=0, route="oracle")
+    sample_control(inst, 16, 1, seed=0, target=1)
     assert inst.query_count == 3
     sample_control(inst, 8, 1, seed=0)
     assert inst.query_count == 4  # the default target is read, not queried
