@@ -6,9 +6,10 @@ value against a brute-force classical oracle, and emit one JSON report.
 
 Determinism contract: the same config and seed produce byte-identical
 reports apart from the "timestamp" field, which holds both the start time
-and the wall-clock duration.  Trials run on a worker pool with derived
-seeds (master seed + trial index), so scheduling order cannot leak into the
-output.
+and the wall-clock duration.  Trials run in order, in the calling thread,
+with derived seeds (master seed + trial index).  The brute-force truth is
+the same for every trial, so a run computes it once, at the first trial that
+returns a result; a run whose every trial fails computes none.
 
 Exit codes: 0 success and all trials match; 1 solver failure in some trial
 (budget exhausted or promise violated; the report is still emitted, with
@@ -25,7 +26,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -189,8 +189,8 @@ def _load_config(args) -> dict:
     else:
         _check_descriptor(config["instance"])
         if config["instance"].get("kind") == "many_to_one":
-            # checked once here: the trials rebuild the instance unchecked, in
-            # pool threads; the robust solvers accept an ambiguous bound
+            # checked once here: each trial rebuilds the instance unchecked;
+            # the robust solvers accept an ambiguous bound
             check_merge(instance_from_json(config["instance"]))
 
     if getattr(args, "seed", None) is not None:
@@ -240,7 +240,7 @@ def _truth_report(solver: str, instance) -> dict:
     return {}
 
 
-def _run_single_trial(solver: str, config: dict, params: SolverParams, index: int) -> dict:
+def _run_single_trial(solver: str, config: dict, params: SolverParams, index: int, truth_of) -> dict:
     seed = config["seed"] + index
     trial_params = replace(params, seed=seed)
     if solver == "factor":
@@ -261,7 +261,7 @@ def _run_single_trial(solver: str, config: dict, params: SolverParams, index: in
     result = SOLVERS[solver](instance, trial_params)
     recovered = result.value
 
-    truth = _truth_report(solver, instance)
+    truth = truth_of(instance)
     if "period" in truth:
         match = recovered == truth["period"]
     elif "subgroup" in truth:
@@ -283,10 +283,10 @@ def _run_single_trial(solver: str, config: dict, params: SolverParams, index: in
     }
 
 
-def _run_trial_or_failure(solver: str, config: dict, params: SolverParams, index: int) -> dict:
+def _run_trial_or_failure(solver: str, config: dict, params: SolverParams, index: int, truth_of) -> dict:
     """One trial's report entry; a solver failure becomes that trial's error."""
     try:
-        return _run_single_trial(solver, config, params, index)
+        return _run_single_trial(solver, config, params, index, truth_of)
     except (BudgetExhausted, PromiseViolation) as exc:
         return {
             "trial": index,
@@ -313,12 +313,17 @@ def _run_command(args) -> int:
         return _input_error(exc)
 
     solver = config["solver"]
-    trials = config["trials"]
+    truths: list[dict] = []  # the run's one truth, from the first trial with a result
+
+    def truth_of(instance) -> dict:
+        if not truths:
+            truths.append(_truth_report(solver, instance))
+        return truths[0]
+
     try:
-        with ThreadPoolExecutor(max_workers=min(trials, os.cpu_count() or 1)) as pool:
-            results = list(
-                pool.map(lambda i: _run_trial_or_failure(solver, config, params, i), range(trials))
-            )
+        results = [
+            _run_trial_or_failure(solver, config, params, i, truth_of) for i in range(config["trials"])
+        ]
     except (ConfigError, ValueError) as exc:
         return _input_error(exc)
 

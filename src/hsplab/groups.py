@@ -353,18 +353,28 @@ def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
     """Generators of {h in G : every sample annihilates h}, for any finite
     Abelian G.  An empty sample list yields all of G.
 
-    With B the Hermite basis of the samples and the relations d_j * e_j, the
-    kernel is D * B^-1 * Z^l, D = diag(d): the columns of M = D * B^-1
-    (`_dual_rows`).
+    With B a basis of the lattice of the samples and the relations d_j * e_j,
+    the kernel is D * B^-1 * Z^l, D = diag(d): the columns of M = D * B^-1.
+    B is the Hermite form taken in reversed coordinates, so B is lower
+    triangular, and so is M (`_dual_rows` in reversed coordinates).  M's
+    columns are then an upper-triangular basis of the kernel with pivots
+    d_i / p_i, and size-reducing the entries above each pivot gives its
+    Hermite form.
     """
-    ts = set()
-    for s in samples:
-        t = tuple(s)
-        if len(t) != spec.rank:
-            raise ValueError("sample arity does not match group rank")
-        ts.add(t)
-    rows = _dual_rows(_hermite_basis(ts, spec.moduli), spec.moduli)
-    return SubgroupGenerators.of(spec, zip(*rows))
+    ts = {tuple(s)[::-1] for s in samples}
+    if any(len(t) != spec.rank for t in ts):
+        raise ValueError("sample arity does not match group rank")
+    reversed_moduli = spec.moduli[::-1]
+    dual = _dual_rows(_hermite_basis(ts, reversed_moduli), reversed_moduli)
+    # M[i][j] = dual[l-1-i][l-1-j]; row j of the kernel's basis is column j of M
+    basis = [list(column) for column in zip(*reversed(dual))][::-1]
+    for c, pivot_row in enumerate(basis):
+        pivot = pivot_row[c]
+        for r in range(c):
+            q = basis[r][c] // pivot
+            if q:
+                basis[r] = [a - q * b for a, b in zip(basis[r], pivot_row)]
+    return SubgroupGenerators.of_basis(spec, basis)
 
 
 def all_subgroups(spec: GroupSpec) -> list[SubgroupGenerators]:

@@ -190,6 +190,39 @@ def test_report_bytes_do_not_depend_on_worker_count(capsys, monkeypatch, argv):
     assert outputs[0] == outputs[1]
 
 
+def _counting_truth(monkeypatch) -> list:
+    calls = []
+    truth_report = cli._truth_report
+
+    def counted(solver, instance):
+        calls.append(solver)
+        return truth_report(solver, instance)
+
+    monkeypatch.setattr(cli, "_truth_report", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("hsp", "--moduli", "4,2", "--generators", "2,0;0,1"),
+    ("robust-period", "--period", "12", "--multiplicity", "3"),
+    ("dlog", "--base", "3", "--target", "4", "--modulus", "7"),
+])
+def test_truth_is_computed_once_per_run(capsys, monkeypatch, argv):
+    calls = _counting_truth(monkeypatch)
+    code, report, _ = run(capsys, *argv, "--seed", "3", "--trials", "4")
+    assert code == 0 and len(report["results"]) == 4
+    assert len(calls) == 1
+    assert len({json.dumps(t["truth"]) for t in report["results"]}) == 1
+
+
+def test_run_whose_every_trial_fails_computes_no_truth(capsys, monkeypatch):
+    calls = _counting_truth(monkeypatch)
+    code, report, _ = run(capsys, "order", "--modulus", "35", "--base", "2",
+                          "--control-bits", "4", "--trials", "2", "--seed", "1")
+    assert code == 1 and all("error" in t for t in report["results"])
+    assert calls == []
+
+
 def test_reused_parser_keeps_no_state_between_runs(capsys):
     first_argv = ("robust-period", "--period", "6", "--merge-seed", "4", "--seed", "2")
     _, first, _ = run(capsys, *first_argv)

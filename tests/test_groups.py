@@ -346,3 +346,30 @@ def test_kernel_is_the_scanned_annihilator(case):
     kernel = character_kernel(samples, spec)
     assert subgroup_enumerate(kernel) == frozenset(scanned)
     assert kernel == SubgroupGenerators.of(spec, scanned)
+
+
+# a modulus up to 2**46 with many divisors, and a coordinate that is a
+# small multiple of a power of two, or any integer of that size
+_wide_moduli = st.builds(lambda odd, e: odd << e, st.integers(1, 63), st.integers(0, 40))
+_wide_coordinates = st.one_of(
+    st.builds(lambda k, e: k << e, st.integers(-9, 9), st.integers(0, 46)),
+    st.integers(-(1 << 47), 1 << 47),
+)
+
+
+@st.composite
+def _wide_groups_and_sample_lists(draw):
+    moduli = draw(st.lists(_wide_moduli, min_size=1, max_size=4))
+    samples = draw(st.lists(st.tuples(*(_wide_coordinates for _ in moduli)), max_size=6))
+    return GroupSpec.of(moduli), samples
+
+
+@settings(max_examples=300)
+@given(_wide_groups_and_sample_lists())
+def test_kernel_is_the_two_form_construction(case):
+    """The kernel from one Hermite form, taken in reversed coordinates, is
+    the kernel from two: the forward Hermite form of the samples, its dual
+    rows, and a second Hermite form of their columns.  Moduli run past 2**31."""
+    spec, samples = case
+    rows = groups._dual_rows(groups._hermite_basis(set(samples), spec.moduli), spec.moduli)
+    assert character_kernel(samples, spec) == SubgroupGenerators.of(spec, zip(*rows))

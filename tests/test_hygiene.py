@@ -16,7 +16,8 @@ A fifth checks that the one-register sampler draws with no n-point law, a
 sixth that the coset sampler draws with no table over the group, a seventh
 that no solver names a law array, and an eighth that no function but the
 dense reference takes a `route`: the query circuit and the shift ladder
-prepare one state, so no law or solver chooses between them.
+prepare one state, so no law or solver chooses between them.  A ninth
+checks that the CLI imports no thread machinery.
 """
 
 from __future__ import annotations
@@ -228,3 +229,17 @@ def test_only_the_dense_reference_takes_a_route():
                 if "route" in names:
                     taking.add((path.name, getattr(node, "name", "<lambda>")))
     assert taking == {("estimation.py", "_pre_measurement_state")}
+
+
+def test_cli_imports_no_thread_machinery():
+    """The CLI runs a run's trials in order in the calling thread: they are
+    GIL-bound Python, so a pool of threads would only contend for the GIL."""
+    path = Path(hsplab.__file__).parent / "cli.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    threaded = {m for m in modules if m.split(".")[0] in ("concurrent", "threading")}
+    assert not threaded, f"cli.py imports thread machinery: {threaded}"
