@@ -4,47 +4,20 @@ factoring, discrete logarithms, general finite Abelian subgroup recovery,
 semiclassical one-control-qubit estimation, and many-to-1 robust variants.
 """
 
-from .amplitudes import (
-    CapExceeded,
-    MeasurementRecord,
-    QuantumState,
-    RegisterLayout,
-    apply_on_register,
-    basis_state,
-    dimension_cap,
-    from_amplitudes,
-    l2_distance,
-    marginal_distribution,
-    measure_register,
-    set_dimension_cap,
-    uniform_state,
-)
-from .qft import (
-    CLOSEST_LOWER_BOUND,
-    EstimatorDistribution,
-    apply_fourier,
-    choose_register_size,
-    circular_distance,
-    estimator_distribution,
-    fourier,
-    inverse_fourier,
-)
+from .amplitudes import CapExceeded, dimension_cap, set_dimension_cap
+from .qft import EstimatorDistribution, choose_register_size, estimator_distribution
 from .groups import (
     GroupSpec,
     SubgroupGenerators,
     all_subgroups,
     character_kernel,
     character_phase_numerator,
-    orthogonality_holds,
-    subgroup_enumerate,
     subgroups_equal,
 )
 from .oracles import (
     OracleInstance,
     PlantedTruth,
     QueryCounter,
-    apply_oracle,
-    apply_shift,
     classical_invariance_subgroup,
     classical_least_period,
     classical_order,
@@ -63,12 +36,9 @@ from .estimation import (
     SemiclassicalRun,
     SemiclassicalStep,
     control_distribution,
-    hsp_control_distribution,
     hsp_sample_batch,
-    level_set_law,
     phase_estimate_semiclassical,
     sample_control,
-    verify_main_equality,
 )
 from .postprocess import (
     ConvergentList,

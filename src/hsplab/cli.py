@@ -405,7 +405,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--control-bits", type=int, dest="control_bits",
                    help="control register size as a power of two")
     p.add_argument("--json-out", dest="json_out", help="also write the report to this path")
-    p.add_argument("--cap", type=int, help="dense state dimension cap override")
+    p.add_argument("--cap", type=int, help="dimension cap override")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,9 +3,9 @@
 The two circuits of the paper prepare one state, sum_x |x>|f(x)>: querying f
 into a target from a control in uniform superposition, and running the
 controlled ladder of shift maps on the cyclic vector |f(0)>, a uniform
-superposition of shift eigenvectors (`verify_main_equality` checks it).  So
-the control's law after the inverse Fourier transform does not depend on
-which circuit ran, and each law has one computation.
+superposition of shift eigenvectors (the tests' dense reference checks
+it).  So the control's law after the inverse Fourier transform does not
+depend on which circuit ran, and each law has one computation.
 
 On an n-level control, outcome x estimates a phase as x/n (exact Fourier
 transform over Z_n, any n).  The semiclassical variant replaces the control
@@ -25,14 +25,13 @@ summed power spectrum of their indicators.  Every one-dimensional law is
 `_periodic_law`, read from one period of labels, never from the n-point
 table: the default target's row of labels f(k g) along the generator, which
 is `period_labels` on the integers and one `label_table` row on a finite
-domain, an off-orbit basis target's cycle under the unit shift, and a
-rank-1 coset table as its own period.  Level sets are then unions of
-residue classes mod L, so the law is a mixture over the eigenphases k/L
-fixed by the same-label pairs of one period counted by lag mod n: two
-Dirichlet kernels weight those counts' spectra, in O(n) memory.  Distinct
-labels, as in honest order and period functions and every shift orbit,
-pair only with themselves and give the closed form of two kernels; an m-to-1
-merge of labels only changes the counts.  The one-register sampler
+domain, or an off-orbit basis target's cycle under the unit shift.  Level
+sets are then unions of residue classes mod L, so the law is a mixture over
+the eigenphases k/L fixed by the same-label pairs of one period counted by
+lag mod n: two Dirichlet kernels weight those counts' spectra, in O(n)
+memory.  Distinct labels, as in honest order and period functions and every
+shift orbit, pair only with themselves and give the closed form of two
+kernels; an m-to-1 merge of labels only changes the counts.  The one-register sampler
 (`sample_control`) builds no n-point law and reads one outcome at a time
 (`_point_law`).  The target is a uniform superposition of the L orthogonal
 shift eigenvectors of its cycle, so for distinct labels the law is the
@@ -51,19 +50,11 @@ is uniform on H^perp, at O(rank^2).  With one label per box point, as every
 builder but a merge writes, that is the law; a merged box keeps a proposal
 with probability law(t) / (m |H| / N), read from the box's labels in O(P)
 for P box points, which the cap bounds; `_coset_law_at` reads the law at
-one drawn t the same way.
-The |G|-point coset law (`hsp_control_distribution`) serves the tests
-alone: a multi-register table is read over its stabiliser K, found by
-rolls of the table (`_table_stabiliser`), and its law lives on K^perp,
-fixed by which K-cosets share a label.  With one label per coset it is
-|K|/N on K^perp with no FFT; other tables, such as merged ones, take one
-FFT over their same-label pairs of coset representatives, which the cap
-bounds with the points.  The dense
-joint state (`_pre_measurement_state`) is only the reference that tests
-compare the laws against; `verify_main_equality` is the one other circuit
-built on it.  Laws describe the instance rather than query it and bill
-nothing; samplers bill one query per draw and the semiclassical runner one
-per step."""
+one drawn t the same way.  No state vector and no |G|-point law is built
+here: the dense joint state and the coset law read from f's table over
+the group are the references in `tests/dense_reference.py`.  Laws
+describe the instance rather than query it and bill nothing; samplers bill
+one query per draw and the semiclassical runner one per step."""
 
 from __future__ import annotations
 
@@ -73,18 +64,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitudes import (
-    CapExceeded,
-    QuantumState,
-    RegisterLayout,
-    basis_state,
-    dimension_cap,
-    from_amplitudes,
-    l2_distance,
-)
-from .groups import _dual_rows, _exact_dtype, _hermite_basis, _strip_period, _table_stabiliser
-from .oracles import OracleInstance, apply_oracle, apply_shift
-from .qft import apply_fourier
+from .amplitudes import CapExceeded, dimension_cap
+from .groups import _dual_rows, _exact_dtype, _strip_period
+from .oracles import OracleInstance
 
 _BLOCK = 1 << 16  # control points per pass of `_periodic_law`
 
@@ -113,46 +95,6 @@ class PhaseSample:
 
 def _identity_point(instance: OracleInstance):
     return 0 if instance.domain is None else instance.domain.identity()
-
-
-def _target_amplitudes(instance: OracleInstance, target) -> np.ndarray:
-    """Resolve a target argument to an amplitude vector over the codomain."""
-    x_size = instance.codomain_size
-    if isinstance(target, np.ndarray):
-        vec = target.astype(np.complex128)
-        return vec / np.linalg.norm(vec)
-    label = instance._raw(_identity_point(instance)) if target is None else int(target)
-    vec = np.zeros(x_size, dtype=np.complex128)
-    vec[label] = 1.0
-    return vec
-
-
-def _pre_measurement_state(
-    instance: OracleInstance,
-    register_size: int,
-    route: str,
-    generator: int,
-    target,
-) -> QuantumState:
-    """The joint control-target state just before the control is measured,
-    built densely on n x |X| amplitudes by either circuit, the "oracle"
-    query or the "shift" ladder: the laws' test reference, which also takes
-    an amplitude-vector target, such as one kept.  Bills nothing."""
-    n = int(register_size)
-    x_size = instance.codomain_size
-    layout = RegisterLayout.of((n, x_size), ("control", "target"))
-    if route == "oracle":
-        state = basis_state(layout, (0, 0))
-        state = apply_fourier(state, 0)
-        state = apply_oracle(state, [0], 1, instance)
-    else:
-        vec = _target_amplitudes(instance, target)
-        amps = np.zeros((n, x_size), dtype=np.complex128)
-        amps[0] = vec
-        state = from_amplitudes(layout, amps.reshape(-1))
-        state = apply_fourier(state, 0)
-        state = apply_shift(state, 0, 1, instance, generator=generator, step=1)
-    return apply_fourier(state, 0, inverse=True)
 
 
 # --- exact outcome laws ------------------------------------------------------
@@ -213,9 +155,10 @@ def _pair_spectra(labels: np.ndarray, occupied: int, n: int) -> tuple:
 
 
 def _periodic_law(period: int, labels, n: int) -> np.ndarray:
-    """level_set_law of the n-point table that repeats one period of L <= n
-    labels, given as `_reduced_cycle` gives them: `labels` as indices into
-    the occupied labels, or None when the L labels are distinct.
+    """Outcome law sum over labels of |FFT(1[table == label])|^2 / n^2 of
+    the n-point table that repeats one period of L <= n labels, given as
+    `_reduced_cycle` gives them: `labels` as indices into the occupied
+    labels, or None when the L labels are distinct.
 
     With n = Q L + s, a level set holds the points a + k L with a < L and
     k < Q, and k = Q too when a < s.  So its indicator's spectrum is
@@ -265,54 +208,6 @@ def _periodic_law(period: int, labels, n: int) -> np.ndarray:
     np.maximum(law, 0.0, out=law)  # rounding can leave a zero a hair below 0
     law /= float(n) * n
     return law
-
-
-def _stabiliser_law(table: np.ndarray) -> np.ndarray:
-    """level_set_law of a multi-register table, read over its stabiliser K.
-    The law vanishes off K^perp and on it is (|K|/N)^2 times the spectrum of
-    d(g), the number of same-label pairs (a, b) of K-coset representatives,
-    the Hermite box of K, with a - b = g (Mosca-Ekert).  With one label per
-    coset only the pairs a = b occur, and the law is |K|/N on K^perp with no
-    FFT; any other table raises CapExceeded when its pairs exceed the cap,
-    else scatters them for one FFT over its N points."""
-    n = table.size
-    generators, perp, members = _table_stabiliser(table, table == table.flat[0])
-    if np.unique(table).size * members == n:
-        return np.where(perp, members / n, 0.0)
-    pivots = [row[i] for i, row in enumerate(_hermite_basis(generators, table.shape))]
-    reps = np.indices(pivots).reshape(table.ndim, -1)  # one point per K-coset
-    _, label, counts = np.unique(table[tuple(reps)], return_inverse=True, return_counts=True)
-    blocks = counts**2  # pairs of each label, k x k for its k representatives
-    pairs = int(blocks.sum())
-    if pairs > dimension_cap():
-        raise CapExceeded(f"same-label pair count {pairs} exceeds cap {dimension_cap()}")
-    order = np.argsort(label, kind="stable")  # representatives grouped by label
-    start = np.repeat(np.cumsum(counts) - counts, blocks)  # of each pair's label in order
-    within = np.arange(pairs) - np.repeat(np.cumsum(blocks) - blocks, blocks)
-    a, b = np.divmod(within, np.repeat(counts, blocks))  # ranks of the pair within its label
-    lags = (reps[:, order[start + a]] - reps[:, order[start + b]]) % np.reshape(table.shape, (-1, 1))
-    law = np.bincount(np.ravel_multi_index(tuple(lags), table.shape), minlength=n).reshape(table.shape)
-    law = np.where(perp, np.fft.fftn(law).real, 0.0)
-    law *= (members / n) ** 2
-    np.maximum(law, 0.0, out=law)  # rounding can leave a zero a hair below 0
-    return law
-
-
-def level_set_law(table) -> np.ndarray:
-    """Outcome law of the control registers after the inverse Fourier
-    transform, when their points t are entangled with target labels
-    table[t]: the sum over labels of |FFT(1[table == label])|^2 / N^2,
-    shaped like the table.
-
-    A table whose N points exceed the dimension cap raises CapExceeded.  A
-    one-dimensional table takes `_periodic_law` over its least cyclic
-    period, a multi-register table `_stabiliser_law`."""
-    table = np.asarray(table, dtype=np.int64)
-    if table.size > dimension_cap():
-        raise CapExceeded(f"label-table law over {table.size} points exceeds cap {dimension_cap()}")
-    if table.ndim == 1:
-        return _periodic_law(*_reduced_cycle(table), table.size)
-    return _stabiliser_law(table)
 
 
 def _orbit_length(instance: OracleInstance, label: int, generator: int, limit: int) -> int:
@@ -520,30 +415,6 @@ def sample_control(
     return samples
 
 
-def _hsp_layout(instance: OracleInstance) -> RegisterLayout:
-    spec = instance.domain
-    if spec is None:
-        raise ValueError("hidden-subgroup sampling needs a finite group domain")
-    labels = tuple(f"c{j}" for j in range(spec.rank)) + ("target",)
-    return RegisterLayout.of(tuple(spec.moduli) + (instance.codomain_size,), labels)
-
-
-def hsp_control_distribution(instance: OracleInstance) -> np.ndarray:
-    """Exact joint law over all coordinate controls of the coset sampler,
-    read from f's table over the whole group: the tests' reference, which
-    no sampler or solver reads.  A group of more points than the cap raises
-    CapExceeded before f is tabulated.
-
-    Returned flattened in row-major coordinate order.  Bills nothing.
-    """
-    spec = instance.domain
-    if spec is None:
-        raise ValueError("hidden-subgroup sampling needs a finite group domain")
-    if spec.order > dimension_cap():  # before the table is built
-        raise CapExceeded(f"coset law over {spec.order} points exceeds cap {dimension_cap()}")
-    return level_set_law(instance.label_table(tuple(spec.moduli))).reshape(-1)
-
-
 def _coset_sampler(instance: OracleInstance) -> tuple:
     """What a coset-sampler draw reads of a finite-domain instance, cached
     on it: M = D B^-1 for the Hermite basis B of the instance's subgroup H
@@ -643,46 +514,6 @@ def _coset_law_at(instance: OracleInstance, t) -> float:
         return 1.0 / points
     t = np.array([t], dtype=dual.dtype)
     return float(_box_acceptance(t, spec.moduli, multiplicity, *box)[0]) * multiplicity / points
-
-
-# --- dual-route verification ---------------------------------------------------
-
-
-def verify_main_equality(instance: OracleInstance, register_size: int | None = None) -> float:
-    """L2 distance between the two constructions of sum_x |x>|f(x)>.
-
-    Route one queries the oracle on a uniform control; route two starts the
-    target at |f(identity)> and applies the controlled shift ladder along
-    each coordinate.  Exact arithmetic should agree to rounding error.
-    Bills no query.
-    """
-    if not instance.homomorphism_available:
-        raise ValueError("dual-route comparison needs shift maps")
-    spec = instance.domain
-    if spec is None:
-        if register_size is None:
-            register_size = instance.truth.period
-        if register_size is None:
-            raise ValueError("integer-domain comparison needs a register size")
-        layout = RegisterLayout.of((int(register_size), instance.codomain_size))
-        controls = [0]
-    else:
-        layout = _hsp_layout(instance)
-        controls = list(range(spec.rank))
-    target = len(controls)
-
-    via_oracle = basis_state(layout, (0,) * len(controls) + (0,))
-    for j in controls:
-        via_oracle = apply_fourier(via_oracle, j)
-    via_oracle = apply_oracle(via_oracle, controls, target, instance)
-
-    f0 = instance._raw(_identity_point(instance))
-    via_shifts = basis_state(layout, (0,) * len(controls) + (f0,))
-    for j in controls:
-        via_shifts = apply_fourier(via_shifts, j)
-    for j in controls:
-        via_shifts = apply_shift(via_shifts, j, target, instance, generator=j, step=1)
-    return l2_distance(via_oracle, via_shifts)
 
 
 # --- semiclassical (single recycled control qubit) ---------------------------

@@ -18,8 +18,8 @@ Hermite basis is unique.  Generating sets are stored in that canonical form
 (the generator rows stacked on the modulus relations, row reduced), so
 equality of subgroups is a tuple comparison, a subgroup's order is |G| over
 the product of its pivots, and `all_subgroups` lists the subgroups of G by
-enumerating Hermite bases directly.  `subgroup_enumerate`, a closure over
-elements, stays as the trusted oracle.
+enumerating Hermite bases directly.  The closure over elements that these
+forms are tested against is in `tests/dense_reference.py`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from math import lcm, prod
 
 import numpy as np
 
-ENUMERATION_CAP = 10**6
 SUBGROUP_CAP = 20000
 FACTOR_LIMIT = 1 << 31
 
@@ -296,23 +295,6 @@ class SubgroupGenerators:
         return cls.of(GroupSpec.from_json(data), data["generators"])
 
 
-def subgroup_enumerate(gens: SubgroupGenerators) -> frozenset[Element]:
-    """All elements of the generated subgroup, by closure (trusted oracle)."""
-    spec = gens.spec
-    seen = {spec.identity()}
-    frontier = [spec.identity()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens.generators:
-            y = spec.add(x, g)
-            if y not in seen:
-                if len(seen) >= ENUMERATION_CAP:
-                    raise ValueError(f"subgroup enumeration exceeds cap {ENUMERATION_CAP}")
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
 def subgroups_equal(a: SubgroupGenerators, b: SubgroupGenerators) -> bool:
     """True iff the generated subgroups coincide (canonical-form compare)."""
     if a.spec.moduli != b.spec.moduli:
@@ -325,12 +307,6 @@ def character_phase_numerator(spec: GroupSpec, t: Element, h: Element) -> int:
     pairing the sampler fixes, as a numerator over L (0 iff t annihilates h)."""
     big = lcm(*spec.moduli)
     return sum(big // d * hj * tj for d, hj, tj in zip(spec.moduli, h, t)) % big
-
-
-def orthogonality_holds(spec: GroupSpec, t: Element, subgroup: SubgroupGenerators) -> bool:
-    """Whether character t annihilates the subgroup (checked on generators;
-    the pairing is linear, so generators suffice)."""
-    return all(character_phase_numerator(spec, t, h) == 0 for h in subgroup.generators)
 
 
 def _dual_rows(basis, moduli: tuple[int, ...]) -> list[list[int]]:

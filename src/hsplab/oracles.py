@@ -27,9 +27,8 @@ Ground truth (the planted subgroup / period / exponent) rides along in
 as black boxes and touches only `evaluate`, the shift maps, and the flags.
 Queries are billed where circuits run, to the instance's QueryCounter:
 one per classical `evaluate` call, per sampler draw and per semiclassical
-step.  The gate-level maps (apply_oracle,
-apply_shift) and the exact outcome laws bill nothing; they describe the
-instance rather than query it.
+step.  The exact outcome laws bill nothing; they describe the instance
+rather than query it.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .amplitudes import QuantumState, from_amplitudes
+from .amplitudes import CapExceeded, dimension_cap
 from .groups import (
     Element,
     GroupSpec,
@@ -215,14 +214,17 @@ def _multiplicative_order(a: int, n: int) -> int:
     return r
 
 
-def _powers(a: int, n: int) -> list[int]:
+def _powers(a: int, n: int, limit: int) -> list[int]:
     """a^0, a^1, ... mod n, up to the first return to 1: one walk of a
-    unit's powers, whose count is its order."""
+    unit's powers, whose count is its order.  An order above `limit`
+    raises CapExceeded after `limit` steps, before the list outgrows it."""
     powers, v = [1], a
-    while v != 1:
+    for _ in range(limit):
+        if v == 1:
+            return powers
         powers.append(v)
         v = v * a % n
-    return powers
+    raise CapExceeded(f"order of {a} mod {n} exceeds cap {limit}")
 
 
 def make_order_instance(n: int, a: int) -> OracleInstance:
@@ -230,7 +232,8 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
 
     The shift by g is multiplication by a^g mod n, a permutation of all of
     Z_n (residues outside the range of f are carried along; any unitary
-    extension is fine there).
+    extension is fine there).  An order above the dimension cap raises
+    CapExceeded once the walk of a's powers passes the cap.
     """
     n, a = int(n), int(a)
     if n < 2:
@@ -238,7 +241,7 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
     a %= n
     if gcd(a, n) != 1:
         raise ValueError(f"base {a} is not a unit mod {n}")
-    powers = _powers(a, n)
+    powers = _powers(a, n, dimension_cap())
 
     def shift(g: int) -> np.ndarray:
         return (np.arange(n, dtype=np.int64) * pow(a, g, n)) % n
@@ -360,7 +363,7 @@ def make_dlog_instance(
         a, b = int(a) % q, int(b) % q
         if gcd(a, q) != 1 or gcd(b, q) != 1:
             raise ValueError("a and b must be units")
-        powers = _powers(a, q)
+        powers = _powers(a, q, q)  # uncapped: the draw reads no labels
         r = len(powers)
         try:
             m = powers.index(b)
@@ -634,108 +637,6 @@ def instance_from_json(descriptor: dict) -> OracleInstance:
         # unchecked: a descriptor is checked once where it is made or loaded
         return _many_to_one(instance_from_json(descriptor["inner"]), descriptor["merge"], descriptor["multiplicity"])
     raise ValueError(f"unknown instance kind {kind!r}")
-
-
-# --- quantum application ----------------------------------------------------
-
-
-def _gather_axes(state: QuantumState, control_registers, target_register: int):
-    dims = state.layout.dims
-    controls = [int(c) for c in control_registers]
-    target = int(target_register)
-    seen = set(controls + [target])
-    if len(seen) != len(controls) + 1:
-        raise ValueError("control and target registers must be distinct")
-    for r in controls + [target]:
-        if not 0 <= r < len(dims):
-            raise ValueError(f"no register {r} in layout {dims}")
-    arr = state.amplitudes.reshape(dims)
-    order = controls + [r for r in range(len(dims)) if r not in seen] + [target]
-    moved = np.transpose(arr, order)
-    c_total = 1
-    for c in controls:
-        c_total *= dims[c]
-    rest = moved.size // (c_total * dims[target])
-    cube = moved.reshape(c_total, rest, dims[target])
-    return cube, order, moved.shape
-
-
-def _scatter_axes(cube: np.ndarray, order, moved_shape, layout) -> QuantumState:
-    moved = cube.reshape(moved_shape)
-    inverse = np.argsort(order)
-    arr = np.transpose(moved, inverse)
-    return from_amplitudes(layout, arr.reshape(-1))
-
-
-def apply_oracle(
-    state: QuantumState, control_registers, target_register: int, instance: OracleInstance
-) -> QuantumState:
-    """One application of U_f: |x>|y> -> |x>|y + f(x) mod |X|>.
-
-    Control registers supply the domain coordinates (a single register
-    holding t for integer domains); the target register must be at least
-    |X| wide, and basis values beyond |X| ride along unchanged so the map
-    stays a permutation.  Bills nothing: the runner executing the circuit
-    does.
-    """
-    dims = state.layout.dims
-    target_dim = dims[int(target_register)]
-    x_size = instance.codomain_size
-    if target_dim < x_size:
-        raise ValueError(f"target dimension {target_dim} below codomain size {x_size}")
-    controls = list(control_registers)
-    rank = 1 if instance.domain is None else instance.domain.rank
-    if len(controls) != rank:
-        raise ValueError(f"need one control register per domain coordinate ({rank})")
-    fvals = instance.label_table(tuple(dims[c] for c in controls)).reshape(-1)
-
-    cube, order, moved_shape = _gather_axes(state, controls, target_register)
-    ys = np.arange(target_dim, dtype=np.int64)
-    idx = np.where(ys[None, :] < x_size, (ys[None, :] - fvals[:, None]) % x_size, ys[None, :])
-    out = np.take_along_axis(cube, idx[:, None, :], axis=2)
-    return _scatter_axes(out, order, moved_shape, state.layout)
-
-
-def apply_shift(
-    state: QuantumState,
-    control_register: int,
-    target_register: int,
-    instance: OracleInstance,
-    generator: int = 0,
-    step: int = 1,
-) -> QuantumState:
-    """Controlled shift: for control value x, the target undergoes the label
-    permutation of a shift by x*step along the given domain generator (or by
-    the integer x*step for integer domains).  Bills nothing: the runner
-    executing the circuit does.
-
-    Shifts compose additively, so a ladder of these with step = 2^t is the
-    usual controlled-power cascade.
-    """
-    if not instance.homomorphism_available:
-        raise ValueError("instance has no computable shift maps")
-    dims = state.layout.dims
-    target_dim = dims[int(target_register)]
-    x_size = instance.codomain_size
-    if target_dim < x_size:
-        raise ValueError(f"target dimension {target_dim} below codomain size {x_size}")
-    c_dim = dims[int(control_register)]
-
-    rows = np.empty((c_dim, target_dim), dtype=np.int64)
-    tail = np.arange(x_size, target_dim, dtype=np.int64)
-    for x in range(c_dim):
-        if instance.domain is None:
-            g = -x * step
-        else:
-            j = int(generator)
-            g = instance.domain.scale(-x * step, instance.domain.generator(j))
-        inv_perm = instance.shift_permutation(g)  # shift by -g inverts shift by g
-        rows[x, :x_size] = inv_perm
-        rows[x, x_size:] = tail
-
-    cube, order, moved_shape = _gather_axes(state, [control_register], target_register)
-    out = np.take_along_axis(cube, rows[:, None, :], axis=2)
-    return _scatter_axes(out, order, moved_shape, state.layout)
 
 
 # --- classical verification oracles -----------------------------------------

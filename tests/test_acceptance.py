@@ -26,12 +26,7 @@ from hsplab.algorithms import (
     solve_dlog,
     solve_hsp_general,
 )
-from hsplab.estimation import (
-    control_distribution,
-    hsp_sample_batch,
-    phase_estimate_semiclassical,
-    verify_main_equality,
-)
+from hsplab.estimation import control_distribution, hsp_sample_batch, phase_estimate_semiclassical
 from hsplab.groups import GroupSpec, all_subgroups, subgroups_equal
 from hsplab.oracles import (
     OracleInstance,
@@ -47,6 +42,7 @@ from hsplab.oracles import (
     wrap_many_to_one,
 )
 from hsplab.qft import estimator_distribution
+from dense_reference import verify_main_equality
 from test_estimation import branch_tree_law
 
 

@@ -26,15 +26,7 @@ from hsplab.algorithms import (
     solve_dlog,
     solve_hsp_general,
 )
-from hsplab.estimation import hsp_control_distribution
-from hsplab.groups import (
-    GroupSpec,
-    SubgroupGenerators,
-    all_subgroups,
-    orthogonality_holds,
-    subgroup_enumerate,
-    subgroups_equal,
-)
+from hsplab.groups import GroupSpec, SubgroupGenerators, all_subgroups, subgroups_equal
 from hsplab.oracles import (
     OracleInstance,
     PlantedTruth,
@@ -51,6 +43,7 @@ from hsplab.oracles import (
     make_stabiliser_instance,
     wrap_many_to_one,
 )
+from dense_reference import hsp_control_distribution, orthogonality_holds, subgroup_enumerate
 
 # chi-square critical value, df=3, significance 0.01
 CHI2_CRIT_DF3_P01 = 11.345

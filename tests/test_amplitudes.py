@@ -1,4 +1,5 @@
-"""Dense state-vector layer: layouts, unitaries, measurement.
+"""The dense state-vector reference (`dense_reference`): layouts, unitaries,
+measurement, and the package's dimension cap on layouts.
 
 The interesting guarantees here are exactness ones — norms stay pinned to 1
 through unitary pipelines, measurement marginals match the Born rule, and the
@@ -11,17 +12,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hsplab.amplitudes import (
-    CapExceeded,
-    RegisterLayout,
+from hsplab.amplitudes import CapExceeded, RegisterLayout, dimension_cap, set_dimension_cap
+from dense_reference import (
     apply_on_register,
     basis_state,
-    dimension_cap,
     from_amplitudes,
     l2_distance,
     marginal_distribution,
     measure_register,
-    set_dimension_cap,
     uniform_state,
 )
 

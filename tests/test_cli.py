@@ -497,6 +497,18 @@ def test_cap_exceeded_is_resource_limit(capsys):
     assert code == 0 and report["match"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("order", "--modulus", "2146594799", "--base", "2"),
+    ("factor", "--n", "2146594799"),
+])
+def test_order_builder_at_the_cap_is_resource_limit(capsys, argv):
+    """2 has order 1,073,249,100 mod 34,651 * 61,949, and a random base's
+    order is as far above the cap: the builder stops its walk of the powers
+    at the cap, so the run exits 2 rather than exhausting memory."""
+    code, report, err = run(capsys, *argv, "--seed", "0", "--cap", "4096")
+    assert code == 2 and report is None and err.startswith("resource limit:")
+
+
 def test_cap_override_lasts_one_run(capsys):
     default_cap = amplitudes.dimension_cap()
     code, _, _ = run(capsys, "dump", "--kind", "estimator", "--phi", "1/2", "--cap", "16")

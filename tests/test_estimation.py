@@ -22,7 +22,6 @@ import math
 import warnings
 from fractions import Fraction
 from math import gcd
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,33 +31,20 @@ from numpy.testing import assert_allclose
 
 from hsplab import algorithms, estimation
 from hsplab.algorithms import BudgetExhausted, SolverParams, find_order, solve_dlog
-from hsplab.amplitudes import (
-    CapExceeded,
-    RegisterLayout,
-    basis_state,
-    dimension_cap,
-    from_amplitudes,
-    marginal_distribution,
-    measure_register,
-    set_dimension_cap,
-)
+from hsplab.amplitudes import CapExceeded, RegisterLayout, dimension_cap, set_dimension_cap
 from hsplab.estimation import (
     _coset_proposals,
     _coset_sampler,
-    _hsp_layout,
     _orbit_length,
     _periodic_law,
     _point_law,
-    _pre_measurement_state,
     _reduced_cycle,
     _register_cycle,
     _tail_index,
     control_distribution,
-    hsp_control_distribution,
     hsp_sample_batch,
     phase_estimate_semiclassical,
     sample_control,
-    verify_main_equality,
 )
 from hsplab.groups import (
     GroupSpec,
@@ -66,13 +52,11 @@ from hsplab.groups import (
     _coset_reduce,
     _dual_rows,
     _hermite_basis,
-    orthogonality_holds,
     subgroups_equal,
 )
 from hsplab.oracles import (
     OracleInstance,
     PlantedTruth,
-    apply_oracle,
     classical_invariance_subgroup,
     classical_order,
     make_deutsch_instance,
@@ -84,7 +68,20 @@ from hsplab.oracles import (
     make_stabiliser_instance,
     wrap_many_to_one,
 )
-from hsplab.qft import apply_fourier, estimator_distribution
+from hsplab.qft import estimator_distribution
+from dense_reference import (
+    _hsp_layout,
+    _pre_measurement_state,
+    apply_fourier,
+    apply_oracle,
+    basis_state,
+    from_amplitudes,
+    hsp_control_distribution,
+    marginal_distribution,
+    measure_register,
+    orthogonality_holds,
+    verify_main_equality,
+)
 
 
 def mixture_law(instance, n: int) -> np.ndarray:
@@ -500,15 +497,17 @@ def test_cascade_reads_its_default_cycle_off_the_period():
 
 
 def test_register_cycle_is_capped_on_its_labels():
-    """With shift maps (order) and without (period), r = 12 labels."""
+    """With shift maps (order) and without (period), r = 12 labels.  The
+    instances are built first: the order builder is itself capped."""
+    instances = (make_order_instance(35, 2), make_period_instance(12))
     previous = dimension_cap()
     set_dimension_cap(11)
     try:
-        for inst in (make_order_instance(35, 2), make_period_instance(12)):
+        for inst in instances:
             with pytest.raises(CapExceeded, match="register cycle"):
                 sample_control(inst, 1 << 30, 1)
         set_dimension_cap(12)
-        for inst in (make_order_instance(35, 2), make_period_instance(12)):
+        for inst in instances:
             assert sample_control(inst, 1 << 30, 1)[0].register_size == 1 << 30
     finally:
         set_dimension_cap(previous)
@@ -688,15 +687,13 @@ def test_dlog_bills_each_draw_each_stage_two_and_the_checks():
 
 def test_dlog_reaches_past_the_coset_table():
     """p = 65,537: the |G|-point coset law would hold 2^32 points, far above
-    the cap, and neither it nor f's table over G is ever read."""
+    the cap, and f's table over G is never read; the package has no
+    |G|-point law to read at all."""
+    assert not hasattr(estimation, "hsp_control_distribution")
+    assert not hasattr(estimation, "level_set_law")
     inst = make_dlog_instance(3, pow(3, 40_000, 65_537), modulus=65_537)
     inst.label_table = lambda shape: pytest.fail("tabulated f over the group")
-
-    def refuse(*args, **kwargs):
-        pytest.fail("read the |G|-point coset law")
-
-    with patch.object(estimation, "hsp_control_distribution", refuse), patch.object(estimation, "level_set_law", refuse):
-        res = solve_dlog(inst, SolverParams(seed=0))
+    res = solve_dlog(inst, SolverParams(seed=0))
     assert res.verified and res.value == 40_000
 
 

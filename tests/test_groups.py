@@ -23,10 +23,9 @@ from hsplab.groups import (
     all_subgroups,
     character_kernel,
     character_phase_numerator,
-    orthogonality_holds,
-    subgroup_enumerate,
     subgroups_equal,
 )
+from dense_reference import orthogonality_holds, subgroup_enumerate
 from test_acceptance import _acceptance_group_specs
 
 

@@ -1,23 +1,24 @@
 """Source hygiene: every name a module imports is used in that module,
-solvers treat instances as black boxes, dense states stay reference-only,
-and no private helper is left for its tests alone.
+solvers treat instances as black boxes, the package builds no state, and
+no private helper is left for its tests alone.
 
 An AST scan stands in for a linter's unused-import check.  `__init__.py`
 is exempt (it re-exports), as are `__future__` imports.  A second scan
 checks that only the instance layer and the law engine read an
 integer-domain instance's `period_labels`, so no solver reads f's period off
-the instance.  A third checks that outside the state and Fourier modules,
-dense states are built, transformed and measured only by the few functions
-that keep the dense circuit as the reference the exact laws are tested
-against, so no production path samples from a state vector.  A fourth
+the instance.  A third checks that no module builds, transforms or measures
+a dense state: the dense circuit the exact laws are tested against lives in
+`tests/dense_reference.py`.  A fourth checks that no module constructs the
+two state types `amplitudes` keeps for the benchmark tracer.  A fifth
 checks that every private top-level function is referenced somewhere in the
 package outside its own body; a helper only tests call belongs in the tests.
-A fifth checks that the one-register sampler draws with no n-point law, a
-sixth that the coset sampler draws with no table over the group, a seventh
-that no solver names a law array, and an eighth that no function but the
-dense reference takes a `route`: the query circuit and the shift ladder
-prepare one state, so no law or solver chooses between them.  A ninth
-checks that the CLI imports no thread machinery.
+A sixth checks that the one-register sampler draws with no n-point law, a
+seventh that the coset sampler draws with no table over the group, an
+eighth that no solver names a law array, and a ninth that no function
+takes a `route`: the query circuit and the shift ladder prepare one state,
+so no law or solver chooses between them.  A tenth checks that the CLI
+imports no thread machinery.  The law scans also keep the |G|-point laws,
+which are test references now, from coming back into the package.
 """
 
 from __future__ import annotations
@@ -98,11 +99,7 @@ DENSE_OPERATIONS = frozenset({
     "basis_state", "from_amplitudes", "measure_register", "apply_on_register",
     "apply_fourier", "apply_oracle", "apply_shift",
 })
-DENSE_ALLOWED = frozenset({
-    ("oracles.py", "_scatter_axes"),
-    ("estimation.py", "_pre_measurement_state"),
-    ("estimation.py", "verify_main_equality"),
-})
+DENSE_ALLOWED = frozenset()
 
 
 def _dense_callers(path: Path) -> set[tuple[str, str]]:
@@ -124,13 +121,32 @@ def _dense_callers(path: Path) -> set[tuple[str, str]]:
 def test_dense_states_stay_reference_only():
     callers = set()
     for path in MODULES:
-        if path.name not in ("amplitudes.py", "qft.py"):
-            callers |= _dense_callers(path)
+        callers |= _dense_callers(path)
     assert callers <= DENSE_ALLOWED, f"dense-state calls outside the reference: {callers - DENSE_ALLOWED}"
 
 
-# The dense circuit the exact laws are tested against; only tests call it.
-TEST_REFERENCES = frozenset({("estimation.py", "_pre_measurement_state")})
+# The two state types `amplitudes` keeps only for the benchmark tracer's hook.
+TRACER_TYPES = frozenset({"QuantumState", "RegisterLayout"})
+
+
+def test_no_module_constructs_the_tracer_types():
+    """No module calls `QuantumState(...)` or `RegisterLayout...(...)`, so
+    the types kept for the tracer stay unused in the package."""
+    calling = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                while isinstance(func, ast.Attribute):
+                    func = func.value
+                if isinstance(func, ast.Name) and func.id in TRACER_TYPES:
+                    calling.add((path.name, func.id))
+    assert not calling, f"the package constructs state types: {calling}"
+
+
+# Private helpers that only tests call; a helper with no caller in the
+# package belongs in the tests.
+TEST_REFERENCES = frozenset()
 
 
 def _references(node: ast.AST) -> set[str]:
@@ -217,9 +233,8 @@ def test_solvers_draw_without_an_array_law():
 
 
 def test_only_the_dense_reference_takes_a_route():
-    """The two circuits are built side by side only where the laws' dense
-    reference builds them; no other function in the package has a
-    parameter named `route`."""
+    """The two circuits are built side by side only in the tests' dense
+    reference; no function in the package has a parameter named `route`."""
     taking = set()
     for path in Path(hsplab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -228,7 +243,7 @@ def test_only_the_dense_reference_takes_a_route():
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
                 if "route" in names:
                     taking.add((path.name, getattr(node, "name", "<lambda>")))
-    assert taking == {("estimation.py", "_pre_measurement_state")}
+    assert not taking, f"functions that take a route: {taking}"
 
 
 def test_cli_imports_no_thread_machinery():

@@ -31,37 +31,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsplab.amplitudes import (
-    CapExceeded,
-    basis_state,
-    dimension_cap,
-    marginal_distribution,
-    set_dimension_cap,
-)
+from hsplab.amplitudes import CapExceeded, dimension_cap, set_dimension_cap
 from hsplab.estimation import (
     _box_acceptance,
     _coset_law_at,
     _coset_proposals,
     _coset_sampler,
-    _hsp_layout,
     _periodic_law,
-    _pre_measurement_state,
     _reduced_cycle,
-    _stabiliser_law,
     control_distribution,
-    hsp_control_distribution,
 )
-from hsplab.groups import (
-    GroupSpec,
-    SubgroupGenerators,
-    _table_stabiliser,
-    orthogonality_holds,
-    subgroup_enumerate,
-    subgroups_equal,
-)
+from hsplab.groups import GroupSpec, SubgroupGenerators, _table_stabiliser, subgroups_equal
 from hsplab.oracles import (
     OracleInstance,
-    apply_oracle,
     classical_invariance_subgroup,
     classical_order,
     dilated_view,
@@ -74,7 +56,18 @@ from hsplab.oracles import (
     make_simon_instance,
     wrap_many_to_one,
 )
-from hsplab.qft import apply_fourier
+from dense_reference import (
+    _hsp_layout,
+    _pre_measurement_state,
+    _stabiliser_law,
+    apply_fourier,
+    apply_oracle,
+    basis_state,
+    hsp_control_distribution,
+    marginal_distribution,
+    orthogonality_holds,
+    subgroup_enumerate,
+)
 
 TOL = 1e-12
 

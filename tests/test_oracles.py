@@ -18,23 +18,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hsplab import oracles
-from hsplab.amplitudes import RegisterLayout, basis_state, l2_distance, uniform_state
-from hsplab.groups import (
-    GroupSpec,
-    SubgroupGenerators,
-    all_subgroups,
-    subgroup_enumerate,
-    subgroups_equal,
-)
-from hsplab.estimation import (
-    phase_estimate_semiclassical,
-    sample_control,
-    verify_main_equality,
-)
+from hsplab.amplitudes import CapExceeded, RegisterLayout, dimension_cap, set_dimension_cap
+from hsplab.groups import GroupSpec, SubgroupGenerators, all_subgroups, subgroups_equal
+from hsplab.estimation import phase_estimate_semiclassical, sample_control
 from hsplab.oracles import (
     OracleInstance,
-    apply_oracle,
-    apply_shift,
     classical_invariance_subgroup,
     classical_least_period,
     classical_order,
@@ -47,6 +35,16 @@ from hsplab.oracles import (
     make_simon_instance,
     make_stabiliser_instance,
     wrap_many_to_one,
+)
+from dense_reference import (
+    apply_oracle,
+    apply_shift,
+    basis_state,
+    from_amplitudes,
+    l2_distance,
+    subgroup_enumerate,
+    uniform_state,
+    verify_main_equality,
 )
 
 
@@ -80,6 +78,57 @@ def test_order_against_classical_iteration(n, a, r):
 def test_order_rejects_shared_factor():
     with pytest.raises(ValueError):
         make_order_instance(15, 3)
+
+
+def test_order_builder_is_capped_on_the_order():
+    """The walk of a's powers holds one label per power, so an order above
+    the cap raises, and an order at the cap builds: 2 has order 12 mod 35."""
+    previous = dimension_cap()
+    set_dimension_cap(11)
+    try:
+        with pytest.raises(CapExceeded, match="exceeds cap 11"):
+            make_order_instance(35, 2)
+        set_dimension_cap(12)
+        assert make_order_instance(35, 2).truth.period == 12
+    finally:
+        set_dimension_cap(previous)
+
+
+def test_order_builder_stops_its_walk_at_the_cap(monkeypatch):
+    """34,651 * 61,949 = 2,146,594,799 lies below the factoring limit, and 2
+    has order 1,073,249,100 there: a walk of every power would exhaust
+    memory, and the capped walk raises after at most cap + 1 steps."""
+    steps = []
+
+    class CountedBase(int):  # counts the walk's multiplications by the base
+        def __mul__(self, other):
+            steps.append(1)
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    walk = oracles._powers
+    monkeypatch.setattr(oracles, "_powers", lambda a, n, limit: walk(CountedBase(a), n, limit))
+    previous = dimension_cap()
+    set_dimension_cap(1 << 12)
+    try:
+        with pytest.raises(CapExceeded):
+            make_order_instance(2_146_594_799, 2)
+    finally:
+        set_dimension_cap(previous)
+    assert 0 < len(steps) <= (1 << 12) + 1
+
+
+def test_dlog_builder_walks_past_the_cap():
+    """A discrete log's draw reads no labels, so its builder's walk is not
+    capped: 2 has order 100 mod 101, above a cap of 16."""
+    previous = dimension_cap()
+    set_dimension_cap(16)
+    try:
+        inst = make_dlog_instance(2, pow(2, 37, 101), modulus=101)
+    finally:
+        set_dimension_cap(previous)
+    assert inst.domain.moduli == (100, 100) and inst.truth.dlog_exponent == 37
 
 
 def test_order_instance_has_shifts():
@@ -502,8 +551,6 @@ def test_apply_oracle_basis_case():
 
 
 def test_apply_oracle_constant_product_state():
-    from hsplab.amplitudes import from_amplitudes
-
     inst = make_deutsch_instance(1, 1)
     layout = RegisterLayout.of([2, 2])
     s = uniform_state(RegisterLayout.of([2]))
@@ -514,8 +561,6 @@ def test_apply_oracle_constant_product_state():
 
 
 def test_apply_oracle_order_superposition():
-    from hsplab.amplitudes import from_amplitudes
-
     inst = make_order_instance(15, 2)
     layout = RegisterLayout.of([4, 15])
     s = uniform_state(RegisterLayout.of([4]))

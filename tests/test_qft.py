@@ -1,4 +1,5 @@
-"""Fourier transforms over Z_N for arbitrary N, and estimator distributions.
+"""Fourier transforms over Z_N for arbitrary N (the dense reference in
+`dense_reference`), and the package's estimator distributions.
 
 Closed-form estimator probabilities are cross-checked against a literal
 matrix-vector oracle: build the phase state, hit it with the dense inverse
@@ -14,14 +15,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hsplab.amplitudes import RegisterLayout, basis_state, from_amplitudes
-from hsplab.qft import (
+from hsplab.amplitudes import RegisterLayout
+from hsplab.qft import choose_register_size, estimator_distribution
+from dense_reference import (
     CLOSEST_LOWER_BOUND,
     apply_fourier,
-    choose_register_size,
+    basis_state,
     circular_distance,
-    estimator_distribution,
     fourier,
+    from_amplitudes,
     inverse_fourier,
 )
 
