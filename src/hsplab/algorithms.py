@@ -23,12 +23,14 @@ import numpy as np
 from .estimation import PhaseSample, _coset_law_at, hsp_sample_batch, sample_control
 from .groups import (
     Element,
+    GroupSpec,
     SubgroupGenerators,
     _annihilated,
     _factorize,
     _strip_period,
     _table_stabiliser,
     character_kernel,
+    generator_count,
 )
 from .oracles import OracleInstance, dilated_view, make_order_instance
 from .postprocess import best_denominator_bounded
@@ -54,6 +56,9 @@ class SolverParams:
     derived from the period bound and `epsilon`.  Order and period finding
     without a `period_bound` double a guessed bound until a period verifies.
     `multiplicity` overrides the instance's own many-to-1 bound when set.
+    `trials` counts single draws in order, period and discrete-log finding,
+    batches of d(G) + 2 draws in `solve_hsp_general`, and attempts in
+    factoring and `robust_period`.
     """
 
     control_bits: int | None = None
@@ -245,21 +250,33 @@ def factor_via_order(n: int, params: SolverParams) -> int:
     raise BudgetExhausted(f"no factor of {n} within {params.trials} attempts")
 
 
+def _batch_size(spec: GroupSpec) -> int:
+    """Coset-sampler draws per hidden-subgroup batch: d(G) + 2, d(G) the
+    least number of generators of G.  The draws of an honest instance are
+    uniform on K^perp, which is isomorphic to G/K, so its p-ranks r_p are
+    at most G's; t uniform draws generate a finite Abelian group of p-ranks
+    r_p with probability prod_p prod_{i < r_p} (1 - p^(i - t)) (Pomerance,
+    2001), which at t = d(G) + 2 is above prod_{j >= 3} 1/zeta(j) > 0.71."""
+    return generator_count(spec.moduli) + 2
+
+
 def solve_hsp_general(instance: OracleInstance, params: SolverParams) -> HspResult:
     """Hidden subgroup over any finite Abelian group.
 
-    Batches of coset-sampler outcomes (4·rank + 10 per batch) over the whole
-    group feed the character-kernel solver, which reads the kernel off the
-    dual of the sampled characters' lattice; every generator of the candidate
-    kernel is then checked against the function at a random point — exact
-    for an honest promise, since f is constant on K-cosets and distinct
-    across them.  A generator that fails means the samples do not yet span,
-    so another batch is drawn.
+    Batches of d(G) + 2 coset-sampler outcomes over the whole group
+    (`_batch_size`) feed the character-kernel solver, which reads the kernel
+    off the dual of the sampled characters' lattice; every generator of the
+    candidate kernel is then checked against the function at a random
+    point.  The kernel always holds K, and for an honest promise, f constant
+    on K-cosets and distinct across them, a generator that passes lies in K,
+    so a kernel that passes is K exactly.  A generator that fails means the
+    samples do not yet span K^perp, so another batch of the same size is
+    drawn; `params.trials` counts batches.
     """
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup solving needs a finite group domain")
-    count = 4 * spec.rank + 10
+    count = _batch_size(spec)
     rng = np.random.default_rng(params.seed)
     memo: dict[Element, int] = {}
 
@@ -461,12 +478,14 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
     """Hidden-subgroup recovery tolerant of an m-to-1 label collapse.
 
     Sampler support always lies inside the annihilator of the function's
-    true invariance subgroup, so the sampled kernel only ever over-states
-    it.  The invariance subgroup is then grown from the kernel elements
-    where f is f(0), by the stabiliser search of the coset law over f's
-    whole table, read once and billed one query per domain point.  Any
-    finite Abelian domain works.  Domains smaller than m² skip sampling:
-    the kernel of no characters is all of G.
+    true invariance subgroup, so the kernel of one batch of d(G) + 2 draws
+    (`_batch_size`, as `solve_hsp_general` draws) only ever over-states it.
+    The invariance subgroup is then grown from the kernel elements where f
+    is f(0), by the stabiliser search of the coset law over f's whole
+    table, read once and billed one query per domain point; the kernel
+    only prunes that search, so one batch is drawn.  Any finite Abelian
+    domain works.  Domains smaller than m² skip sampling: the kernel of no
+    characters is all of G.
     """
     spec = instance.domain
     if spec is None:
@@ -477,7 +496,7 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
 
     collected = []
     if spec.order >= m * m:
-        collected = hsp_sample_batch(instance, 4 * spec.rank + 10, seed=params.seed)
+        collected = hsp_sample_batch(instance, _batch_size(spec), seed=params.seed)
     table = instance.label_table(spec.moduli)
     instance.counter.add(spec.order)
     grids = np.indices(spec.moduli, sparse=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iterproduct
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -65,6 +65,19 @@ def _strip_period(multiple: int, holds) -> int:
         while value % p == 0 and holds(value // p):
             value //= p
     return value
+
+
+def generator_count(moduli) -> int:
+    """d(G), the least number of elements that generate G, which is also the
+    largest p-rank of G: the moduli are merged into a divisibility chain
+    c_1 | c_2 | ... by (gcd, lcm) swaps, Z_a x Z_b = Z_gcd x Z_lcm, and the
+    entries above 1 are counted.  No modulus is factored."""
+    chain: list[int] = []  # ascending under divisibility
+    for d in moduli:
+        for i in reversed(range(len(chain))):
+            chain[i], d = lcm(chain[i], d), gcd(chain[i], d)
+        chain.insert(0, d)
+    return sum(c > 1 for c in chain)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from .groups import (
 )
 
 PROMISE_CHECK_CAP = 4096
+INVARIANCE_WITNESSES = 64
 
 
 class QueryCounter:
@@ -657,18 +658,53 @@ def classical_least_period(instance: OracleInstance, bound: int) -> int:
     raise ValueError(f"no period <= {bound}")
 
 
+def _invariance_generators(table: np.ndarray) -> list[Element]:
+    """Generators of K = {h : table[x + h] = table[x] for all x}, each one
+    outside the subgroup H of those before it, so each at least doubles H
+    and there are at most log2 |K| of them.  The candidates are the h with
+    table[h] = table[0], in index order.  K is a group, so a candidate in H
+    is skipped.  Any other is rejected at a mismatch on the fixed witness
+    points, and accepted only when the whole table, shifted by h, equals
+    itself.  H's mask then grows by doubling rolls: the mask of
+    H - {k h : k < s}, min(s, o) cosets of H for o the order of h modulo H,
+    unites with its roll by s h, the mask of H - {k h : k < 2s}.  A roll
+    that less than doubles the mask finds o < 2s, so the mask is H + <h>."""
+    shape = table.shape
+    grids = np.indices(shape, sparse=True)
+
+    def shifted(arr, h):  # arr[x + h] at every x
+        return arr[tuple((g + c) % d for g, c, d in zip(grids, h, shape))]
+
+    # fixed witness points, spread over the table's indices by a golden-ratio stride
+    witnesses = np.unravel_index(np.arange(INVARIANCE_WITNESSES) * 0x9E3779B1 % table.size, shape)
+    seen = table[witnesses]
+    inside = np.zeros(shape, dtype=bool)  # H
+    inside.flat[0] = True
+    members, generators = 1, []
+    rest = np.flatnonzero(table == table.flat[0])[1:]  # candidates past h = 0, not in H
+    while rest.size:
+        h = tuple(int(c) for c in np.unravel_index(rest[0], shape))
+        rest = rest[1:]
+        at_witnesses = table[tuple((w + c) % d for w, c, d in zip(witnesses, h, shape))]
+        if not np.array_equal(at_witnesses, seen) or not np.array_equal(shifted(table, h), table):
+            continue
+        generators.append(h)
+        step, doubled = h, True
+        while doubled:  # inside holds H - {k h : k < s}, step = s h
+            inside |= shifted(inside, step)
+            grown = int(np.count_nonzero(inside))
+            doubled, members = grown == 2 * members, grown
+            step = tuple(2 * c % d for c, d in zip(step, shape))
+        rest = rest[~inside.flat[rest]]
+    return generators
+
+
 def classical_invariance_subgroup(instance: OracleInstance) -> SubgroupGenerators:
     """{h : f(x+h) = f(x) for all x}, by exhaustive test (finite domains):
-    each h with f(h) = f(0) compares f's table shifted by h with itself."""
+    every h with f(h) = f(0) is either inside the subgroup found so far or
+    judged by a witnessed mismatch or a compare of f's whole table, shifted
+    by h, with itself (`_invariance_generators`)."""
     spec = instance.domain
     if spec is None:
         raise ValueError("integer-domain instances have no finite invariance subgroup")
-    shape = tuple(spec.moduli)
-    table = instance.label_table(shape)
-    grids = np.indices(shape, sparse=True)
-    members = [
-        tuple(int(c) for c in h)
-        for h in zip(*np.nonzero(table == table.flat[0]))
-        if np.array_equal(table[tuple((g + c) % d for g, c, d in zip(grids, h, shape))], table)
-    ]
-    return SubgroupGenerators.of(spec, members)
+    return SubgroupGenerators.of(spec, _invariance_generators(instance.label_table(spec.moduli)))

@@ -18,9 +18,15 @@ compared with a literal simulation of its circuit:
     circuit (`_pre_measurement_state`), and the two constructions of
     sum_x |x>|f(x)> side by side (`verify_main_equality`);
   * the |G|-point law of the coset sampler, read from f's table over the
-    whole group (`hsp_control_distribution`, `level_set_law`); and
+    whole group (`hsp_control_distribution`, `level_set_law`);
   * a subgroup's elements by closure (`subgroup_enumerate`) and the check
-    that a character annihilates a subgroup (`orthogonality_holds`).
+    that a character annihilates a subgroup (`orthogonality_holds`);
+  * the invariance subgroup of f by a shifted compare of its whole table at
+    every candidate (`table_scan_invariance_subgroup`); and
+  * the law of how many uniform draws generate a finite Abelian group, in
+    closed form from its p-ranks (`p_ranks`, `largest_p_rank`,
+    `quotient_p_ranks`, `generation_probability`) and by enumeration
+    (`generating_tuples`).
 
 Not collected by pytest: the file name does not start with `test_`.
 """
@@ -28,7 +34,9 @@ Not collected by pytest: the file name does not start with `test_`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -40,6 +48,7 @@ from hsplab.groups import (
     Element,
     GroupSpec,
     SubgroupGenerators,
+    _factorize,
     _hermite_basis,
     _table_stabiliser,
     character_phase_numerator,
@@ -522,3 +531,81 @@ def orthogonality_holds(spec: GroupSpec, t: Element, subgroup: SubgroupGenerator
     """Whether character t annihilates the subgroup (checked on generators;
     the pairing is linear, so generators suffice)."""
     return all(character_phase_numerator(spec, t, h) == 0 for h in subgroup.generators)
+
+
+def table_scan_invariance_subgroup(instance: OracleInstance) -> SubgroupGenerators:
+    """{h : f(x+h) = f(x) for all x}: every h with f(h) = f(0) compares f's
+    whole table, shifted by h, with itself."""
+    spec = instance.domain
+    shape = tuple(spec.moduli)
+    table = instance.label_table(shape)
+    grids = np.indices(shape, sparse=True)
+    members = [
+        tuple(int(c) for c in h)
+        for h in zip(*np.nonzero(table == table.flat[0]))
+        if np.array_equal(table[tuple((g + c) % d for g, c, d in zip(grids, h, shape))], table)
+    ]
+    return SubgroupGenerators.of(spec, members)
+
+
+# --- generation by uniform draws ---------------------------------------------
+
+
+def p_ranks(moduli) -> dict[int, int]:
+    """r_p of G = Z_{d_1} x ... x Z_{d_l} for each prime p dividing |G|:
+    the number of moduli that p divides."""
+    return dict(Counter(p for d in moduli for p in _factorize(d)))
+
+
+def largest_p_rank(moduli) -> int:
+    """d(G), the least number of generators of G, as its largest p-rank."""
+    return max(p_ranks(moduli).values(), default=0)
+
+
+def quotient_p_ranks(subgroup: SubgroupGenerators) -> dict[int, int]:
+    """r_p of G/K, which K^perp shares: |G/K : p(G/K)| = |G| / |pG + K| = p^r_p."""
+    spec = subgroup.spec
+    ranks = {}
+    for p in p_ranks(spec.moduli):
+        multiples = [spec.scale(p, spec.generator(j)) for j in range(spec.rank)]
+        index = spec.order // SubgroupGenerators.of(spec, [*subgroup.generators, *multiples]).order
+        if index > 1:
+            ranks[p] = _factorize(index)[p]  # index is a power of p
+    return ranks
+
+
+def generation_probability(ranks: dict[int, int], t: int) -> Fraction:
+    """P(t uniform draws generate A), for a finite Abelian A of p-ranks r_p:
+    prod_p prod_{i < r_p} (1 - p^(i - t)) (Pomerance, 2001).  Draws generate
+    A exactly when their images span each Frattini quotient A/pA = F_p^{r_p},
+    and t uniform vectors span F_p^r with probability
+    prod_{i < r} (1 - p^(i - t)), the images being independent across p."""
+    out = Fraction(1)
+    for p, r in ranks.items():
+        for i in range(r):
+            out *= 1 - Fraction(p) ** (i - t)
+    return out
+
+
+def generating_tuples(moduli, t: int) -> int:
+    """How many of the |A|^t tuples of elements of A = prod Z_d generate A,
+    by enumeration prefix by prefix: each subgroup a prefix generates, as its
+    set of elements, is carried with the number of prefixes generating it."""
+    spec = GroupSpec.of(moduli)
+    elements = list(spec.elements())
+
+    def join(span: frozenset, g: Element) -> frozenset:
+        grown, step = set(span), g
+        while step not in span:
+            grown |= {spec.add(x, step) for x in span}
+            step = spec.add(step, g)
+        return frozenset(grown)
+
+    counts = Counter({frozenset([spec.identity()]): 1})
+    for _ in range(t):
+        grown = Counter()
+        for span, ways in counts.items():
+            for g in elements:
+                grown[join(span, g)] += ways
+        counts = grown
+    return counts[frozenset(elements)]

@@ -224,7 +224,7 @@ def _acceptance_group_specs() -> list[tuple[int, ...]]:
 
 def test_criterion_5_hsp_exactness_exhaustive():
     t0 = time.monotonic()
-    runs = exact = 0
+    runs = exact = queries = 0
     for moduli in _acceptance_group_specs():
         spec = GroupSpec.of(moduli)
         for k_index, k in enumerate(all_subgroups(spec)):
@@ -237,11 +237,13 @@ def test_criterion_5_hsp_exactness_exhaustive():
                 )
                 runs += 1
                 exact += subgroups_equal(res.value, k)
+                queries += inst.query_count
     elapsed = time.monotonic() - t0
-    ok = exact == runs and elapsed < 600.0
+    mean_queries = queries / runs
+    ok = exact == runs and mean_queries <= 12 and elapsed < 600.0
     _report("criterion 5 (hidden-subgroup exactness)", ok,
             f"{exact}/{runs} exact over all subgroups x 10 relabelings, "
-            f"oversampling 4l+10, {elapsed:.1f}s (< 600s)")
+            f"{mean_queries:.3f} queries per solve (<= 12), {elapsed:.1f}s (< 600s)")
     assert ok
 
 

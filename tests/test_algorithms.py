@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from hsplab.algorithms import (
     solve_dlog,
     solve_hsp_general,
 )
-from hsplab.groups import GroupSpec, SubgroupGenerators, all_subgroups, subgroups_equal
+from hsplab.estimation import hsp_sample_batch
+from hsplab.groups import GroupSpec, SubgroupGenerators, all_subgroups, character_kernel, subgroups_equal
 from hsplab.oracles import (
     OracleInstance,
     PlantedTruth,
@@ -43,10 +45,27 @@ from hsplab.oracles import (
     make_stabiliser_instance,
     wrap_many_to_one,
 )
-from dense_reference import hsp_control_distribution, orthogonality_holds, subgroup_enumerate
+from dense_reference import (
+    generation_probability,
+    hsp_control_distribution,
+    largest_p_rank,
+    orthogonality_holds,
+    quotient_p_ranks,
+    subgroup_enumerate,
+)
 
 # chi-square critical value, df=3, significance 0.01
 CHI2_CRIT_DF3_P01 = 11.345
+# chi-square critical values at significance 0.001, by degrees of freedom
+CHI2_CRIT_P001 = {
+    1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458,
+    7: 24.322, 8: 26.124, 9: 27.877, 10: 29.588, 11: 31.264, 12: 32.909,
+}
+
+
+def batch_size(moduli) -> int:
+    """Draws per hidden-subgroup batch: d(G) + 2, d(G) the largest p-rank."""
+    return largest_p_rank(moduli) + 2
 
 
 def merge_table(size: int, m: int, seed: int) -> np.ndarray:
@@ -225,10 +244,51 @@ def test_hsp_solves_descending_prime_power_form():
 
 
 def test_hsp_oversampling_batch_size():
-    inst = make_simon_instance(3, (0, 1, 1))
-    res = solve_hsp_general(inst, SolverParams(seed=4))
-    # one batch of 4l + 10 samples suffices generically
-    assert len(res.samples) >= 4 * 3 + 10
+    """Every batch draws d(G) + 2 characters, and a trial is one batch."""
+    cases = [
+        make_simon_instance(3, (0, 1, 1)),
+        make_hidden_subgroup_instance(GroupSpec.of([6, 10]), [(3, 5)], relabel_seed=1),
+        make_hidden_subgroup_instance(GroupSpec.of([2, 2, 2, 2]), [], relabel_seed=2),
+        make_hidden_subgroup_instance(GroupSpec.of([1]), [], relabel_seed=0),
+    ]
+    for seed, inst in enumerate(cases):
+        res = solve_hsp_general(inst, SolverParams(seed=seed))
+        assert subgroups_equal(res.value, inst.truth.subgroup)
+        assert len(res.samples) == res.trials_used * batch_size(inst.domain.moduli)
+
+
+@pytest.mark.parametrize(
+    "moduli,gens",
+    [((2, 2, 2), []), ((4, 2), [(2, 0)]), ((3, 9), []), ((6, 10), [(3, 5)]), ((2, 2, 2, 2), [(1, 1, 0, 0)])],
+)
+def test_first_spanning_draw_follows_the_generation_law(moduli, gens):
+    """With one label per coset the draws are uniform on K^perp, so the
+    least i at which the kernel of the first i draws is K has
+    P(T <= i) = P(i uniform draws generate K^perp), the closed form on the
+    p-ranks of G/K.  A chi-square test over seeded runs, and no run may
+    stop where the law is 0."""
+    spec = GroupSpec.of(moduli)
+    inst = make_hidden_subgroup_instance(spec, gens, relabel_seed=0)
+    k = inst.truth.subgroup
+    runs, horizon = 4000, 16
+    observed = Counter()
+    for seed in range(runs):
+        draws = hsp_sample_batch(inst, horizon, seed=seed)
+        first = next((i for i in range(horizon + 1) if character_kernel(draws[:i], spec) == k), horizon + 1)
+        observed[first] += 1
+    cdf = [generation_probability(quotient_p_ranks(k), i) for i in range(horizon + 1)]
+    law = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])] + [1 - cdf[-1]]
+    assert all(observed[i] == 0 for i, p in enumerate(law) if p == 0)
+    bins, seen, expected = [], 0, 0.0
+    for i, p in enumerate(law):
+        seen, expected = seen + observed[i], expected + runs * float(p)
+        if expected >= 20:
+            bins.append([seen, expected])
+            seen, expected = 0, 0.0
+    bins[-1][0] += seen
+    bins[-1][1] += expected
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    assert stat < CHI2_CRIT_P001[len(bins) - 1], (bins, stat)
 
 
 def test_hsp_detects_inconsistent_black_box():
@@ -476,8 +536,8 @@ def test_robust_hsp_merge_enlarging_invariance_returns_enlargement():
 )
 def test_robust_hsp_random_merges_match_classical_truth(moduli, gens):
     """The answer is the brute-force invariance subgroup, and the bill is
-    one query per domain point plus one per draw; a domain smaller than m²
-    draws nothing."""
+    one query per domain point plus one per draw, one batch of d(G) + 2; a
+    domain smaller than m² draws nothing."""
     spec = GroupSpec.of(moduli)
     inner = make_hidden_subgroup_instance(spec, gens, relabel_seed=1)
     import warnings
@@ -490,7 +550,7 @@ def test_robust_hsp_random_merges_match_classical_truth(moduli, gens):
         before = merged.query_count
         res = robust_hsp(merged, SolverParams(seed=seed, multiplicity=2))
         assert subgroups_equal(res.value, truth)
-        assert merged.query_count - before == spec.order + 4 * spec.rank + 10
+        assert merged.query_count - before == spec.order + batch_size(moduli)
         before = merged.query_count
         res = robust_hsp(merged, SolverParams(seed=seed, multiplicity=spec.order))
         assert res.samples == [] and subgroups_equal(res.value, truth)

@@ -13,7 +13,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsplab import groups
@@ -25,7 +25,14 @@ from hsplab.groups import (
     character_phase_numerator,
     subgroups_equal,
 )
-from dense_reference import orthogonality_holds, subgroup_enumerate
+from dense_reference import (
+    generating_tuples,
+    generation_probability,
+    largest_p_rank,
+    orthogonality_holds,
+    p_ranks,
+    subgroup_enumerate,
+)
 from test_acceptance import _acceptance_group_specs
 
 
@@ -372,3 +379,51 @@ def test_kernel_is_the_two_form_construction(case):
     spec, samples = case
     rows = groups._dual_rows(groups._hermite_basis(set(samples), spec.moduli), spec.moduli)
     assert character_kernel(samples, spec) == SubgroupGenerators.of(spec, zip(*rows))
+
+
+# --- how many draws generate a group ---------------------------------------------
+
+
+def test_generator_count_is_the_largest_p_rank_on_the_acceptance_groups():
+    for moduli in _acceptance_group_specs():
+        assert groups.generator_count(moduli) == largest_p_rank(moduli)
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=6))
+def test_generator_count_is_the_largest_p_rank(moduli):
+    """The (gcd, lcm) chain counts as many cyclic factors above 1 as the
+    largest number of moduli one prime divides, the largest p-rank."""
+    assert groups.generator_count(moduli) == largest_p_rank(moduli)
+
+
+def test_generator_count_factors_nothing():
+    """Moduli past the factoring limit, with p-ranks known by construction."""
+    p, q = 2**61 - 1, 2**31 - 1  # Mersenne primes
+    with pytest.raises(ValueError):
+        groups._factorize(p * q)
+    assert groups.generator_count([p * q, p, 4 * q * q]) == 2
+    assert groups.generator_count([p * q, 2 * p * q, 6 * p * q]) == 3
+    assert groups.generator_count([p**3, q**5]) == 1
+    assert groups.generator_count([1, 1]) == 0
+
+
+@st.composite
+def _small_groups(draw):
+    """Moduli of a group of rank <= 3 and order <= 32."""
+    moduli, budget = [], 32
+    for _ in range(draw(st.integers(1, 3))):
+        moduli.append(draw(st.integers(1, budget)))
+        budget //= moduli[-1]
+    return tuple(moduli)
+
+
+@settings(max_examples=80)
+@given(_small_groups(), st.integers(0, 4))
+@example((2, 2, 2), 3)
+@example((2, 4, 4), 4)
+@example((3, 9), 2)
+@example((2, 2, 2), 4)
+def test_generation_law_counts_the_generating_tuples(moduli, t):
+    """prod_p prod_{i < r_p} (1 - p^(i - t)) of the |A|^t tuples of t
+    elements generate A, by enumeration."""
+    assert generating_tuples(moduli, t) == generation_probability(p_ranks(moduli), t) * prod(moduli) ** t

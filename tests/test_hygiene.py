@@ -17,8 +17,10 @@ seventh that the coset sampler draws with no table over the group, an
 eighth that no solver names a law array, and a ninth that no function
 takes a `route`: the query circuit and the shift ladder prepare one state,
 so no law or solver chooses between them.  A tenth checks that the CLI
-imports no thread machinery.  The law scans also keep the |G|-point laws,
-which are test references now, from coming back into the package.
+imports no thread machinery, and an eleventh that the brute-force truths
+share no search with the solvers they check.  The law scans also keep the
+|G|-point laws, which are test references now, from coming back into the
+package.
 """
 
 from __future__ import annotations
@@ -258,3 +260,12 @@ def test_cli_imports_no_thread_machinery():
             modules.add(node.module)
     threaded = {m for m in modules if m.split(".")[0] in ("concurrent", "threading")}
     assert not threaded, f"cli.py imports thread machinery: {threaded}"
+
+
+def test_brute_force_truths_share_no_search_with_the_solvers():
+    """`oracles.py`, where the brute-force truths live, names neither the
+    stabiliser search `robust_hsp` grows its answer with nor the character
+    kernel `solve_hsp_general` reads its answer from."""
+    path = Path(hsplab.__file__).parent / "oracles.py"
+    named = _references(ast.parse(path.read_text())) & {"_table_stabiliser", "character_kernel"}
+    assert not named, f"oracles.py names solver searches: {sorted(named)}"

@@ -43,9 +43,11 @@ from dense_reference import (
     from_amplitudes,
     l2_distance,
     subgroup_enumerate,
+    table_scan_invariance_subgroup,
     uniform_state,
     verify_main_equality,
 )
+from test_acceptance import _acceptance_group_specs
 
 
 def pairing_merge(inst: OracleInstance, pairs) -> np.ndarray:
@@ -513,6 +515,42 @@ def test_invariance_subgroup_matches_the_dict_scan(moduli):
             wrapped = wrap_many_to_one(inst, merge, multiplicity=2)
         for each in (inst, wrapped):
             assert subgroups_equal(classical_invariance_subgroup(each), dict_invariance_subgroup(each))
+
+
+def test_invariance_truth_matches_the_table_scan_on_every_acceptance_subgroup():
+    """Every subgroup of every acceptance group, merged m-to-1 at random
+    (m in {2, 3}), which can enlarge the invariance subgroup: the truth's
+    generators span the subgroup the whole-table compare at every candidate
+    finds, and each at least doubles the subgroup of those before it."""
+    rng = np.random.default_rng(22)
+    for moduli in _acceptance_group_specs():
+        spec = GroupSpec.of(moduli)
+        for i, sub in enumerate(all_subgroups(spec)):
+            inst = make_hidden_subgroup_instance(spec, sub.generators, relabel_seed=i)
+            m = int(rng.integers(2, 4))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                merged = wrap_many_to_one(inst, rng.permutation(inst.codomain_size) // m, multiplicity=m)
+            generators = oracles._invariance_generators(merged.label_table(moduli))
+            truth = table_scan_invariance_subgroup(merged)
+            assert SubgroupGenerators.of(spec, generators) == truth
+            assert 2 ** len(generators) <= truth.order
+
+
+def test_invariance_truth_judges_a_table_periodic_but_at_one_point():
+    """A table constant on the cosets of K = <(1, 1)> in Z_32 x Z_32 but at
+    one point is invariant under {0} alone.  Each h in K changes it only at
+    the odd point and one more, which the fixed witnesses mostly miss, so
+    only the whole-table compare rejects h."""
+    spec = GroupSpec.of([32, 32])
+    honest = make_hidden_subgroup_instance(spec, [(1, 1)], relabel_seed=0).label_table(spec.moduli)
+    rng = np.random.default_rng(5)
+    for odd in rng.integers(1, spec.order, 8):
+        table = honest.copy()
+        table.flat[odd] = honest.max() + 1
+        inst = OracleInstance(domain=spec, codomain_size=int(table.max()) + 1, box_labels=table)
+        assert classical_invariance_subgroup(inst) == SubgroupGenerators.trivial(spec)
+        assert table_scan_invariance_subgroup(inst) == SubgroupGenerators.trivial(spec)
 
 
 # --- promise checks ----------------------------------------------------------
