@@ -8,8 +8,10 @@ to verify within the trial budget raises BudgetExhausted — a probabilistic
 shortfall — while evidence that the function breaks its promise raises
 PromiseViolation.
 
-Per-trial seeds are derived as master seed + trial index, so a run is
-replayable regardless of how a harness schedules trials.
+Per-trial seeds are derived as master seed + trial index, and
+`solve_hsp_general` draws all its batches and check points from one stream
+seeded by the master seed, so a run is replayable regardless of how a
+harness schedules trials.
 """
 
 from __future__ import annotations
@@ -265,41 +267,35 @@ def solve_hsp_general(instance: OracleInstance, params: SolverParams) -> HspResu
 
     Batches of d(G) + 2 coset-sampler outcomes over the whole group
     (`_batch_size`) feed the character-kernel solver, which reads the kernel
-    off the dual of the sampled characters' lattice; every generator of the
-    candidate kernel is then checked against the function at a random
-    point.  The kernel always holds K, and for an honest promise, f constant
-    on K-cosets and distinct across them, a generator that passes lies in K,
-    so a kernel that passes is K exactly.  A generator that fails means the
-    samples do not yet span K^perp, so another batch of the same size is
-    drawn; `params.trials` counts batches.
+    off the dual of the sampled characters' lattice.  Every generator h of
+    the candidate kernel is then checked against the function at one point
+    x per batch: f(x) is evaluated once, then f(x + h) for each h until one
+    differs.  The batches and the points come from one random stream,
+    seeded by `params.seed`.  The kernel always holds K, and for an honest
+    promise, f constant on K-cosets and distinct across them, f(x + h) =
+    f(x) at any x exactly when h lies in K, so a kernel that passes is K
+    exactly.  A generator that fails means the samples do not yet span
+    K^perp, so another batch of the same size is drawn; `params.trials`
+    counts batches.
     """
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup solving needs a finite group domain")
     count = _batch_size(spec)
     rng = np.random.default_rng(params.seed)
-    memo: dict[Element, int] = {}
-
-    def fval(x: Element) -> int:
-        if x not in memo:
-            memo[x] = instance.evaluate(x)
-        return memo[x]
-
     collected: list[Element] = []
-    failing = None
     for attempt in range(params.trials):
-        collected.extend(hsp_sample_batch(instance, count, seed=params.seed + attempt))
+        collected.extend(hsp_sample_batch(instance, count, seed=rng))
         kernel = character_kernel(collected, spec)
         failing = None
-        for h in kernel.generators:
+        if kernel.generators:
             x = tuple(int(c) for c in rng.integers(0, spec.moduli))
-            if fval(spec.add(x, h)) != fval(x):
-                failing = (h, x)
-                break
+            fx = instance.evaluate(x)
+            failing = next((h for h in kernel.generators if instance.evaluate(spec.add(x, h)) != fx), None)
         if failing is None:
             return HspResult(kernel, attempt + 1, collected, True)
     raise PromiseViolation(
-        f"claimed coset shift {failing[0]} changes f at {failing[1]}: "
+        f"claimed coset shift {failing} changes f at {x}: "
         "samples never stabilized on a subgroup the function honors"
     )
 

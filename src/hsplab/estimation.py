@@ -471,10 +471,12 @@ def _box_acceptance(t: np.ndarray, moduli: tuple[int, ...], multiplicity: int, l
     return ratio / (multiplicity * size)
 
 
-def hsp_sample_batch(instance: OracleInstance, count: int, seed: int = 0) -> list:
+def hsp_sample_batch(instance: OracleInstance, count: int, seed: int | np.random.Generator = 0) -> list:
     """Draw `count` coset-sampler outcomes (group elements of the character
     group, identified with domain coordinates), with no table over G and no
-    law array.  One query per draw.
+    law array.  One query per draw.  `seed` is an int or a Generator, as
+    `np.random.default_rng` takes it: a Generator is drawn from and left
+    advanced, so one stream can feed several batches.
 
     f is constant on the cosets of the instance's subgroup H, so the coset
     states are shift eigenvectors whose eigenvalues are the characters in

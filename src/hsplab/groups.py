@@ -152,41 +152,62 @@ class GroupSpec:
         return cls.of(data["moduli"])
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s * a + t * b = g = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _size_reduce(basis) -> None:
+    """Bring each entry above a pivot of an upper-triangular basis into
+    [0, pivot), column by column from the left, in place."""
+    for c, pivot_row in enumerate(basis):
+        pivot = pivot_row[c]
+        for r in range(c):
+            q = basis[r][c] // pivot
+            if q:
+                basis[r] = [a - q * b for a, b in zip(basis[r], pivot_row)]
+
+
 def _hermite_basis(gens, moduli: tuple[int, ...]) -> list[list[int]]:
     """Hermite form of the generator rows stacked on the modulus relations
     d_j * e_j: an upper-triangular basis of that lattice, row i with a
-    positive pivot at column i.  The lattice is full rank, so there is one
-    row per coordinate, and the pivot of row i divides d_i."""
+    positive pivot at column i and entries in [0, p) above each pivot p.
+    The lattice is full rank, so there is one row per coordinate, and the
+    pivot of row i divides d_i.
+
+    The rows start as diag(d), and each generator row v is inserted from
+    the left (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4): at each column c where v is nonzero, one extended-gcd step
+    against row c leaves row c with pivot gcd(p_c, v_c) and v zero at c.
+    d_j * e_j lies in the span of rows j onwards, which the insertion has
+    not yet reached, so entries at columns j > c are taken mod d_j as it
+    goes.  One size reduction at the end gives the form, which is unique."""
     l = len(moduli)
-    rows = [list(g) for g in gens]
-    rows += [[moduli[j] if i == j else 0 for j in range(l)] for i in range(l)]
-    top = 0
-    for c in range(l):
-        while True:
-            nz = [r for r in range(top, len(rows)) if rows[r][c] != 0]
-            if not nz:
-                break
-            r_min = min(nz, key=lambda r: abs(rows[r][c]))
-            rows[top], rows[r_min] = rows[r_min], rows[top]
-            finished = True
-            for r in range(top + 1, len(rows)):
-                if rows[r][c]:
-                    q = rows[r][c] // rows[top][c]
-                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[top])]
-                    if rows[r][c]:
-                        finished = False
-            if finished:
-                break
-        if top < len(rows) and rows[top][c] != 0:
-            if rows[top][c] < 0:
-                rows[top] = [-a for a in rows[top]]
-            pivot = rows[top][c]
-            for r in range(top):
-                q = rows[r][c] // pivot
-                if q:
-                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[top])]
-            top += 1
-    return rows[:top]
+    rows = [[d if i == j else 0 for j in range(l)] for i, d in enumerate(moduli)]
+    for gen in gens:
+        v = [int(a) % d for a, d in zip(gen, moduli)]
+        for c, row in enumerate(rows):
+            a, b = row[c], v[c]
+            if not b:
+                continue
+            if b % a:  # row c becomes s row + t v, of pivot g, and v becomes (a v - b row) / g
+                g, s, t = _xgcd(a, b)
+                a, b, row = a // g, b // g, row[:]
+                rows[c][c] = g  # 0 < g <= b < d_c
+                for j in range(c + 1, l):
+                    x, y, d = v[j], row[j], moduli[j]
+                    rows[c][j] = (s * y + t * x) % d
+                    v[j] = (a * x - b * y) % d
+            else:  # v loses b / a times row c
+                q = b // a
+                for j in range(c + 1, l):
+                    v[j] = (v[j] - q * row[j]) % moduli[j]
+    _size_reduce(rows)
+    return rows
 
 
 def _exact_dtype(moduli: tuple[int, ...]):
@@ -357,12 +378,7 @@ def character_kernel(samples, spec: GroupSpec) -> SubgroupGenerators:
     dual = _dual_rows(_hermite_basis(ts, reversed_moduli), reversed_moduli)
     # M[i][j] = dual[l-1-i][l-1-j]; row j of the kernel's basis is column j of M
     basis = [list(column) for column in zip(*reversed(dual))][::-1]
-    for c, pivot_row in enumerate(basis):
-        pivot = pivot_row[c]
-        for r in range(c):
-            q = basis[r][c] // pivot
-            if q:
-                basis[r] = [a - q * b for a, b in zip(basis[r], pivot_row)]
+    _size_reduce(basis)
     return SubgroupGenerators.of_basis(spec, basis)
 
 

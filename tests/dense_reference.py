@@ -19,8 +19,10 @@ compared with a literal simulation of its circuit:
     sum_x |x>|f(x)> side by side (`verify_main_equality`);
   * the |G|-point law of the coset sampler, read from f's table over the
     whole group (`hsp_control_distribution`, `level_set_law`);
-  * a subgroup's elements by closure (`subgroup_enumerate`) and the check
-    that a character annihilates a subgroup (`orthogonality_holds`);
+  * a subgroup's elements by closure (`subgroup_enumerate`), the Hermite
+    form of a lattice by elimination over all its rows at once
+    (`elimination_hermite_basis`), and the check that a character
+    annihilates a subgroup (`orthogonality_holds`);
   * the invariance subgroup of f by a shifted compare of its whole table at
     every candidate (`table_scan_invariance_subgroup`); and
   * the law of how many uniform draws generate a finite Abelian group, in
@@ -525,6 +527,44 @@ def subgroup_enumerate(gens: SubgroupGenerators) -> frozenset[Element]:
                 seen.add(y)
                 frontier.append(y)
     return frozenset(seen)
+
+
+def elimination_hermite_basis(gens, moduli) -> list[list[int]]:
+    """Hermite form of the generator rows stacked on the modulus relations
+    d_j * e_j, by Euclidean elimination over all the rows at once: at each
+    column the row of least nonzero entry becomes the pivot and is
+    subtracted from the rest until they vanish there, and the entries
+    above the pivot are reduced into [0, pivot)."""
+    l = len(moduli)
+    rows = [list(g) for g in gens]
+    rows += [[moduli[j] if i == j else 0 for j in range(l)] for i in range(l)]
+    top = 0
+    for c in range(l):
+        while True:
+            nz = [r for r in range(top, len(rows)) if rows[r][c] != 0]
+            if not nz:
+                break
+            r_min = min(nz, key=lambda r: abs(rows[r][c]))
+            rows[top], rows[r_min] = rows[r_min], rows[top]
+            finished = True
+            for r in range(top + 1, len(rows)):
+                if rows[r][c]:
+                    q = rows[r][c] // rows[top][c]
+                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[top])]
+                    if rows[r][c]:
+                        finished = False
+            if finished:
+                break
+        if top < len(rows) and rows[top][c] != 0:
+            if rows[top][c] < 0:
+                rows[top] = [-a for a in rows[top]]
+            pivot = rows[top][c]
+            for r in range(top):
+                q = rows[r][c] // pivot
+                if q:
+                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[top])]
+            top += 1
+    return rows[:top]
 
 
 def orthogonality_holds(spec: GroupSpec, t: Element, subgroup: SubgroupGenerators) -> bool:

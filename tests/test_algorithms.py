@@ -257,6 +257,71 @@ def test_hsp_oversampling_batch_size():
         assert len(res.samples) == res.trials_used * batch_size(inst.domain.moduli)
 
 
+def _check_queries(kernel: SubgroupGenerators, k: SubgroupGenerators) -> int:
+    """What an honest solve bills to check one batch's kernel against f:
+    nothing for {0}, else f at the check point and f(x + h) for each
+    generator h up to the first outside K, which changes f at any x."""
+    if not kernel.generators:
+        return 0
+    checked = 0
+    for h in kernel.generators:
+        checked += 1
+        if SubgroupGenerators.of(k.spec, [*k.generators, h]) != k:
+            break
+    return 1 + checked
+
+
+@pytest.mark.parametrize("moduli", [(4, 4), (2, 2, 2), (6, 10), (1,)])
+def test_hsp_bills_draws_and_one_check_point_per_batch(moduli):
+    """On every subgroup, an honest solve bills d(G) + 2 draws a batch plus,
+    per batch, 1 + the kernel generators checked, with each batch's kernel
+    read again from the returned samples.  A kernel of {0} bills its draws
+    only."""
+    spec = GroupSpec.of(moduli)
+    size = batch_size(moduli)
+    batches = Counter()
+    for index, k in enumerate(all_subgroups(spec)):
+        for seed in range(12):
+            inst = make_hidden_subgroup_instance(spec, k, relabel_seed=index)
+            res = solve_hsp_general(inst, SolverParams(seed=seed))
+            assert subgroups_equal(res.value, k)
+            kernels = [character_kernel(res.samples[: (i + 1) * size], spec) for i in range(res.trials_used)]
+            assert kernels[-1] == res.value
+            checks = sum(_check_queries(kernel, k) for kernel in kernels)
+            assert inst.query_count == res.trials_used * size + checks
+            if not k.generators and res.trials_used == 1:
+                assert inst.query_count == size
+            batches[res.trials_used] += 1
+    if moduli != (1,):  # some solve failed a batch, so a failing check's bill is pinned too
+        assert len(batches) > 1, batches
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_hsp_sample_batch_takes_a_generator_or_its_seed(seed):
+    one_to_one = make_hidden_subgroup_instance(GroupSpec.of([6, 10]), [(3, 5)], relabel_seed=1)
+    inner = make_hidden_subgroup_instance(GroupSpec.of([4, 8]), [(2, 4)], relabel_seed=2)
+    with pytest.warns(UserWarning):
+        merged = wrap_many_to_one(inner, merge_table(inner.codomain_size, 2, seed), 2)
+    for inst in (one_to_one, merged):
+        assert hsp_sample_batch(inst, 9, seed=np.random.default_rng(seed)) == hsp_sample_batch(inst, 9, seed=seed)
+
+
+def test_hsp_solve_draws_its_batches_from_one_stream():
+    """The first batch is the one `params.seed` seeds, and a second batch
+    continues that stream rather than repeating the first."""
+    spec = GroupSpec.of([2, 2, 2, 2])
+    size = batch_size(spec.moduli)
+    second = 0
+    for seed in range(40):
+        inst = make_hidden_subgroup_instance(spec, [], relabel_seed=seed)
+        res = solve_hsp_general(inst, SolverParams(seed=seed))
+        assert res.samples[:size] == hsp_sample_batch(inst, size, seed=seed)
+        if res.trials_used > 1:
+            second += 1
+            assert res.samples[size : 2 * size] != res.samples[:size]
+    assert second > 0
+
+
 @pytest.mark.parametrize(
     "moduli,gens",
     [((2, 2, 2), []), ((4, 2), [(2, 0)]), ((3, 9), []), ((6, 10), [(3, 5)]), ((2, 2, 2, 2), [(1, 1, 0, 0)])],

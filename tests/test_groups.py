@@ -26,6 +26,7 @@ from hsplab.groups import (
     subgroups_equal,
 )
 from dense_reference import (
+    elimination_hermite_basis,
     generating_tuples,
     generation_probability,
     largest_p_rank,
@@ -379,6 +380,32 @@ def test_kernel_is_the_two_form_construction(case):
     spec, samples = case
     rows = groups._dual_rows(groups._hermite_basis(set(samples), spec.moduli), spec.moduli)
     assert character_kernel(samples, spec) == SubgroupGenerators.of(spec, zip(*rows))
+
+
+# --- Hermite form by row insertion ------------------------------------------------
+
+
+@st.composite
+def _moduli_and_generator_rows(draw):
+    """Rank <= 4, moduli from Z_1 up to 2**62, and up to 12 generator rows
+    whose entries run negative and past their modulus."""
+    moduli = draw(st.lists(
+        st.one_of(st.just(1), st.integers(1, 64), st.integers(1, 1 << 62)), min_size=1, max_size=4
+    ))
+    entries = st.tuples(*(st.integers(-3 * d, 3 * d) for d in moduli))
+    return tuple(moduli), draw(st.lists(entries, max_size=12))
+
+
+@settings(max_examples=400)
+@given(_moduli_and_generator_rows())
+@example(((1,), [(0,), (-3,)]))
+@example(((1, 1 << 62), [(5, -(1 << 63))]))
+@example(((4, 6, 8, 12), [(-2, 9, 0, 30), (6, -3, 4, -18), (2, 3, 4, 6)]))
+def test_hermite_insertion_is_the_elimination_form(case):
+    """Inserting the rows one at a time into diag(d) gives the Hermite form
+    that Euclidean elimination over all the rows at once gives."""
+    moduli, rows = case
+    assert groups._hermite_basis(rows, moduli) == elimination_hermite_basis(rows, moduli)
 
 
 # --- how many draws generate a group ---------------------------------------------
