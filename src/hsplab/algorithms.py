@@ -56,7 +56,7 @@ class SolverParams:
 
     Register sizing precedence: `control_bits` (size 2^bits), then a size
     derived from the period bound and `epsilon`.  Order and period finding
-    without a `period_bound` double a guessed bound until a period verifies.
+    without a `period_bound` take the codomain size as the bound.
     `multiplicity` overrides the instance's own many-to-1 bound when set.
     `trials` counts single draws in order, period and discrete-log finding,
     batches of d(G) + 2 draws in `solve_hsp_general`, and attempts in
@@ -190,18 +190,6 @@ def _recover_period(instance: OracleInstance, params: SolverParams, bound: int) 
     )
 
 
-def _run_with_doubling(instance, params) -> OrderResult:
-    guess = 2
-    cap = instance.codomain_size  # the period never exceeds the label count
-    while True:
-        try:
-            return _recover_period(instance, params, min(guess, cap))
-        except BudgetExhausted:
-            if guess >= cap:
-                raise
-            guess *= 2
-
-
 def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
     """Multiplicative order, or any period, via phase estimation.
 
@@ -209,11 +197,11 @@ def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
     evaluations; denominators from continued fractions are lcm-combined
     until f(r) = f(0) verifies, then stripped to the least verified period.
     The query circuit and the shift ladder prepare one state, so the sample
-    is the same whether or not the instance has shift maps.
+    is the same whether or not the instance has shift maps.  Without a
+    `period_bound` the bound is the codomain size, since a period's labels
+    are distinct; a draw costs the same at any register size.
     """
-    if params.period_bound is None:
-        return _run_with_doubling(instance, params)
-    return _recover_period(instance, params, params.period_bound)
+    return _recover_period(instance, params, params.period_bound or instance.codomain_size)
 
 
 def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:

@@ -212,8 +212,6 @@ def _load_config(args) -> dict:
     params = dict(params)
     if getattr(args, "control_bits", None) is not None:
         params["control_bits"] = args.control_bits
-    if getattr(args, "multiplicity", None) is not None and config["solver"].startswith("robust"):
-        params.setdefault("multiplicity", args.multiplicity)
     if "period_bound" not in params and "instance" in config:
         bound = _default_bound(config["instance"])
         if bound is not None:

@@ -13,11 +13,10 @@ register by a single recycled qubit measured between steps, with each
 measured bit feeding a rotation into the next step.  Its outcome law is the
 register law on 2^bits levels (the Griffiths-Niu semiclassical Fourier
 transform), so `control_distribution` is its one law; tests check it
-against an independent walk of the cascade's binary branch tree.  The
-runner draws its bits from the same eigenphase mixture: the basis target
-is a uniform superposition of the L shift eigenvectors on its cycle, so a
-run carries L weights on the phases k/L, each bit's law is their weighted
-sum, and the measured bit conditions them.
+against an independent walk of the cascade's binary branch tree.  So the
+runner draws its outcome as the register sampler does, from the mixture
+over the L eigenphases of its target's shift cycle, and reads each step's
+bit and feed-forward rotation off that outcome's binary digits.
 
 The register and coset-sampler laws come from the level sets of the label
 table the circuit writes into the target (Mosca-Ekert): the law is the
@@ -317,7 +316,7 @@ def _point_law(x: int, n: int, period: int, labels) -> tuple[float, float]:
     else:
         denominator = _sin_turn(y, n)
         root, root_next = _sin_turn(r, n) / denominator, _sin_turn((r + y) % n, n) / denominator
-    scale = float(n) * n
+    scale = float(n * n)  # raises past n ~ 2^512, where float(n) * n would be inf and the law 0
     mixture = ((period - s) * root * root + s * root_next * root_next) / scale
     if labels is None:
         return mixture, mixture
@@ -375,7 +374,7 @@ def _draw_mixture(rng, period: int, n: int) -> int:
         offset = j * period - num  # t L
         if -width < 2 * offset <= width:
             u = abs(offset) / width
-            if rng.random() * math.sin(math.pi * u) ** 2 < 4.0 * u * u:
+            if rng.random() * (math.sin(math.pi * u) / u) ** 2 < 4.0:  # u * u underflows past n ~ 2^537
                 return (base + j) % n
 
 
@@ -533,7 +532,7 @@ class SemiclassicalStep:
 class SemiclassicalRun:
     steps: tuple[SemiclassicalStep, ...]
     sample: PhaseSample
-    live_dimension: int  # eigenphases the cascade carries: the target's shift cycle L
+    live_dimension: int  # eigenphases the target mixes: the length L of its shift cycle
 
     def to_json(self) -> dict:
         return {
@@ -560,17 +559,17 @@ def phase_estimate_semiclassical(
     for the bits v measured so far, and measures after a Hadamard; bit s is
     the 2^s digit of the final outcome.
 
-    The basis target (None means f at the identity) is the uniform
-    superposition of the L shift eigenvectors on its cycle, and the cascade
-    only kicks their phases k/L back onto the control, so the run carries L
-    weights in place of a state: bit 0 has probability
-    cos^2(pi (p k / L + turns)) under phase k, the bit is drawn from the
-    weighted sum, and the weights are conditioned on it.  L is the target's
-    `_register_cycle` cut at the codomain size, which no permutation cycle
-    exceeds, so the default target's is read off f's row of labels and the
-    cap bounds it.  The outcome law is `control_distribution(instance,
-    2**n_bits)`, the register's on 2^n_bits levels (Griffiths-Niu).  Costs
-    one query per step plus one `evaluate` when the default target is
+    The cascade's outcome law is the register's on 2^n_bits levels
+    (Griffiths-Niu), `control_distribution(instance, 2**n_bits)`, so the run
+    draws its outcome v as `sample_control` does: the basis target (None
+    means f at the identity) is the uniform superposition of the L shift
+    eigenvectors on its cycle, a permutation cycle's labels are distinct,
+    and v is one draw of their eigenphase mixture (`_draw_mixture`), with
+    the law at v (`_point_law`) as its probability.  Each step's bit and
+    rotation are then v's digits.  L is the target's `_register_cycle` cut
+    at the codomain size, which no permutation cycle exceeds, so the
+    default target's is read off f's row of labels and the cap bounds it.
+    Costs one query per step plus one `evaluate` when the default target is
     requested.
     """
     n_bits = int(n_bits)
@@ -582,27 +581,11 @@ def phase_estimate_semiclassical(
         raise ValueError("the cascade takes a basis-label target or None")
     label = instance.evaluate(_identity_point(instance)) if target is None else int(target)
     period = _register_cycle(instance, instance.codomain_size, int(generator), label)[0]
-    phases = np.arange(period, dtype=np.int64)  # eigenphase k / period
-    weights = np.full(period, 1.0 / period)
-    rng = np.random.default_rng(seed)
-
-    v = 0
-    steps: list[SemiclassicalStep] = []
-    total_probability = 1.0
-    for s in range(n_bits):
-        power = 1 << (n_bits - 1 - s)
-        turns = Fraction(-v, 1 << (s + 1))
-        instance.counter.add(1)
-        angle = (power % period) * phases % period / period + float(turns)
-        angle *= np.pi
-        factors = (np.cos(angle) ** 2, np.sin(angle) ** 2)  # of bit 0 and bit 1
-        probs = np.maximum([weights @ factors[0], weights @ factors[1]], 0.0)
-        bit = int(np.random.default_rng(int(rng.integers(1 << 62))).choice(2, p=probs / probs.sum()))
-        total_probability *= float(probs[bit])
-        weights *= factors[bit]
-        weights /= weights.sum()
-        v += bit << s
-        steps.append(SemiclassicalStep(s + 1, power, turns, bit))
-
-    sample = PhaseSample(v, 1 << n_bits, total_probability, seed)
-    return SemiclassicalRun(tuple(steps), sample, period)
+    n = 1 << n_bits
+    v = _draw_mixture(np.random.default_rng(seed), period, n)
+    instance.counter.add(n_bits)
+    steps = tuple(
+        SemiclassicalStep(s + 1, 1 << (n_bits - 1 - s), Fraction(-(v % (1 << s)), 1 << (s + 1)), v >> s & 1)
+        for s in range(n_bits)
+    )
+    return SemiclassicalRun(steps, PhaseSample(v, n, _point_law(v, n, period, None)[0], seed), period)

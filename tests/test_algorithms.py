@@ -124,18 +124,21 @@ def test_find_order_budget_exhaustion_distinct_from_promise():
         find_order(make_order_instance(15, 2), SolverParams(seed=0, period_bound=2, trials=4))
 
 
-def test_find_order_doubling_mode():
+def test_find_order_without_a_bound():
     res = find_order(make_order_instance(15, 2), SolverParams(seed=5))
     assert res.value == 4
 
 
-def test_find_order_without_bound_doubles():
-    # bounds 2, 4, ...: a bound of 2 cannot verify r = 6, so the run only
-    # ends once a doubled bound reaches it, after more than one budget
-    inst = make_order_instance(7, 3)
-    res = find_order(inst, SolverParams(seed=0, trials=3))
-    assert res.value == 6
-    assert inst.query_count > 3
+@pytest.mark.parametrize("modulus, base", [(7, 3), (899, 2)])
+def test_find_order_without_bound_runs_at_the_codomain_size(modulus, base):
+    """An unbounded run is the run bounded at the codomain size: the same
+    answer, the same draws and the same queries."""
+    unbounded, bounded = make_order_instance(modulus, base), make_order_instance(modulus, base)
+    res = find_order(unbounded, SolverParams(seed=0))
+    ref = find_order(bounded, SolverParams(seed=0, period_bound=bounded.codomain_size))
+    assert res.value == ref.value == classical_order(base, modulus)
+    assert res.samples == ref.samples
+    assert unbounded.query_count == bounded.query_count
 
 
 # --- period finding ----------------------------------------------------------
@@ -174,7 +177,7 @@ def test_find_period_query_frugality(r):
     assert inst.query_count <= 20
 
 
-def test_find_period_doubling_mode():
+def test_find_period_without_a_bound():
     inst = make_period_instance(10, relabel_seed=4)
     res = find_period(inst, SolverParams(seed=4))
     assert res.value == 10

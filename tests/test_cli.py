@@ -117,6 +117,20 @@ def test_robust_period_run_folds_merged_labels(capsys):
     assert code == 0 and report["match"] is True
 
 
+def test_robust_config_keeps_the_merge_multiplicity(capsys, tmp_path):
+    """A config's merge carries its own m = 3, so a robust subcommand run on
+    that config uses it, as `verify` does, not the flag's default of 2."""
+    merged = {"kind": "many_to_one", "inner": {"kind": "period", "period": 18, "relabel_seed": 0},
+              "merge": [i // 3 for i in range(18)], "multiplicity": 3}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"solver": "robust-period", "instance": merged, "seed": 1}))
+    _, flagged, _ = run(capsys, "robust-period", "--config", str(cfg), "--period", "18")
+    _, verified, _ = run(capsys, "verify", "--config", str(cfg))
+    assert flagged["config"]["params"] == verified["config"]["params"] == {"period_bound": 18}
+    assert flagged["results"] == verified["results"]
+    assert flagged["match"] is True
+
+
 def test_robust_hsp_run(capsys):
     code, report, _ = run(
         capsys, "robust-hsp", "--moduli", "2,2", "--generators", "1,1",

@@ -35,6 +35,7 @@ from hsplab.amplitudes import CapExceeded, RegisterLayout, dimension_cap, set_di
 from hsplab.estimation import (
     _coset_proposals,
     _coset_sampler,
+    _draw_mixture,
     _orbit_length,
     _periodic_law,
     _point_law,
@@ -93,17 +94,17 @@ def mixture_law(instance, n: int) -> np.ndarray:
     return acc / r
 
 
-def branch_tree_law(instance, bits: int, *, generator: int = 0) -> np.ndarray:
+def branch_tree_law(instance, bits: int, *, generator: int = 0, target=None) -> np.ndarray:
     """Independent oracle: the outcome law of the one-qubit cascade of
     `phase_estimate_semiclassical`, by walking all 2^bits measurement
-    branches from the target |f(identity)>.  Each branch carries its
-    unnormalised target vector, whose squared norm is the branch's
-    probability; step s applies the shift by 2^(bits-1-s) generators on the
-    |1> half, turns it back by the phase v / 2^(s+1) of the bits v measured
-    so far, and splits on the Hadamard's two outcomes."""
+    branches from the basis target |target> (None means |f(identity)>).
+    Each branch carries its unnormalised target vector, whose squared norm
+    is the branch's probability; step s applies the shift by 2^(bits-1-s)
+    generators on the |1> half, turns it back by the phase v / 2^(s+1) of
+    the bits v measured so far, and splits on the Hadamard's two outcomes."""
     spec = instance.domain
     vec = np.zeros(instance.codomain_size, dtype=np.complex128)
-    vec[instance._raw(0 if spec is None else spec.identity())] = 1.0
+    vec[instance._raw(0 if spec is None else spec.identity()) if target is None else target] = 1.0
     branches = [(0, vec)]
     for s in range(bits):
         power = 1 << (bits - 1 - s)
@@ -312,6 +313,18 @@ def test_point_law_is_the_single_phase_mixture_at_any_size(period, n):
     for x in [0, 1, n - 1, n // period, n // period + 1] + [int(v) for v in rng.integers(n, size=20)]:
         at, mixture = _point_law(x, n, period, None)
         assert at == mixture == pytest.approx(single_phase_mixture(x, n, period), rel=1e-9, abs=0.0)
+
+
+def test_mixture_draw_ends_past_float_squares():
+    """At n = 2^600 the acceptance ratio's u = |t| / n squares below the
+    least float; a draw still ends, as an offset j from some k n / L that
+    the envelope's 1 / j^2 tail reaches."""
+    n, period = 1 << 600, 6
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        x = _draw_mixture(rng, period, n)
+        assert 0 <= x < n
+        assert min(abs(x * period - k * n) for k in range(period + 1)) < 10**6 * period
 
 
 def test_envelope_bounds_every_single_phase_law():
@@ -872,6 +885,30 @@ def test_semiclassical_run_draws_from_the_branch_tree_law(case, bits, seed):
     law = branch_tree_law(inst, bits, generator=generator)
     assert abs(run.sample.probability - law[run.sample.observed]) < 1e-12
     assert run.sample.observed == sum(step.bit << i for i, step in enumerate(run.steps))
+
+
+@pytest.mark.parametrize(
+    "make, generator, target, bits",
+    [
+        (lambda: make_order_instance(15, 2), 0, None, 5),
+        (lambda: make_dlog_instance(2, 5, modulus=13), 1, None, 6),
+        (lambda: make_order_instance(15, 2), 0, 3, 5),  # 3 is off 2's orbit mod 15
+    ],
+    ids=["order-15-2", "dlog-13-along-1", "off-orbit-target-3"],
+)
+def test_semiclassical_chi_square_smoke(make, generator, target, bits):
+    """Fixed-seed cascade runs against the branch-tree law: the statistic
+    stays within five standard deviations of its degrees of freedom, and
+    each run bills one query per step."""
+    inst, runs = make(), 20_000
+    law = branch_tree_law(inst, bits, generator=generator, target=target)
+    drawn = [
+        phase_estimate_semiclassical(inst, bits, generator=generator, seed=seed, target=target).sample.observed
+        for seed in range(runs)
+    ]
+    statistic, dof = chi_square(np.bincount(drawn, minlength=1 << bits), law, runs)
+    assert statistic < dof + 5 * math.sqrt(2 * dof), (statistic, dof)
+    assert inst.query_count == runs * (bits + (target is None))
 
 
 def test_semiclassical_forty_bits_exact():

@@ -194,11 +194,13 @@ N_POINT_LAW = frozenset({"control_distribution", "_periodic_law", "choice"})
 
 
 def test_sampler_draws_without_the_n_point_law():
-    """`sample_control`, and every estimation function it reaches, names
-    neither the n-point law nor `.choice`: that law stays with `dump` and
-    the tests, and a draw costs O(1), or O(L) for merged labels."""
-    named = _named_on_the_way("sample_control", N_POINT_LAW)
-    assert not any(named.values()), f"the sampler reaches the n-point law: {named}"
+    """`sample_control` and the one-qubit cascade, and every estimation
+    function they reach, name neither the n-point law nor `.choice`: that
+    law stays with `dump` and the tests, and a draw costs O(1), or O(L) for
+    merged labels."""
+    for start in ("sample_control", "phase_estimate_semiclassical"):
+        named = _named_on_the_way(start, N_POINT_LAW)
+        assert not any(named.values()), f"{start} reaches the n-point law: {named}"
 
 
 # The |G|-point coset law, the table it is read from, and sampling over it.
