@@ -40,11 +40,7 @@ from .estimation import (
     phase_estimate_semiclassical,
     sample_control,
 )
-from .postprocess import (
-    ConvergentList,
-    best_denominator_bounded,
-    continued_fractions,
-)
+from .postprocess import best_denominator_bounded
 from .algorithms import (
     BudgetExhausted,
     DlogResult,

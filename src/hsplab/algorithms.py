@@ -73,9 +73,11 @@ class SolverParams:
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             v = getattr(self, name)
-            if v is None and name in _OPTIONAL_FIELDS:
+            # None where optional, plain ints and a plain float epsilon pass
+            # without the ABC checks; bools and numpy scalars take them
+            if type(v) is int or (type(v) is float and name == "epsilon") or (v is None and name in _OPTIONAL_FIELDS):
                 continue
-            elif isinstance(v, bool) or not isinstance(v, Real if name == "epsilon" else Integral):
+            if isinstance(v, bool) or not isinstance(v, Real if name == "epsilon" else Integral):
                 kind = "a number" if name == "epsilon" else "an integer"
                 raise ValueError(f"{name} must be {kind}, got {v!r}")
         if self.trials < 1:

@@ -58,6 +58,7 @@ one query per draw and the semiclassical runner one per step."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,6 +69,7 @@ from .groups import _dual_rows, _exact_dtype, _strip_period
 from .oracles import OracleInstance
 
 _BLOCK = 1 << 16  # control points per pass of `_periodic_law`
+_FLOAT_REGISTER = math.isqrt(int(sys.float_info.max))  # the largest n whose n^2 is a float
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,7 @@ def _point_law(x: int, n: int, period: int, labels) -> tuple[float, float]:
     else:
         denominator = _sin_turn(y, n)
         root, root_next = _sin_turn(r, n) / denominator, _sin_turn((r + y) % n, n) / denominator
-    scale = float(n * n)  # raises past n ~ 2^512, where float(n) * n would be inf and the law 0
+    scale = float(n * n)  # `_check_float_range` keeps this finite: float(n) * n would give inf and a law of 0
     mixture = ((period - s) * root * root + s * root_next * root_next) / scale
     if labels is None:
         return mixture, mixture
@@ -327,6 +329,16 @@ def _point_law(x: int, n: int, period: int, labels) -> tuple[float, float]:
     amplitude[:s] += w[:s]
     law = np.bincount(labels, amplitude.real) ** 2 + np.bincount(labels, amplitude.imag) ** 2
     return float(law.sum()) / scale, mixture
+
+
+def _check_float_range(n: int) -> None:
+    """`_point_law` scales by n^2 as a float, so a sampled register holds at
+    most sqrt(max float) points, just under 2^512."""
+    if n > _FLOAT_REGISTER:
+        raise ValueError(
+            f"register size n >= 2^{n.bit_length() - 1} is past the float range: the law scales by n^2, "
+            "which must stay within the largest float, about 2^1024"
+        )
 
 
 def _tail_index(g: float, v: float) -> int:
@@ -397,9 +409,11 @@ def sample_control(
     m times that mixture, so its draws keep a mixture draw x with
     probability law(x) / (m mixture(x)), which costs O(L) per proposal; with
     m = 1 every draw is kept.  Each draw stands for one execution of the
-    circuit and costs one query.
+    circuit and costs one query.  A register past the float range (about
+    2^512 points) raises ValueError before anything is billed.
     """
     n = int(register_size)
+    _check_float_range(n)
     period, labels, multiplicity = _register_cycle(instance, n, int(generator), target)
     rng = np.random.default_rng(seed)
     samples = []
@@ -570,18 +584,19 @@ def phase_estimate_semiclassical(
     at the codomain size, which no permutation cycle exceeds, so the
     default target's is read off f's row of labels and the cap bounds it.
     Costs one query per step plus one `evaluate` when the default target is
-    requested.
+    requested; 512 bits or more raise ValueError before either.
     """
     n_bits = int(n_bits)
     if n_bits < 1:
         raise ValueError("need at least one bit")
+    n = 1 << n_bits
+    _check_float_range(n)
     if not instance.homomorphism_available:
         raise ValueError("semiclassical route needs shift maps")
     if target is not None and not isinstance(target, (int, np.integer)):
         raise ValueError("the cascade takes a basis-label target or None")
     label = instance.evaluate(_identity_point(instance)) if target is None else int(target)
     period = _register_cycle(instance, instance.codomain_size, int(generator), label)[0]
-    n = 1 << n_bits
     v = _draw_mixture(np.random.default_rng(seed), period, n)
     instance.counter.add(n_bits)
     steps = tuple(

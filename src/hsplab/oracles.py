@@ -265,9 +265,9 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
     if r < 1:
         raise ValueError("period must be >= 1")
     if relabeling is None:
-        rng = np.random.default_rng(0 if relabel_seed is None else relabel_seed)
-        relabeling = rng.permutation(r)
-    relab = [int(v) for v in relabeling]
+        relab = np.random.default_rng(0 if relabel_seed is None else relabel_seed).permutation(r).tolist()
+    else:
+        relab = [int(v) for v in relabeling]
     if sorted(relab) != list(range(r)):
         raise ValueError("relabeling must be a permutation of [0, r)")
 

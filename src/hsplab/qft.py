@@ -20,7 +20,6 @@ against is in `tests/dense_reference.py`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,14 +68,15 @@ def choose_register_size(m: int, epsilon: float) -> int:
     phase with denominator <= M is estimated within its neighborhood except
     with probability epsilon.
 
-    The ceiling is computed exactly (epsilon converts to a binary rational);
-    nothing here assumes powers of two.
+    The ceiling is exact integer arithmetic: a float epsilon is the binary
+    rational num/den that `float.as_integer_ratio` reads, as
+    `Fraction(epsilon)` would, so N = ceil(M (den + num) / (2 num)); any
+    other real goes through `Fraction`.  Nothing here assumes powers of two.
     """
     m = int(m)
     if m < 1:
         raise ValueError("M must be >= 1")
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
+    num, den = (epsilon if isinstance(epsilon, float) else Fraction(epsilon)).as_integer_ratio()
+    if not 0 < num < den:
         raise ValueError("epsilon must lie in (0, 1)")
-    bound = Fraction(m) * (1 / eps + 1) / 2
-    return int(math.ceil(bound))
+    return -(-m * (den + num) // (2 * num))

@@ -24,11 +24,14 @@ compared with a literal simulation of its circuit:
     (`elimination_hermite_basis`), and the check that a character
     annihilates a subgroup (`orthogonality_holds`);
   * the invariance subgroup of f by a shifted compare of its whole table at
-    every candidate (`table_scan_invariance_subgroup`); and
+    every candidate (`table_scan_invariance_subgroup`);
   * the law of how many uniform draws generate a finite Abelian group, in
     closed form from its p-ranks (`p_ranks`, `largest_p_rank`,
     `quotient_p_ranks`, `generation_probability`) and by enumeration
-    (`generating_tuples`).
+    (`generating_tuples`); and
+  * every continued-fraction convergent of x/N, as Fractions
+    (`continued_fractions`, `ConvergentList`), which the bounded walk of
+    `best_denominator_bounded` is checked against.
 
 Not collected by pytest: the file name does not start with `test_`.
 """
@@ -649,3 +652,46 @@ def generating_tuples(moduli, t: int) -> int:
                 grown[join(span, g)] += ways
         counts = grown
     return counts[frozenset(elements)]
+
+
+# --- continued fractions ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConvergentList:
+    """Convergents of x/N, in order of (strictly increasing) denominator.
+
+    Each entry is in lowest terms; the last one equals x/N exactly.  When
+    x/N > 1/2 the degenerate leading 0/1 is dropped in favor of the equal-
+    denominator convergent 1/1, keeping denominators strictly increasing.
+    """
+
+    x: int
+    n: int
+    convergents: tuple[Fraction, ...]
+
+
+def continued_fractions(x: int, n: int) -> ConvergentList:
+    """Convergents of x/N from the Euclidean coefficient expansion."""
+    x, n = int(x), int(n)
+    if n < 1:
+        raise ValueError("denominator must be >= 1")
+    if not 0 <= x <= n:
+        raise ValueError("need 0 <= x <= N")
+    coeffs = []
+    a, b = x, n
+    while b:
+        coeffs.append(a // b)
+        a, b = b, a % b
+    # p/q recurrences; p_{-1}/q_{-1} = 1/0, p_0/q_0 = a_0/1.
+    convergents: list[Fraction] = []
+    p_prev, q_prev = 1, 0
+    p, q = coeffs[0], 1
+    convergents.append(Fraction(p, q))
+    for c in coeffs[1:]:
+        p, p_prev = c * p + p_prev, p
+        q, q_prev = c * q + q_prev, q
+        if q == q_prev:  # only at 0/1 followed by 1/1; keep the better one
+            convergents.pop()
+        convergents.append(Fraction(p, q))
+    return ConvergentList(x=x, n=n, convergents=tuple(convergents))

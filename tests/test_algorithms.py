@@ -14,6 +14,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from hsplab.algorithms import (
     BudgetExhausted,
@@ -27,7 +29,7 @@ from hsplab.algorithms import (
     solve_dlog,
     solve_hsp_general,
 )
-from hsplab.estimation import hsp_sample_batch
+from hsplab.estimation import hsp_sample_batch, sample_control
 from hsplab.groups import GroupSpec, SubgroupGenerators, all_subgroups, character_kernel, subgroups_equal
 from hsplab.oracles import (
     OracleInstance,
@@ -139,6 +141,26 @@ def test_find_order_without_bound_runs_at_the_codomain_size(modulus, base):
     assert res.value == ref.value == classical_order(base, modulus)
     assert res.samples == ref.samples
     assert unbounded.query_count == bounded.query_count
+
+
+@pytest.mark.parametrize("seed, observed", [
+    (0, [3434854, 1905045]),
+    (3, [3261668]),
+    (6, [1789588, 3810090, 2886434, 1702995]),
+])
+def test_find_order_draw_i_is_the_sampler_at_seed_plus_i(seed, observed):
+    """The per-trial seed contract: draw i of `find_order` is
+    `sample_control` on a fresh instance at seed params.seed + i, on the
+    register its bound sizes (2 * 899^2 * (1/epsilon + 1) / 2 = 4,041,005
+    points).  The observed values are literals, so a change of register
+    sizing or post-processing cannot move seeded draws unseen."""
+    params = SolverParams(seed=seed)
+    res = find_order(make_order_instance(899, 2), params)
+    assert res.value == classical_order(2, 899)
+    assert [s.observed for s in res.samples] == observed
+    for i, sample in enumerate(res.samples):
+        assert sample.register_size == 4_041_005
+        assert sample == sample_control(make_order_instance(899, 2), 4_041_005, 1, seed=params.seed + i)[0]
 
 
 # --- period finding ----------------------------------------------------------
@@ -658,6 +680,36 @@ def test_params_validation():
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverParams.from_json(bad)
     assert SolverParams(seed=np.int64(2), epsilon=np.float64(0.5)).seed == 2  # numpy scalars pass
+
+
+_INTEGER_FIELDS = ("control_bits", "trials", "seed", "period_bound", "multiplicity")
+
+
+@given(field=st.sampled_from(_INTEGER_FIELDS + ("epsilon",)), flag=st.booleans())
+def test_params_reject_a_bool_in_every_field(field, flag):
+    with pytest.raises(ValueError, match=field):
+        SolverParams(**{field: flag})
+
+
+@given(field=st.sampled_from(_INTEGER_FIELDS), value=st.floats(allow_nan=True, allow_infinity=True))
+@example(field="trials", value=3.0)
+def test_params_reject_a_float_in_an_integer_field(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverParams(**{field: value})
+
+
+@given(
+    field=st.sampled_from(_INTEGER_FIELDS),
+    value=st.integers(1, 2**31 - 1),
+    kind=st.sampled_from((np.int64, np.uint64, np.int32)),
+    epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    float_kind=st.sampled_from((float, np.float64, np.float32)),
+)
+def test_params_accept_numpy_scalars(field, value, kind, epsilon, float_kind):
+    epsilon = float_kind(epsilon)
+    assume(0.0 < epsilon < 1.0)  # a float32 can round onto either end
+    params = SolverParams(**{field: kind(value)}, epsilon=epsilon)
+    assert getattr(params, field) == value and params.epsilon == epsilon
 
 
 def test_result_json_shapes():

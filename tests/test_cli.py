@@ -176,6 +176,18 @@ def test_control_bits_flag_reaches_params(capsys):
     assert report["config"]["params"]["control_bits"] == 7
 
 
+def test_control_bits_past_the_float_range_is_config_error(capsys):
+    """A 2^600-point register is past the float range of the law's n^2
+    scale: a config error, exit 2, with no report."""
+    code, report, err = run(
+        capsys, "order", "--modulus", "15", "--base", "2", "--seed", "1",
+        "--control-bits", "600",
+    )
+    assert code == 2 and report is None
+    assert err.startswith("config error:") and "2^600 is past the float range" in err
+    assert "Traceback" not in err
+
+
 # --- determinism and output plumbing --------------------------------------------
 
 

@@ -327,6 +327,26 @@ def test_mixture_draw_ends_past_float_squares():
         assert min(abs(x * period - k * n) for k in range(period + 1)) < 10**6 * period
 
 
+def test_registers_past_the_float_range_raise_before_billing():
+    """The law scales by n^2 as a float, so the register sampler and the
+    cascade take n up to sqrt(max float), just under 2^512 points.  Past
+    it, as at 600 bits, both raise ValueError naming the size and the float
+    range, and bill nothing; at the limit both still draw."""
+    inst = make_order_instance(15, 2)
+    with pytest.raises(ValueError, match=r"2\^600 is past the float range"):
+        sample_control(inst, 1 << 600, 1, seed=0)
+    with pytest.raises(ValueError, match=r"2\^600 is past the float range"):
+        phase_estimate_semiclassical(inst, 600, seed=0)
+    with pytest.raises(ValueError, match="float range"):
+        sample_control(inst, estimation._FLOAT_REGISTER + 1, 1, seed=0)
+    assert inst.query_count == 0
+    (sample,) = sample_control(inst, estimation._FLOAT_REGISTER, 1, seed=0)
+    assert 0.0 < sample.probability <= 1.0
+    run = phase_estimate_semiclassical(inst, 511, seed=0)
+    assert 0.0 < run.sample.probability <= 1.0
+    assert inst.query_count == 1 + 511 + 1
+
+
 def test_envelope_bounds_every_single_phase_law():
     """F_n(k/L, base + j) <= (pi^2 / 4) e(j), e(j) = sin^2(pi f) / (pi^2 (j -
     f)^2), on the window t = j - f in (-n/2, n/2], for every n < 33, L < 13

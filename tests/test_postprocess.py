@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hsplab.postprocess import (
-    best_denominator_bounded,
-    continued_fractions,
-)
+from hsplab.postprocess import best_denominator_bounded
+from dense_reference import continued_fractions
 
 
 def test_zero_numerator():
@@ -89,3 +89,26 @@ def test_best_denominator_uniqueness_window():
         for k in range(r):
             x = round(n * k / r) % n
             assert best_denominator_bounded(x, n, r) == Fraction(k, r)
+
+
+@st.composite
+def _fractions_and_bounds(draw):
+    n = draw(st.integers(1, 2**130))
+    x = draw(st.one_of(st.integers(0, n), st.sampled_from((0, n, n - 1, n // 2 + 1))))
+    bound = draw(st.integers(1, 2 ** draw(st.integers(0, n.bit_length() + 1))))
+    return x, n, bound
+
+
+@settings(max_examples=400)
+@given(_fractions_and_bounds())
+@example((0, 7, 1))
+@example((7, 7, 1))
+@example((2, 3, 1))  # 0/1 then 1/1: the equal-denominator pair
+@example((5, 8, 2))
+@example((2**130 - 1, 2**130, 2**131))
+def test_best_denominator_is_the_last_reference_convergent_within_the_bound(case):
+    x, n, bound = case
+    expected = [c for c in continued_fractions(x, n).convergents if c.denominator <= bound][-1]
+    got = best_denominator_bounded(x, n, bound)
+    assert type(got) is Fraction
+    assert got == expected and got.denominator == expected.denominator

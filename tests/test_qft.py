@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hsplab.amplitudes import RegisterLayout
@@ -185,8 +187,34 @@ def test_choose_register_size_minimal_demand():
 def test_choose_register_size_validation():
     with pytest.raises(ValueError):
         choose_register_size(0, 0.5)
-    with pytest.raises(ValueError):
-        choose_register_size(4, 1.0)
+    for epsilon in (1.0, 0.0, -0.25, 1.5, Fraction(0), Fraction(3, 2), float("nan")):
+        with pytest.raises(ValueError):
+            choose_register_size(4, epsilon)
+
+
+@settings(max_examples=300)
+@given(
+    m=st.integers(1, 2**80),
+    epsilon=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from((0.1, 0.25 / 9, 0.25, 1 / 3, 0.7, 5e-324, 1 - 2**-53)),
+    ),
+)
+@example(m=2 * 899 * 899, epsilon=0.25)
+@example(m=2 * 60 * 60, epsilon=0.25 / 9)
+def test_register_size_is_the_exact_ceiling(m, epsilon):
+    """ceil(M (1/epsilon + 1) / 2) in exact rationals, for epsilon as a
+    float, as an np.float64 and as the Fraction of that float."""
+    expected = math.ceil(Fraction(m) * (1 / Fraction(epsilon) + 1) / 2)
+    for eps in (epsilon, np.float64(epsilon), Fraction(epsilon)):
+        assert choose_register_size(m, eps) == expected
+
+
+@given(m=st.integers(1, 2**80), epsilon=st.fractions(0, 1, max_denominator=10**12))
+@example(m=3, epsilon=Fraction(1, 10))
+def test_register_size_for_a_rational_epsilon(m, epsilon):
+    assume(0 < epsilon < 1)
+    assert choose_register_size(m, epsilon) == math.ceil(Fraction(m) * (1 / epsilon + 1) / 2)
 
 
 def test_estimator_json_round_trip():
