@@ -14,8 +14,8 @@ returns a result; a run whose every trial fails computes none.
 Exit codes: 0 success and all trials match; 1 solver failure in some trial
 (budget exhausted or promise violated; the report is still emitted, with
 the error in that trial's entry); 2 config error, or a resource limit
-(dimension cap) hit, reported as "resource limit: ..."; 3 verification
-mismatch.  Exit 1 wins over 3.
+(dimension cap or memory) hit, reported as "resource limit: ..."; 3
+verification mismatch.  Exit 1 wins over 3.
 """
 
 from __future__ import annotations
@@ -295,8 +295,9 @@ def _run_trial_or_failure(solver: str, config: dict, params: SolverParams, index
 
 
 def _input_error(exc: Exception) -> int:
-    """Exit 2: a bad config, or a dimension cap the run could not stay under."""
-    kind = "resource limit" if isinstance(exc, amplitudes.CapExceeded) else "config error"
+    """Exit 2: a bad config, or a dimension cap or memory the run could not
+    stay under."""
+    kind = "resource limit" if isinstance(exc, (amplitudes.CapExceeded, MemoryError)) else "config error"
     print(f"{kind}: {exc}", file=sys.stderr)
     return 2
 
@@ -322,7 +323,7 @@ def _run_command(args) -> int:
         results = [
             _run_trial_or_failure(solver, config, params, i, truth_of) for i in range(config["trials"])
         ]
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         return _input_error(exc)
 
     failures = [t for t in results if "error" in t]
@@ -368,7 +369,7 @@ def _dump_command(args) -> int:
             payload = {"kind": args.kind, "bits": n_bits,
                        "instance": instance.to_json(),
                        "probs": [float(p) for p in law]}
-    except (ConfigError, ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, MemoryError, json.JSONDecodeError) as exc:
         return _input_error(exc)
     payload["schema"] = SCHEMA
     try:

@@ -22,10 +22,10 @@ The register and coset-sampler laws come from the level sets of the label
 table the circuit writes into the target (Mosca-Ekert): the law is the
 summed power spectrum of their indicators.  Every one-dimensional law is
 `_periodic_law`, read from one period of labels, never from the n-point
-table: the default target's row of labels f(k g) along the generator, which
-is `period_labels` on the integers and one `label_table` row on a finite
-domain, or an off-orbit basis target's cycle under the unit shift.  Level
-sets are then unions of residue classes mod L, so the law is a mixture over
+table: the cycle of the target |f(0)>, f's row of labels f(k g) along the
+first generator g, which is `period_labels` on the integers and one
+`label_table` row on a finite domain.  Level sets are then unions of
+residue classes mod L, so the law is a mixture over
 the eigenphases k/L fixed by the same-label pairs of one period counted by
 lag mod n: two Dirichlet kernels weight those counts' spectra, in O(n)
 memory.  Distinct labels, as in honest order and period functions and every
@@ -211,61 +211,38 @@ def _periodic_law(period: int, labels, n: int) -> np.ndarray:
     return law
 
 
-def _orbit_length(instance: OracleInstance, label: int, generator: int, limit: int) -> int:
-    """Length of the cycle of `label` under the unit shift along the
-    generator, counted up to `limit`: the period of the target labels the
-    shift ladder's control points write.  A permutation's cycle holds
-    distinct labels, so its length is all a law needs of it."""
-    if not 0 <= label < instance.codomain_size:
-        raise ValueError(f"target label {label} outside the codomain")
-    spec = instance.domain
-    step = instance.shift_permutation(1 if spec is None else spec.generator(generator)).tolist()
-    length, current = 1, step[label]
-    while current != label and length < limit:
-        current = step[current]
-        length += 1
-    return length
-
-
-def _register_cycle(instance: OracleInstance, n: int, generator: int, target) -> tuple:
+def _register_cycle(instance: OracleInstance, n: int) -> tuple:
     """(L, labels, m) of the labels an n-point control register writes,
     cut at n points: L their least cyclic period, `labels` one period as
     indices into the occupied labels, or None when the labels written are
     distinct, and m the largest count of one label in a period.
 
-    The default target (None or f at the identity) writes f's row of labels
-    f(k g) along the generator g: `period_labels` on the integers, one
-    `label_table` row of at most min(d_j, n, cap + 1) points on a finite
-    domain.  With shift maps that row is the orbit of f(0) under a
-    permutation, so its labels are distinct up to the first return of f(0),
-    where the cycle ends; without them the row is cut at n and reduced to
-    its least cyclic period (`_reduced_cycle`), and a finite domain, which
-    has no period of labels to cut, raises ValueError.  Any other basis
-    label's cycle is walked under the unit shift (`_orbit_length`).  The cap
-    bounds L, or the cut row when it is reduced; cached on the instance."""
-    if target is not None and not isinstance(target, (int, np.integer)):
-        raise ValueError("control laws take a basis-label target or None")
-    key = ("cycle", n, generator, target)
+    The target |f(0)> writes f's row of labels f(k g) along the first
+    generator g: `period_labels` on the integers, one `label_table` row of
+    at most min(d_0, n, cap + 1) points on a finite domain.  With shift maps
+    that row is the orbit of f(0) under a permutation, so its labels are
+    distinct up to the first return of f(0), where the cycle ends; without
+    them the row is cut at n and reduced to its least cyclic period
+    (`_reduced_cycle`), and a finite domain, which has no period of labels
+    to cut, raises ValueError.  The cap bounds L, or the cut row when it is
+    reduced; cached on the instance."""
+    key = ("cycle", n)
     if key in instance._dist_cache:
         return instance._dist_cache[key]
     spec = instance.domain
-    row = None  # the default target's row, when it is reduced
-    if target is not None and target != instance._raw(_identity_point(instance)):
-        length = _orbit_length(instance, int(target), generator, min(n, dimension_cap() + 1))
-    elif spec is not None and not instance.homomorphism_available:
+    if spec is None:
+        row = instance.period_labels[:n]
+    elif not instance.homomorphism_available:
         raise ValueError("a single-register law on a finite domain needs shift maps")
     else:
-        if spec is None:
-            row = instance.period_labels[:n]
-        else:
-            size = min(spec.moduli[generator], n, dimension_cap() + 1)
-            row = instance.label_table(tuple(size if j == generator else 1 for j in range(spec.rank))).reshape(-1)
-        length = row.size
-        if instance.homomorphism_available:
-            # the shift maps commute, so the unit shift walks f(0)'s label
-            # through f(g), f(2g), ..., and its cycle ends at the first return
-            returns = np.flatnonzero(row[1:] == row[0])
-            length, row = int(returns[0]) + 1 if returns.size else length, None
+        size = min(spec.moduli[0], n, dimension_cap() + 1)
+        row = instance.label_table((size,) + (1,) * (spec.rank - 1)).reshape(-1)
+    length = row.size
+    if instance.homomorphism_available:
+        # the shift maps commute, so the unit shift walks f(0)'s label
+        # through f(g), f(2g), ..., and its cycle ends at the first return
+        returns = np.flatnonzero(row[1:] == row[0])
+        length, row = int(returns[0]) + 1 if returns.size else length, None
     if length > dimension_cap():
         raise CapExceeded(f"register cycle of at least {length} labels exceeds cap {dimension_cap()}")
     entry = (length, None, 1)
@@ -277,21 +254,14 @@ def _register_cycle(instance: OracleInstance, n: int, generator: int, target) ->
     return entry
 
 
-def control_distribution(
-    instance: OracleInstance,
-    register_size: int,
-    *,
-    generator: int = 0,
-    target=None,
-) -> np.ndarray:
+def control_distribution(instance: OracleInstance, register_size: int) -> np.ndarray:
     """Exact control-register law of the estimation circuit, as an n-point
     array: `dump` and the tests read it, and the sampler does not.  Bills
-    nothing.  The target must be a basis label (None means f at the
-    identity)."""
+    nothing."""
     n = int(register_size)
     if n > dimension_cap():
         raise CapExceeded(f"control law over {n} points exceeds cap {dimension_cap()}")
-    return _periodic_law(*_register_cycle(instance, n, int(generator), target)[:2], n)
+    return _periodic_law(*_register_cycle(instance, n)[:2], n)
 
 
 def _sin_turn(r: int, n: int) -> float:
@@ -390,15 +360,7 @@ def _draw_mixture(rng, period: int, n: int) -> int:
                 return (base + j) % n
 
 
-def sample_control(
-    instance: OracleInstance,
-    register_size: int,
-    count: int,
-    *,
-    generator: int = 0,
-    seed: int = 0,
-    target=None,
-) -> list[PhaseSample]:
+def sample_control(instance: OracleInstance, register_size: int, count: int, *, seed: int = 0) -> list[PhaseSample]:
     """Draw measurement outcomes from the exact control law, each with its
     probability, and with no n-point array.
 
@@ -414,7 +376,7 @@ def sample_control(
     """
     n = int(register_size)
     _check_float_range(n)
-    period, labels, multiplicity = _register_cycle(instance, n, int(generator), target)
+    period, labels, multiplicity = _register_cycle(instance, n)
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(int(count)):
@@ -557,14 +519,7 @@ class SemiclassicalRun:
         }
 
 
-def phase_estimate_semiclassical(
-    instance: OracleInstance,
-    n_bits: int,
-    *,
-    generator: int = 0,
-    seed: int = 0,
-    target=None,
-) -> SemiclassicalRun:
+def phase_estimate_semiclassical(instance: OracleInstance, n_bits: int, *, seed: int = 0) -> SemiclassicalRun:
     """Iterative estimation with one control qubit, measured and recycled.
 
     Step s (1-based index s+1 in the transcript) applies the controlled
@@ -575,16 +530,16 @@ def phase_estimate_semiclassical(
 
     The cascade's outcome law is the register's on 2^n_bits levels
     (Griffiths-Niu), `control_distribution(instance, 2**n_bits)`, so the run
-    draws its outcome v as `sample_control` does: the basis target (None
-    means f at the identity) is the uniform superposition of the L shift
-    eigenvectors on its cycle, a permutation cycle's labels are distinct,
-    and v is one draw of their eigenphase mixture (`_draw_mixture`), with
-    the law at v (`_point_law`) as its probability.  Each step's bit and
-    rotation are then v's digits.  L is the target's `_register_cycle` cut
-    at the codomain size, which no permutation cycle exceeds, so the
-    default target's is read off f's row of labels and the cap bounds it.
-    Costs one query per step plus one `evaluate` when the default target is
-    requested; 512 bits or more raise ValueError before either.
+    draws its outcome v as `sample_control` does: the target |f(0)> is the
+    uniform superposition of the L shift eigenvectors on its cycle, a
+    permutation cycle's labels are distinct, and v is one draw of their
+    eigenphase mixture (`_draw_mixture`), with the law at v (`_point_law`)
+    as its probability.  Each step's bit and rotation are then v's digits.
+    L is the target's `_register_cycle` cut at the codomain size, which no
+    permutation cycle exceeds, so it is read off f's row of labels and the
+    cap bounds it.  Costs one query per step plus one `evaluate` of f at the
+    identity, which prepares the target; 512 bits or more raise ValueError
+    before either.
     """
     n_bits = int(n_bits)
     if n_bits < 1:
@@ -593,10 +548,8 @@ def phase_estimate_semiclassical(
     _check_float_range(n)
     if not instance.homomorphism_available:
         raise ValueError("semiclassical route needs shift maps")
-    if target is not None and not isinstance(target, (int, np.integer)):
-        raise ValueError("the cascade takes a basis-label target or None")
-    label = instance.evaluate(_identity_point(instance)) if target is None else int(target)
-    period = _register_cycle(instance, instance.codomain_size, int(generator), label)[0]
+    instance.evaluate(_identity_point(instance))
+    period = _register_cycle(instance, instance.codomain_size)[0]
     v = _draw_mixture(np.random.default_rng(seed), period, n)
     instance.counter.add(n_bits)
     steps = tuple(

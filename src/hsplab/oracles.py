@@ -14,21 +14,22 @@ keeps its inner instance's subgroup and merges the box labels, and a raw
 table is its own box over H = {0}.  The flags:
 
   * `codomain_size` — the label-space size |X| (the image may be smaller);
-  * `homomorphism_available` — whether the shift maps |f(y)> -> |f(y+g)>
-    are computable, as the one-qubit cascade and estimations on targets off
-    f's orbit need; with them, f's row of labels f(k g) is the orbit of f(0)
-    under a permutation, so its labels are distinct up to their first
-    return;
+  * `homomorphism_available` — set by builders whose f gives each coset of
+    its subgroup, or each point of its least period, its own label, so
+    that f(y) -> f(y+g) permutes f's image: the shift map that
+    `shift_permutation` reads off the labels, as the one-qubit cascade
+    needs.  With it, f's row of labels f(k g) is the orbit of f(0) under a
+    permutation, so its labels are distinct up to their first return;
   * `multiplicity_bound` — the known m for instances that are at most
     m-to-1 on cosets (1 for honest hidden-subgroup promises).
 
 Ground truth (the planted subgroup / period / exponent) rides along in
 `truth` for verification and reporting code; solver code treats instances
-as black boxes and touches only `evaluate`, the shift maps, and the flags.
-Queries are billed where circuits run, to the instance's QueryCounter:
-one per classical `evaluate` call, per sampler draw and per semiclassical
-step.  The exact outcome laws bill nothing; they describe the instance
-rather than query it.
+as black boxes and touches only `evaluate` and the flags.  Queries are
+billed where circuits run, to the instance's QueryCounter: one per
+classical `evaluate` call, per sampler draw and per semiclassical step.
+The exact outcome laws bill nothing; they describe the instance rather
+than query it.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class OracleInstance:
         period_labels=None,
         basis=None,
         box_labels=None,
-        shift_fn=None,
+        homomorphism_available: bool = False,
         multiplicity_bound: int = 1,
         truth: PlantedTruth | None = None,
         descriptor: dict | None = None,
@@ -128,16 +129,12 @@ class OracleInstance:
         self.domain = domain
         self.codomain_size = int(codomain_size)
         self.period_labels = period_labels
-        self._shift_fn = shift_fn
+        self.homomorphism_available = bool(homomorphism_available)
         self.multiplicity_bound = int(multiplicity_bound)
         self.truth = truth or PlantedTruth()
         self.descriptor = descriptor or {}
         self.counter = QueryCounter()
         self._dist_cache: dict = {}  # estimation-layer memo of register cycles and coset samplers
-
-    @property
-    def homomorphism_available(self) -> bool:
-        return self._shift_fn is not None
 
     @property
     def query_count(self) -> int:
@@ -184,14 +181,27 @@ class OracleInstance:
         return self._raw(x)
 
     def shift_permutation(self, g) -> np.ndarray:
-        """Label permutation sending |f(y)> to |f(y+g)>, total on [0, |X|).
+        """Label permutation sending |f(y)> to |f(y+g)>, total on [0, |X|),
+        read off the labels: on f's image a roll of `period_labels`, or on a
+        finite domain a gather from the box at each box point plus g, reduced
+        to its coset's least element; every other label stays fixed.
 
         Constructing the map is free; a circuit that applies it is billed by
         the runner that executes the circuit.
         """
-        if self._shift_fn is None:
+        if not self.homomorphism_available:
             raise ValueError("instance has no computable shift maps")
-        return self._shift_fn(self._coerce(g))
+        g = self._coerce(g)
+        perm = np.arange(self.codomain_size, dtype=np.int64)
+        if self.domain is None:
+            labels = self.period_labels
+            perm[labels] = np.roll(labels, -(g % labels.size))
+            return perm
+        box = np.indices(self.pivots, dtype=np.int64).reshape(len(self.pivots), -1)
+        moved = (box + np.reshape(g, (-1, 1))) % np.reshape(self.domain.moduli, (-1, 1))
+        reduced = np.asarray(_coset_reduce(moved, self.basis, self.domain.moduli), dtype=np.int64)
+        perm[self.box_labels.reshape(-1)] = self.box_labels[tuple(reduced)]
+        return perm
 
     def to_json(self) -> dict:
         """The descriptor as JSON values: arrays, such as a merge table, as
@@ -231,9 +241,8 @@ def _powers(a: int, n: int, limit: int) -> list[int]:
 def make_order_instance(n: int, a: int) -> OracleInstance:
     """f(t) = a^t mod n on the integers; the period is the order of a.
 
-    The shift by g is multiplication by a^g mod n, a permutation of all of
-    Z_n (residues outside the range of f are carried along; any unitary
-    extension is fine there).  An order above the dimension cap raises
+    The shift by g multiplies f's image, the powers of a, by a^g mod n, and
+    fixes the residues outside it.  An order above the dimension cap raises
     CapExceeded once the walk of a's powers passes the cap.
     """
     n, a = int(n), int(a)
@@ -243,15 +252,11 @@ def make_order_instance(n: int, a: int) -> OracleInstance:
     if gcd(a, n) != 1:
         raise ValueError(f"base {a} is not a unit mod {n}")
     powers = _powers(a, n, dimension_cap())
-
-    def shift(g: int) -> np.ndarray:
-        return (np.arange(n, dtype=np.int64) * pow(a, g, n)) % n
-
     return OracleInstance(
         domain=None,
         codomain_size=n,
         period_labels=powers,
-        shift_fn=shift,
+        homomorphism_available=True,
         truth=PlantedTruth(period=len(powers)),
         descriptor={"kind": "order", "modulus": n, "base": a},
     )
@@ -275,7 +280,6 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
         domain=None,
         codomain_size=r,
         period_labels=relab,
-        shift_fn=None,
         truth=PlantedTruth(period=r),
         descriptor={"kind": "period", "period": r, "relabeling": relab},
     )
@@ -300,22 +304,12 @@ def make_hidden_subgroup_instance(
     n_labels = prod(pivots)
     labels = np.random.default_rng(relabel_seed).permutation(n_labels)
     subgroup = SubgroupGenerators.of_basis(spec, basis)
-
-    def shift(g: Element) -> np.ndarray:
-        # each coset's label moves to the label of its least element plus g
-        box = np.indices(pivots, dtype=np.int64).reshape(spec.rank, -1)
-        moved = (box + np.reshape(g, (-1, 1))) % np.reshape(spec.moduli, (-1, 1))
-        perm = np.empty(n_labels, dtype=np.int64)
-        reduced = np.asarray(_coset_reduce(moved, basis, spec.moduli), dtype=np.int64)
-        perm[labels] = labels[np.ravel_multi_index(tuple(reduced), pivots)]
-        return perm
-
     return OracleInstance(
         domain=spec,
         codomain_size=n_labels,
         basis=basis,
         box_labels=labels.reshape(pivots),
-        shift_fn=shift,
+        homomorphism_available=True,
         truth=PlantedTruth(subgroup=subgroup),
         descriptor={
             "kind": "hidden_subgroup",
@@ -371,11 +365,6 @@ def make_dlog_instance(
         except ValueError:
             raise ValueError(f"{b} is not a power of {a} mod {q}") from None
         labels = powers  # b^x a^y = a^(m x + y)
-
-        def shift(g: Element) -> np.ndarray:
-            mult = pow(b, g[0], q) * pow(a, g[1], q) % q
-            return (np.arange(q, dtype=np.int64) * mult) % q
-
         codomain = q
         desc = {"kind": "dlog", "modulus": q, "base": a, "target": b}
     else:
@@ -385,11 +374,6 @@ def make_dlog_instance(
             raise ValueError("a must generate the cyclic group")
         m = b * pow(a, -1, r) % r if r > 1 else 0
         labels = [a * y % r for y in range(r)]  # b x + a y = a (m x + y)
-
-        def shift(g: Element) -> np.ndarray:
-            step = (b * g[0] + a * g[1]) % r
-            return (np.arange(r, dtype=np.int64) + step) % r
-
         codomain = r
         desc = {"kind": "dlog", "order": r, "base": a, "target": b}
 
@@ -400,7 +384,7 @@ def make_dlog_instance(
         codomain_size=codomain,
         basis=basis,
         box_labels=[labels],
-        shift_fn=shift,
+        homomorphism_available=True,
         truth=PlantedTruth(subgroup=SubgroupGenerators.of_basis(spec, basis), dlog_exponent=m),
         descriptor=desc,
     )
@@ -415,18 +399,12 @@ def make_deutsch_instance(f0: int, f1: int) -> OracleInstance:
     spec = GroupSpec.of((2,))
     constant = f0 == f1
     basis = [[1]] if constant else [[2]]
-
-    def shift(g: Element) -> np.ndarray:
-        if g[0] == 0 or constant:
-            return np.arange(2, dtype=np.int64)
-        return np.array([1, 0], dtype=np.int64)
-
     return OracleInstance(
         domain=spec,
         codomain_size=2,
         basis=basis,
         box_labels=[f0] if constant else [f0, f1],
-        shift_fn=shift,
+        homomorphism_available=True,
         truth=PlantedTruth(subgroup=SubgroupGenerators.of_basis(spec, basis)),
         descriptor={"kind": "deutsch", "f0": f0, "f1": f1},
     )
@@ -470,16 +448,12 @@ def make_stabiliser_instance(
     orbit = np.array([action(g, x0) for g in elements], dtype=np.int64).reshape(spec.moduli)
     basis = _hermite_basis([g for g, pt in zip(elements, orbit.flat) if pt == x0], spec.moduli)
     box = np.indices([row[i] for i, row in enumerate(basis)], dtype=np.int64)
-
-    def shift(g: Element) -> np.ndarray:
-        return np.array([action(g, pt) for pt in range(points)], dtype=np.int64)
-
     instance = OracleInstance(
         domain=spec,
         codomain_size=points,
         basis=basis,
         box_labels=orbit[tuple(box)],
-        shift_fn=shift,
+        homomorphism_available=True,
         truth=PlantedTruth(subgroup=SubgroupGenerators.of_basis(spec, basis)),
         descriptor=descriptor or {"kind": "stabiliser", "moduli": list(spec.moduli), "points": points, "x0": x0},
     )
@@ -561,7 +535,6 @@ def _many_to_one(inner: OracleInstance, merge, multiplicity: int) -> OracleInsta
         period_labels=table[inner.period_labels] if integers else None,
         basis=inner.basis,
         box_labels=None if integers else table[inner.box_labels],
-        shift_fn=None,
         multiplicity_bound=multiplicity,
         truth=inner.truth,
         descriptor={
@@ -586,7 +559,6 @@ def dilated_view(parent: OracleInstance, acc: int) -> OracleInstance:
         domain=None,
         codomain_size=parent.codomain_size,
         period_labels=cycle[steps * (acc % size) % size],
-        shift_fn=None,
         multiplicity_bound=parent.multiplicity_bound,
         truth=parent.truth,
         descriptor={"kind": "dilated_view", "inner": dict(parent.descriptor)},

@@ -68,15 +68,16 @@ def choose_register_size(m: int, epsilon: float) -> int:
     phase with denominator <= M is estimated within its neighborhood except
     with probability epsilon.
 
-    The ceiling is exact integer arithmetic: a float epsilon is the binary
-    rational num/den that `float.as_integer_ratio` reads, as
-    `Fraction(epsilon)` would, so N = ceil(M (den + num) / (2 num)); any
-    other real goes through `Fraction`.  Nothing here assumes powers of two.
+    The ceiling is exact integer arithmetic: an epsilon with
+    `as_integer_ratio`, such as a float or a numpy float, is the binary
+    rational num/den it reads, as `Fraction(epsilon)` would, so
+    N = ceil(M (den + num) / (2 num)); any other real goes through
+    `Fraction`.  Nothing here assumes powers of two.
     """
     m = int(m)
     if m < 1:
         raise ValueError("M must be >= 1")
-    num, den = (epsilon if isinstance(epsilon, float) else Fraction(epsilon)).as_integer_ratio()
+    num, den = (epsilon if hasattr(epsilon, "as_integer_ratio") else Fraction(epsilon)).as_integer_ratio()
     if not 0 < num < den:
         raise ValueError("epsilon must lie in (0, 1)")
     return -(-m * (den + num) // (2 * num))

@@ -13,7 +13,9 @@ compared with a literal simulation of its circuit:
   * the N-point Fourier transform, as a dense matrix and as an FFT on one
     register (`fourier`, `apply_fourier`);
   * the gate-level maps of an instance (`apply_oracle`, `apply_shift`),
-    which bill nothing: they describe the instance rather than query it;
+    which bill nothing: they describe the instance rather than query it,
+    and the cycle of a label under the unit shift, walked one label at a
+    time (`_orbit_length`);
   * the joint state just before the control is measured, built by either
     circuit (`_pre_measurement_state`), and the two constructions of
     sum_x |x>|f(x)> side by side (`verify_main_equality`);
@@ -360,19 +362,21 @@ def apply_shift(
     return _scatter_axes(out, order, moved_shape, state.layout)
 
 
+def _orbit_length(instance: OracleInstance, label: int, generator: int, limit: int) -> int:
+    """Length of the cycle of `label` under the unit shift along the
+    generator, counted up to `limit`: the period of the target labels the
+    shift ladder's control points write.  A permutation's cycle holds
+    distinct labels, so its length is all a law needs of it."""
+    spec = instance.domain
+    step = instance.shift_permutation(1 if spec is None else spec.generator(generator)).tolist()
+    length, current = 1, step[label]
+    while current != label and length < limit:
+        current = step[current]
+        length += 1
+    return length
+
+
 # --- the circuits' joint states and the |G|-point coset law --------------------
-
-
-def _target_amplitudes(instance: OracleInstance, target) -> np.ndarray:
-    """Resolve a target argument to an amplitude vector over the codomain."""
-    x_size = instance.codomain_size
-    if isinstance(target, np.ndarray):
-        vec = target.astype(np.complex128)
-        return vec / np.linalg.norm(vec)
-    label = instance._raw(_identity_point(instance)) if target is None else int(target)
-    vec = np.zeros(x_size, dtype=np.complex128)
-    vec[label] = 1.0
-    return vec
 
 
 def _pre_measurement_state(
@@ -384,8 +388,9 @@ def _pre_measurement_state(
 ) -> QuantumState:
     """The joint control-target state just before the control is measured,
     built densely on n x |X| amplitudes by either circuit, the "oracle"
-    query or the "shift" ladder: the laws' test reference, which also takes
-    an amplitude-vector target, such as one kept.  Bills nothing."""
+    query or the "shift" ladder: the laws' test reference.  The ladder's
+    target is |f(identity)> when `target` is None, else the normalised
+    amplitude vector it gives, such as one kept.  Bills nothing."""
     n = int(register_size)
     x_size = instance.codomain_size
     layout = RegisterLayout.of((n, x_size), ("control", "target"))
@@ -394,9 +399,11 @@ def _pre_measurement_state(
         state = apply_fourier(state, 0)
         state = apply_oracle(state, [0], 1, instance)
     else:
-        vec = _target_amplitudes(instance, target)
         amps = np.zeros((n, x_size), dtype=np.complex128)
-        amps[0] = vec
+        if target is None:
+            amps[0, instance._raw(_identity_point(instance))] = 1.0
+        else:
+            amps[0] = target / np.linalg.norm(target)
         state = from_amplitudes(layout, amps.reshape(-1))
         state = apply_fourier(state, 0)
         state = apply_shift(state, 0, 1, instance, generator=generator, step=1)

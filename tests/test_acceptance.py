@@ -88,17 +88,11 @@ def _shifted_period_instance(r: int, relabel_seed: int) -> OracleInstance:
     """Period-r relabeled function that also exposes its shift maps, so the
     one-register route is available for the dual-route comparison."""
     rng = np.random.default_rng(relabel_seed)
-    relab = rng.permutation(r).astype(np.int64)
-    inverse = np.argsort(relab)
-
-    def shift(g: int) -> np.ndarray:
-        return relab[(inverse + g) % r]
-
     return OracleInstance(
         domain=None,
         codomain_size=r,
-        period_labels=relab,
-        shift_fn=shift,
+        period_labels=rng.permutation(r),
+        homomorphism_available=True,
         truth=PlantedTruth(period=r),
         descriptor={"kind": "shifted-period", "period": r},
     )

@@ -712,6 +712,14 @@ def test_params_accept_numpy_scalars(field, value, kind, epsilon, float_kind):
     assert getattr(params, field) == value and params.epsilon == epsilon
 
 
+def test_find_order_takes_a_float32_epsilon():
+    """`SolverParams` takes any real epsilon: an np.float32 0.25 sizes the
+    register as the float 0.25 does, so the run is the same."""
+    run = find_order(make_order_instance(15, 2), SolverParams(seed=1, epsilon=np.float32(0.25)))
+    assert run.verified and run.value == 4
+    assert run.to_json() == find_order(make_order_instance(15, 2), SolverParams(seed=1, epsilon=0.25)).to_json()
+
+
 def test_result_json_shapes():
     res = find_order(make_order_instance(15, 2), SolverParams(seed=1, period_bound=15))
     blob = res.to_json()

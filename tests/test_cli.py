@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hsplab import amplitudes, cli
+from hsplab import amplitudes, cli, oracles
 from hsplab.groups import SubgroupGenerators, subgroups_equal
 from hsplab.oracles import PlantedTruth, instance_from_json, make_dlog_instance
 from test_estimation import branch_tree_law
@@ -485,6 +485,26 @@ def test_dump_semiclassical_honours_the_cap(capsys):
     code, payload, err = run(capsys, "dump", "--kind", "semiclassical-pe",
                              "--instance", instance, "--bits", "8", "--cap", "16")
     assert code == 2 and payload is None and err.startswith("resource limit:")
+
+
+def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
+    """A run or dump whose instance cannot be allocated exits 2 with a
+    resource limit and no traceback.  The builders are patched to raise, so
+    nothing is really allocated."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)")
+
+    monkeypatch.setattr(oracles, "make_hidden_subgroup_instance", exhausted)
+    monkeypatch.setattr(oracles, "make_order_instance", exhausted)
+    instance = json.dumps({"kind": "order", "modulus": 15, "base": 2})
+    for argv in (
+        ("hsp", "--moduli", "1099511627776,1099511627776,1099511627776", "--generators", "1,1,1;0,1,0", "--seed", "1"),
+        ("dump", "--kind", "register-pe", "--instance", instance, "--bits", "4"),
+    ):
+        code, report, err = run(capsys, *argv)
+        assert code == 2 and report is None
+        assert err.startswith("resource limit: Unable to allocate") and "Traceback" not in err
 
 
 def test_dump_semiclassical_needs_shift_maps(capsys):

@@ -36,7 +36,6 @@ from hsplab.estimation import (
     _coset_proposals,
     _coset_sampler,
     _draw_mixture,
-    _orbit_length,
     _periodic_law,
     _point_law,
     _reduced_cycle,
@@ -72,6 +71,7 @@ from hsplab.oracles import (
 from hsplab.qft import estimator_distribution
 from dense_reference import (
     _hsp_layout,
+    _orbit_length,
     _pre_measurement_state,
     apply_fourier,
     apply_oracle,
@@ -94,23 +94,21 @@ def mixture_law(instance, n: int) -> np.ndarray:
     return acc / r
 
 
-def branch_tree_law(instance, bits: int, *, generator: int = 0, target=None) -> np.ndarray:
+def branch_tree_law(instance, bits: int) -> np.ndarray:
     """Independent oracle: the outcome law of the one-qubit cascade of
     `phase_estimate_semiclassical`, by walking all 2^bits measurement
-    branches from the basis target |target> (None means |f(identity)>).
-    Each branch carries its unnormalised target vector, whose squared norm
-    is the branch's probability; step s applies the shift by 2^(bits-1-s)
-    generators on the |1> half, turns it back by the phase v / 2^(s+1) of
-    the bits v measured so far, and splits on the Hadamard's two outcomes."""
+    branches from the target |f(identity)>.  Each branch carries its
+    unnormalised target vector, whose squared norm is the branch's
+    probability; step s applies the shift by 2^(bits-1-s) first generators
+    on the |1> half, turns it back by the phase v / 2^(s+1) of the bits v
+    measured so far, and splits on the Hadamard's two outcomes."""
     spec = instance.domain
     vec = np.zeros(instance.codomain_size, dtype=np.complex128)
-    vec[instance._raw(0 if spec is None else spec.identity()) if target is None else target] = 1.0
+    vec[instance._raw(0 if spec is None else spec.identity())] = 1.0
     branches = [(0, vec)]
     for s in range(bits):
         power = 1 << (bits - 1 - s)
-        perm = instance.shift_permutation(
-            power if spec is None else spec.scale(power, spec.generator(generator))
-        )
+        perm = instance.shift_permutation(power if spec is None else spec.scale(power, spec.generator(0)))
         grown = []
         for v, w in branches:
             shifted = np.empty_like(w)
@@ -279,7 +277,7 @@ def test_point_law_matches_the_register_law(case, seed):
     mixture of its period for distinct labels, and at most m times that
     mixture for an m-to-1 merge."""
     inst, n = case
-    period, labels, merged = _register_cycle(inst, n, 0, None)
+    period, labels, merged = _register_cycle(inst, n)
     law = _periodic_law(*_reduced_cycle(inst.period_labels[:n]), n)
     points = range(n) if n <= 500 else np.random.default_rng(seed).integers(n, size=300).tolist()
     for x in points:
@@ -442,21 +440,19 @@ def shifted_integer_instances(draw):
         return make_order_instance(modulus, draw(st.sampled_from([a for a in range(1, modulus) if gcd(a, modulus) == 1])))
     period = draw(st.integers(1, 20))
     relabel = np.array(draw(st.permutations(range(period))), dtype=np.int64)
-    inverse = np.argsort(relabel)
     return OracleInstance(
         domain=None, codomain_size=period, period_labels=np.tile(relabel, draw(st.integers(1, 3))),
-        shift_fn=lambda g: relabel[(inverse + g) % period],
+        homomorphism_available=True,
     )
 
 
-@given(shifted_integer_instances(), st.integers(1, 400), st.booleans())
-def test_default_target_cycle_is_the_first_return_of_f0(inst, n, explicit):
+@given(shifted_integer_instances(), st.integers(1, 400))
+def test_default_target_cycle_is_the_first_return_of_f0(inst, n):
     """On the integers the unit shift walks f(0)'s label through f(1),
     f(2), ..., so the first return of f(0) in one period is the cycle the
     walk of `_orbit_length` counts, cut at n points."""
     f0 = int(inst.period_labels[0])
-    cycle = _register_cycle(inst, n, 0, f0 if explicit else None)
-    assert cycle == (_orbit_length(inst, f0, 0, n), None, 1)
+    assert _register_cycle(inst, n) == (_orbit_length(inst, f0, 0, n), None, 1)
 
 
 def test_find_order_reads_its_cycle_off_the_period():
@@ -471,10 +467,10 @@ def test_find_order_reads_its_cycle_off_the_period():
 
 @st.composite
 def shifted_finite_instances(draw):
-    """A finite-domain instance with shift maps and a generator index: a
-    hidden subgroup, Simon's problem, a discrete log in either form, or the
-    stabiliser of a point under a translation action of Z_d1 x Z_d2 on
-    Z_points, each weight a multiple of points / gcd(points, d_j)."""
+    """A finite-domain instance with shift maps: a hidden subgroup, Simon's
+    problem, a discrete log in either form, or the stabiliser of a point
+    under a translation action of Z_d1 x Z_d2 on Z_points, each weight a
+    multiple of points / gcd(points, d_j)."""
     kind = draw(st.sampled_from(["hsp", "simon", "modulus", "order", "stabiliser"]))
     if kind == "hsp":
         moduli = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(lambda m: math.prod(m) <= 64))
@@ -496,18 +492,17 @@ def shifted_finite_instances(draw):
             GroupSpec.of(moduli), lambda g, pt: (pt + sum(w * c for w, c in zip(weights, g))) % points,
             draw(st.integers(0, points - 1)), points,
         )
-    return inst, draw(st.integers(0, inst.domain.rank - 1))
+    return inst
 
 
-@given(shifted_finite_instances(), st.integers(1, 64), st.booleans())
-def test_default_target_cycle_is_the_first_return_on_finite_domains(case, n, explicit):
-    """Along every generator g, the unit shift walks f(0)'s label through
-    f(g), f(2g), ..., so the first return of f(0) in f's row of labels is
-    the cycle the walk of `_orbit_length` counts, cut at n points."""
-    inst, generator = case
+@given(shifted_finite_instances(), st.integers(1, 64))
+def test_default_target_cycle_is_the_first_return_on_finite_domains(inst, n):
+    """Along the first generator g, the unit shift walks f(0)'s label
+    through f(g), f(2g), ..., so the first return of f(0) in f's row of
+    labels is the cycle the walk of `_orbit_length` counts, cut at n
+    points."""
     f0 = inst._raw(inst.domain.identity())
-    cycle = _register_cycle(inst, n, generator, f0 if explicit else None)
-    assert cycle == (_orbit_length(inst, f0, generator, n), None, 1)
+    assert _register_cycle(inst, n) == (_orbit_length(inst, f0, 0, n), None, 1)
 
 
 def test_finite_domain_register_law_needs_shift_maps():
@@ -549,12 +544,12 @@ def test_register_cycle_is_capped_on_its_labels():
 # --- collapsed-target reuse -----------------------------------------------------
 
 
-def dense_register_run(instance, n: int, *, seed: int, generator: int = 0, target=None):
+def dense_register_run(instance, n: int, *, seed: int):
     """Independent oracle: one shift-route estimation on the dense joint
     state of `_pre_measurement_state`, measured by `measure_register`.
     Returns the measurement record and the collapsed target, renormalised,
     which a next estimation can keep as its target."""
-    state = _pre_measurement_state(instance, n, "shift", generator, target)
+    state = _pre_measurement_state(instance, n, "shift", 0, None)
     record, collapsed = measure_register(state, 0, seed)
     kept = collapsed.reshaped()[record.outcome]
     return record, kept / np.linalg.norm(kept)
@@ -868,67 +863,59 @@ def test_semiclassical_equivalence_battery(bits):
 
 @st.composite
 def cascade_cases(draw):
-    """An instance with shift maps and a generator index to estimate along:
+    """An instance with shift maps to estimate along its first generator:
     order finding, or a small hidden-subgroup or discrete-log group."""
     kind = draw(st.sampled_from(["order", "hsp", "dlog"]))
     if kind == "order":
         modulus = draw(st.integers(2, 60))
         base = draw(st.sampled_from([a for a in range(1, modulus) if gcd(a, modulus) == 1]))
-        return make_order_instance(modulus, base), 0
+        return make_order_instance(modulus, base)
     if kind == "hsp":
         moduli = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
         element = st.tuples(*(st.integers(0, d - 1) for d in moduli))
-        inst = make_hidden_subgroup_instance(
+        return make_hidden_subgroup_instance(
             GroupSpec.of(moduli), draw(st.lists(element, max_size=2)),
             relabel_seed=draw(st.integers(0, 1000)),
         )
-    else:
-        q = draw(st.sampled_from([3, 5, 7, 11, 13]))
-        a = draw(st.integers(1, q - 1))
-        inst = make_dlog_instance(a, pow(a, draw(st.integers(0, q - 2)), q), modulus=q)
-    return inst, draw(st.integers(0, inst.domain.rank - 1))
+    q = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    a = draw(st.integers(1, q - 1))
+    return make_dlog_instance(a, pow(a, draw(st.integers(0, q - 2)), q), modulus=q)
 
 
 @given(cascade_cases(), st.integers(1, 8))
-def test_semiclassical_law_is_the_shift_register_law(case, bits):
-    inst, generator = case
-    law = control_distribution(inst, 2**bits, generator=generator)
-    assert_allclose(law, branch_tree_law(inst, bits, generator=generator), rtol=0, atol=1e-12)
+def test_semiclassical_law_is_the_shift_register_law(inst, bits):
+    law = control_distribution(inst, 2**bits)
+    assert_allclose(law, branch_tree_law(inst, bits), rtol=0, atol=1e-12)
 
 
 @given(cascade_cases(), st.integers(1, 8), st.integers(0, 2**32))
-def test_semiclassical_run_draws_from_the_branch_tree_law(case, bits, seed):
+def test_semiclassical_run_draws_from_the_branch_tree_law(inst, bits, seed):
     """The runner's reported probability of its outcome is the cascade's
     law there, and its transcript is that outcome's digits."""
-    inst, generator = case
-    run = phase_estimate_semiclassical(inst, bits, generator=generator, seed=seed)
-    law = branch_tree_law(inst, bits, generator=generator)
+    run = phase_estimate_semiclassical(inst, bits, seed=seed)
+    law = branch_tree_law(inst, bits)
     assert abs(run.sample.probability - law[run.sample.observed]) < 1e-12
     assert run.sample.observed == sum(step.bit << i for i, step in enumerate(run.steps))
 
 
 @pytest.mark.parametrize(
-    "make, generator, target, bits",
+    "make, bits",
     [
-        (lambda: make_order_instance(15, 2), 0, None, 5),
-        (lambda: make_dlog_instance(2, 5, modulus=13), 1, None, 6),
-        (lambda: make_order_instance(15, 2), 0, 3, 5),  # 3 is off 2's orbit mod 15
+        (lambda: make_order_instance(15, 2), 5),
+        (lambda: make_dlog_instance(2, 6, modulus=13), 6),  # 6 = 2^5 has order 12
     ],
-    ids=["order-15-2", "dlog-13-along-1", "off-orbit-target-3"],
+    ids=["order-15-2", "dlog-13"],
 )
-def test_semiclassical_chi_square_smoke(make, generator, target, bits):
+def test_semiclassical_chi_square_smoke(make, bits):
     """Fixed-seed cascade runs against the branch-tree law: the statistic
     stays within five standard deviations of its degrees of freedom, and
-    each run bills one query per step."""
+    each run bills one query per step plus f(0)."""
     inst, runs = make(), 20_000
-    law = branch_tree_law(inst, bits, generator=generator, target=target)
-    drawn = [
-        phase_estimate_semiclassical(inst, bits, generator=generator, seed=seed, target=target).sample.observed
-        for seed in range(runs)
-    ]
+    law = branch_tree_law(inst, bits)
+    drawn = [phase_estimate_semiclassical(inst, bits, seed=seed).sample.observed for seed in range(runs)]
     statistic, dof = chi_square(np.bincount(drawn, minlength=1 << bits), law, runs)
     assert statistic < dof + 5 * math.sqrt(2 * dof), (statistic, dof)
-    assert inst.query_count == runs * (bits + (target is None))
+    assert inst.query_count == runs * (bits + 1)
 
 
 def test_semiclassical_forty_bits_exact():
@@ -940,22 +927,14 @@ def test_semiclassical_forty_bits_exact():
         assert run.live_dimension == 4
 
 
-def test_semiclassical_rejects_a_vector_target():
-    inst = make_order_instance(15, 4)
-    target = np.zeros(15)
-    target[[1, 4]] = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    with pytest.raises(ValueError, match="basis-label"):
-        phase_estimate_semiclassical(inst, 4, seed=0, target=target)
-
-
 def test_semiclassical_takes_the_target_cycle():
-    # 3 is not a power of 2 mod 15, but its cycle {3, 6, 12, 9} under x2 has
-    # the same length, while 5's cycle {5, 10} is half the period
-    for target, cycle in ((3, 4), (5, 2), (1, 4)):
-        inst = make_order_instance(15, 2)
-        law = control_distribution(inst, 16, target=target)
+    # the target |f(0)> = |1> cycles through the powers of the base, so its
+    # cycle is the order: 4 for 2 mod 15, 2 for 4 and 1 for 1
+    for base, cycle in ((2, 4), (4, 2), (1, 1)):
+        inst = make_order_instance(15, base)
+        law = control_distribution(inst, 16)
         for seed in range(6):
-            run = phase_estimate_semiclassical(inst, 4, seed=seed, target=target)
+            run = phase_estimate_semiclassical(inst, 4, seed=seed)
             assert run.live_dimension == cycle
             assert abs(run.sample.probability - law[run.sample.observed]) < 1e-12
 
@@ -986,7 +965,7 @@ def test_semiclassical_requires_shift_maps():
 
 def test_semiclassical_seed_determinism():
     inst = make_dlog_instance(3, 4, modulus=7)
-    a = phase_estimate_semiclassical(inst, 4, seed=21, generator=1)
-    b = phase_estimate_semiclassical(inst, 4, seed=21, generator=1)
+    a = phase_estimate_semiclassical(inst, 4, seed=21)
+    b = phase_estimate_semiclassical(inst, 4, seed=21)
     assert a.sample.observed == b.sample.observed
     assert [s.bit for s in a.steps] == [s.bit for s in b.steps]

@@ -15,8 +15,9 @@ package outside its own body; a helper only tests call belongs in the tests.
 A sixth checks that the one-register sampler draws with no n-point law, a
 seventh that the coset sampler draws with no table over the group, an
 eighth that no solver names a law array, and a ninth that no function
-takes a `route`: the query circuit and the shift ladder prepare one state,
-so no law or solver chooses between them.  A tenth checks that the CLI
+takes a `route`, `target`, `generator` or `shift_fn`: the query circuit and
+the shift ladder prepare one state from |f(0)>, so no law or solver chooses
+between them, and shift maps are read off the labels.  A tenth checks that the CLI
 imports no thread machinery, and an eleventh that the brute-force truths
 share no search with the solvers they check.  The law scans also keep the
 |G|-point laws, which are test references now, from coming back into the
@@ -236,18 +237,24 @@ def test_solvers_draw_without_an_array_law():
     assert not any(reached.values()), f"the law at a draw reaches a table law: {reached}"
 
 
+KNOBS = {"route", "target", "generator", "shift_fn"}
+
+
 def test_only_the_dense_reference_takes_a_route():
     """The two circuits are built side by side only in the tests' dense
-    reference; no function in the package has a parameter named `route`."""
+    reference, and every estimation runs from |f(0)> along the first
+    generator with shift maps read off the labels: no function in the
+    package has a parameter named `route`, `target`, `generator` or
+    `shift_fn`."""
     taking = set()
     for path in Path(hsplab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
-                if "route" in names:
-                    taking.add((path.name, getattr(node, "name", "<lambda>")))
-    assert not taking, f"functions that take a route: {taking}"
+                for knob in names & KNOBS:
+                    taking.add((path.name, getattr(node, "name", "<lambda>"), knob))
+    assert not taking, f"functions that take a route, target, generator or shift_fn: {taking}"
 
 
 def test_cli_imports_no_thread_machinery():

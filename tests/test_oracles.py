@@ -11,10 +11,13 @@ from __future__ import annotations
 import sys
 import threading
 import warnings
+from math import gcd
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hsplab import oracles
@@ -243,6 +246,81 @@ def test_coset_labels_and_shift_maps_match_the_closure_reference(moduli):
             for g in spec.elements():
                 shifted = [label_of[spec.add(rep, g)] for rep in rep_of]
                 assert inst.shift_permutation(g).tobytes() == np.array(shifted, dtype=np.int64).tobytes()
+
+
+SHIFT_MAP_KINDS = ["order", "hsp", "simon", "dlog-modulus", "dlog-order", "deutsch", "stabiliser"]
+
+
+@st.composite
+def shift_map_cases(draw, kind):
+    """A builder with shift maps, and the map its algebra gives a label v of
+    f's image under the shift by g: multiplication by a^g mod n (order),
+    b^g0 a^g1 mod q and b g0 + a g1 mod r (both discrete-log forms), the
+    group action (a stabiliser, by translations or by a unit's powers) and
+    the swap of a balanced Deutsch function; None for a hidden subgroup or
+    Simon's problem, whose labels name cosets with no algebra of their own."""
+    units = lambda n: [a for a in range(1, n) if gcd(a, n) == 1]
+    if kind == "order":
+        n = draw(st.integers(2, 60))
+        a = draw(st.sampled_from(units(n)))
+        return make_order_instance(n, a), lambda g, v: v * pow(a, g, n) % n
+    if kind == "hsp":
+        moduli = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(lambda m: np.prod(m) <= 48))
+        element = st.tuples(*(st.integers(0, d - 1) for d in moduli))
+        gens = draw(st.lists(element, max_size=2))
+        return make_hidden_subgroup_instance(GroupSpec.of(moduli), gens, relabel_seed=draw(st.integers(0, 99))), None
+    if kind == "simon":
+        bits = draw(st.integers(1, 4))
+        return make_simon_instance(bits, draw(st.lists(st.integers(0, 1), min_size=bits, max_size=bits).filter(any))), None
+    if kind == "dlog-modulus":
+        q = draw(st.integers(2, 40))
+        a = draw(st.sampled_from(units(q)))
+        b = pow(a, draw(st.integers(0, q)), q)
+        return make_dlog_instance(a, b, modulus=q), lambda g, v: v * pow(b, g[0], q) * pow(a, g[1], q) % q
+    if kind == "dlog-order":
+        r = draw(st.integers(2, 12))
+        a, b = draw(st.sampled_from(units(r))), draw(st.integers(0, r - 1))
+        return make_dlog_instance(a, b, order=r), lambda g, v: (v + b * g[0] + a * g[1]) % r
+    if kind == "deutsch":
+        f0, f1 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        return make_deutsch_instance(f0, f1), lambda g, v: v ^ (g[0] & (f0 != f1))
+    points = draw(st.integers(1, 12))
+    if draw(st.booleans()):  # translations of Z_points by Z_d1 x Z_d2
+        moduli = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+        weights = [points // gcd(points, d) * draw(st.integers(0, 3)) for d in moduli]
+        action = lambda g, pt: (pt + sum(w * c for w, c in zip(weights, g))) % points
+    else:  # Z_d acting by the powers of a unit c with c^d = 1
+        d = draw(st.integers(1, 6))
+        c = draw(st.sampled_from([c for c in units(points) if pow(c, d, points) == 1 % points] or [1]))
+        moduli = [d]
+        action = lambda g, pt: pt * pow(c, g[0], points) % points
+    return make_stabiliser_instance(GroupSpec.of(moduli), action, draw(st.integers(0, points - 1)), points), action
+
+
+@pytest.mark.parametrize("kind", SHIFT_MAP_KINDS)
+@given(data=st.data())
+def test_shift_maps_read_off_the_labels_hold_the_algebra(kind, data):
+    """For every builder with shift maps, each map is a permutation of the
+    labels, sends f(y) to f(y+g) over a small domain, agrees on f's image
+    with the map of the builder's algebra, and fixes every label off the
+    image."""
+    inst, algebra = data.draw(shift_map_cases(kind))
+    spec = inst.domain
+    if spec is None:
+        period = inst.truth.period
+        points, shifts, add = range(2 * period), st.integers(-3 * period, 3 * period), int.__add__
+    else:
+        points, shifts, add = list(spec.elements()), st.tuples(*(st.integers(0, d - 1) for d in spec.moduli)), spec.add
+    image = {inst._raw(y) for y in points}
+    for g in data.draw(st.lists(shifts, min_size=1, max_size=4)):
+        perm = inst.shift_permutation(g).tolist()
+        assert sorted(perm) == list(range(inst.codomain_size))
+        assert all(perm[inst._raw(y)] == inst._raw(add(y, g)) for y in points)
+        for v in range(inst.codomain_size):
+            if v not in image:
+                assert perm[v] == v
+            elif algebra is not None:
+                assert perm[v] == algebra(g, v)
 
 
 @pytest.mark.parametrize(
@@ -706,16 +784,12 @@ def test_counter_counts_evaluate_and_applications():
     apply_oracle(basis_state(layout, [0, 0]), [0], 1, inst)
     apply_shift(basis_state(layout, [1, 1]), 0, 1, inst)
     assert inst.query_count == 1  # gates bill nothing; the samplers and runners do
-    sample_control(inst, 8, 1, seed=0, target=1)
-    assert inst.query_count == 2  # one circuit
-    sample_control(inst, 16, 1, seed=0, target=1)
-    assert inst.query_count == 3
     sample_control(inst, 8, 1, seed=0)
-    assert inst.query_count == 4  # the default target is read, not queried
-    phase_estimate_semiclassical(inst, 3, seed=0, target=1)
-    assert inst.query_count == 7  # one per step
+    assert inst.query_count == 2  # one circuit: the target's cycle is read, not queried
+    sample_control(inst, 16, 3, seed=0)
+    assert inst.query_count == 5  # one per draw
     phase_estimate_semiclassical(inst, 3, seed=0)
-    assert inst.query_count == 11  # three steps plus the default target
+    assert inst.query_count == 9  # three steps plus f(0), which prepares the target
 
 
 def test_counter_exact_while_verifier_runs():
