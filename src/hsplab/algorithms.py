@@ -8,10 +8,11 @@ to verify within the trial budget raises BudgetExhausted — a probabilistic
 shortfall — while evidence that the function breaks its promise raises
 PromiseViolation.
 
-Per-trial seeds are derived as master seed + trial index, and
-`solve_hsp_general` draws all its batches and check points from one stream
-seeded by the master seed, so a run is replayable regardless of how a
-harness schedules trials.
+Order and period finding draw every trial from one stream seeded by the
+master seed, and `solve_hsp_general` draws all its batches and check points
+from one such stream.  `solve_dlog`, `robust_period` and factoring's
+attempts derive per-trial seeds as master seed + trial index.  Either way a
+run is replayable regardless of how a harness schedules trials.
 """
 
 from __future__ import annotations
@@ -176,8 +177,9 @@ def _recover_period(instance: OracleInstance, params: SolverParams, bound: int) 
 
     acc = 1
     samples: list[PhaseSample] = []
+    rng = np.random.default_rng(params.seed)
     for trial in range(params.trials):
-        sample = sample_control(instance, n, 1, seed=params.seed + trial)[0]
+        sample = sample_control(instance, n, 1, seed=rng)[0]
         samples.append(sample)
         q = best_denominator_bounded(sample.observed, n, bound).denominator
         merged = lcm(acc, q)
@@ -199,9 +201,11 @@ def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
     evaluations; denominators from continued fractions are lcm-combined
     until f(r) = f(0) verifies, then stripped to the least verified period.
     The query circuit and the shift ladder prepare one state, so the sample
-    is the same whether or not the instance has shift maps.  Without a
-    `period_bound` the bound is the codomain size, since a period's labels
-    are distinct; a draw costs the same at any register size.
+    is the same whether or not the instance has shift maps.  Every trial
+    draws from one random stream seeded by `params.seed`, so each sample
+    records that seed, which replays the run.  Without a `period_bound` the
+    bound is the codomain size, since a period's labels are distinct; a
+    draw costs the same at any register size.
     """
     return _recover_period(instance, params, params.period_bound or instance.codomain_size)
 

@@ -361,6 +361,10 @@ def _dump_command(args) -> int:
                 raise ConfigError("--instance JSON is required for pe dumps")
             instance = instance_from_json(json.loads(args.instance))
             n_bits = args.bits
+            # the cascade runs at least one step; a register holds 2^bits >= 1 levels
+            least = 1 if args.kind == "semiclassical-pe" else 0
+            if n_bits < least:
+                raise ConfigError(f"--bits must be >= {least} for {args.kind} dumps, got {n_bits}")
             # the one-qubit cascade's law is the register's (Griffiths-Niu),
             # and the cascade runs on shift maps
             if args.kind == "semiclassical-pe" and not instance.homomorphism_available:

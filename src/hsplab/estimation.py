@@ -107,11 +107,20 @@ def _reduced_cycle(cycle: np.ndarray) -> tuple:
     the cycle's labels are distinct and it is its own least period.  The
     rolls that fix a cycle form a subgroup of Z_size, so L divides the size
     and is what `_strip_period` leaves of it."""
-    # a plain unique first: distinct labels, the common case, need no inverse,
-    # and skipping its allocations measured ~10% faster order finding
-    if np.unique(cycle).size == cycle.size:
-        return cycle.size, None
-    labels = np.unique(cycle, return_inverse=True)[1]
+    # while the labels stay below a small multiple of the row's length, one
+    # bincount both tests distinctness, the common case, and ranks a repeated
+    # row among its occupied labels; labels in [0, |X|) can lie far above it,
+    # such as a dilated order instance's residues, and a sort ranks those
+    # rather than a bincount as long as their range
+    if cycle.max() < 32 * cycle.size:
+        counts = np.bincount(cycle)
+        if counts.max() == 1:
+            return cycle.size, None
+        labels = (np.cumsum(counts > 0) - 1)[cycle]
+    else:
+        distinct, labels = np.unique(cycle, return_inverse=True)
+        if distinct.size == cycle.size:
+            return cycle.size, None
     period = _strip_period(labels.size, lambda d: np.array_equal(np.roll(labels, d), labels))
     return period, labels[:period]
 
@@ -360,7 +369,9 @@ def _draw_mixture(rng, period: int, n: int) -> int:
                 return (base + j) % n
 
 
-def sample_control(instance: OracleInstance, register_size: int, count: int, *, seed: int = 0) -> list[PhaseSample]:
+def sample_control(
+    instance: OracleInstance, register_size: int, count: int, *, seed: int | np.random.Generator = 0
+) -> list[PhaseSample]:
     """Draw measurement outcomes from the exact control law, each with its
     probability, and with no n-point array.
 
@@ -373,11 +384,17 @@ def sample_control(instance: OracleInstance, register_size: int, count: int, *, 
     m = 1 every draw is kept.  Each draw stands for one execution of the
     circuit and costs one query.  A register past the float range (about
     2^512 points) raises ValueError before anything is billed.
+
+    `seed` is an int or a Generator, as `np.random.default_rng` takes it: a
+    Generator is drawn from and left advanced, so one stream can feed
+    several calls.  Each sample records the seed of its stream, the one
+    that replays the run from its start.
     """
     n = int(register_size)
     _check_float_range(n)
     period, labels, multiplicity = _register_cycle(instance, n)
     rng = np.random.default_rng(seed)
+    stream_seed = int(rng.bit_generator.seed_seq.entropy)
     samples = []
     for _ in range(int(count)):
         while True:
@@ -385,7 +402,7 @@ def sample_control(instance: OracleInstance, register_size: int, count: int, *, 
             law, mixture = _point_law(x, n, period, labels)
             if rng.random() * multiplicity * mixture < law:
                 break
-        samples.append(PhaseSample(x, n, law, seed))
+        samples.append(PhaseSample(x, n, law, stream_seed))
     instance.counter.add(int(count))
     return samples
 
@@ -408,10 +425,11 @@ def _coset_sampler(instance: OracleInstance) -> tuple:
     dual = np.array([[a % d for a in row] for row, d in zip(rows, spec.moduli)], dtype=_exact_dtype(spec.moduli))
     entry = (dual, 1, None)
     labels = instance.box_labels.reshape(-1)
-    if (multiplicity := int(np.bincount(labels).max())) > 1:
+    counts = np.bincount(labels)
+    if (multiplicity := int(counts.max())) > 1:
         if labels.size > dimension_cap():
             raise CapExceeded(f"merged coset law over {labels.size} box points exceeds cap {dimension_cap()}")
-        entry = (dual, multiplicity, (np.unique(labels, return_inverse=True)[1], instance.pivots))
+        entry = (dual, multiplicity, ((np.cumsum(counts > 0) - 1)[labels], instance.pivots))
     instance._dist_cache[key] = entry
     return entry
 

@@ -270,11 +270,11 @@ def make_period_instance(r: int, relabeling=None, relabel_seed: int | None = Non
     if r < 1:
         raise ValueError("period must be >= 1")
     if relabeling is None:
-        relab = np.random.default_rng(0 if relabel_seed is None else relabel_seed).permutation(r).tolist()
+        relab = np.random.default_rng(0 if relabel_seed is None else relabel_seed).permutation(r)
     else:
         relab = [int(v) for v in relabeling]
-    if sorted(relab) != list(range(r)):
-        raise ValueError("relabeling must be a permutation of [0, r)")
+        if sorted(relab) != list(range(r)):
+            raise ValueError("relabeling must be a permutation of [0, r)")
 
     return OracleInstance(
         domain=None,

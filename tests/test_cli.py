@@ -477,6 +477,41 @@ def test_dump_semiclassical_equals_branch_tree(capsys):
         assert semi["probs"] == pytest.approx(list(tree), abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, bits", [
+    ("register-pe", "-1"), ("semiclassical-pe", "0"), ("semiclassical-pe", "-1"),
+])
+def test_dump_bits_below_the_least_is_config_error(capsys, kind, bits):
+    """A register holds 2^bits >= 1 points, and the cascade runs at least
+    one step, so fewer bits are a config error that names --bits."""
+    instance = json.dumps({"kind": "order", "modulus": 15, "base": 2})
+    code, payload, err = run(capsys, "dump", "--kind", kind, "--instance", instance, "--bits", bits)
+    assert code == 2 and payload is None
+    assert err.startswith("config error:") and "--bits" in err
+
+
+@pytest.mark.parametrize("kind, bits, probs", [
+    ("register-pe", "0", [1.0]), ("semiclassical-pe", "1", [0.5, 0.5]),
+])
+def test_dump_at_the_least_bits_runs(capsys, kind, bits, probs):
+    instance = json.dumps({"kind": "order", "modulus": 15, "base": 2})
+    code, payload, _ = run(capsys, "dump", "--kind", kind, "--instance", instance, "--bits", bits)
+    assert code == 0 and payload["probs"] == pytest.approx(probs)
+
+
+def test_dump_of_a_seeded_period_instance_is_its_explicit_relabeling(capsys):
+    """A period instance that draws its own relabelling dumps byte for byte
+    as the same instance given that relabelling as a list."""
+    seeded = {"kind": "period", "period": 12, "relabel_seed": 3}
+    explicit = instance_from_json(seeded).to_json()
+    outputs = []
+    for descriptor in (seeded, explicit):
+        assert cli.main(["dump", "--kind", "register-pe", "--bits", "6", "--instance", json.dumps(descriptor)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["instance"] == explicit
+    assert sorted(explicit["relabeling"]) == list(range(12))
+
+
 def test_dump_semiclassical_honours_the_cap(capsys):
     instance = json.dumps({"kind": "order", "modulus": 15, "base": 2})
     code, payload, err = run(capsys, "dump", "--kind", "semiclassical-pe",

@@ -609,6 +609,53 @@ def test_cyclic_period_is_the_least_cyclic_shift(cycle):
         assert np.array_equal(np.unique(cycle)[labels], cycle[:least])
 
 
+label_rows = st.integers(0, 40).flatmap(lambda top: st.one_of(
+    st.permutations(range(top + 1)),  # distinct
+    st.lists(st.integers(0, top), min_size=1, max_size=40),  # repeated, most with gaps
+    st.integers(1, 40).map(lambda size: [top] * size),  # a single label
+    st.lists(st.sampled_from([0, top]), min_size=1, max_size=40),  # a gap of top - 1
+))
+
+
+far_label_rows = st.lists(st.integers(0, 2**62), min_size=1, max_size=40) | st.lists(
+    st.sampled_from([7, 2**40, 2**62]), min_size=1, max_size=40)
+
+
+@given(label_rows | far_label_rows)
+def test_reduced_cycle_ranks_match_unique(row):
+    """Ranks read off one bincount are `np.unique`'s: the same least
+    period, and the same labels of one period as indices into the sorted
+    distinct labels, whatever labels of [0, max] the row skips.  Labels
+    far above the row's length, up to 2^62, are ranked too, with nothing
+    allocated over their range."""
+    cycle = np.asarray(row, dtype=np.int64)
+    if np.unique(cycle).size == cycle.size:
+        expected = cycle.size, None
+    else:
+        ranks = np.unique(cycle, return_inverse=True)[1]
+        least = next(p for p in range(1, ranks.size + 1) if np.array_equal(np.roll(ranks, p), ranks))
+        expected = least, ranks[:least]
+    period, labels = _reduced_cycle(cycle)
+    assert period == expected[0]
+    assert (labels is None) == (expected[1] is None)
+    if labels is not None:
+        assert labels.tolist() == expected[1].tolist()
+
+
+@given(label_rows | few_label_tables().map(lambda inst: inst.box_labels.reshape(-1).tolist()))
+def test_coset_sampler_ranks_match_unique(row):
+    """On a box whose labels repeat, the sampler's multiplicity is the
+    largest count of a label and its ranks are `np.unique`'s inverse."""
+    table = np.asarray(row, dtype=np.int64)
+    _, multiplicity, box = _coset_sampler(table_group_instance(table))
+    _, ranks, counts = np.unique(table, return_inverse=True, return_counts=True)
+    assert multiplicity == counts.max()
+    if multiplicity == 1:
+        assert box is None
+    else:
+        assert box[0].tolist() == ranks.tolist() and box[1] == table.shape
+
+
 def test_short_register_fold_stays_within_labels_times_points():
     """A merged table with n < 2L under a cap that admits its labels x n
     points but not labels x 2L: the fold's one-hot is min(2L, n) wide, so

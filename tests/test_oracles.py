@@ -8,6 +8,7 @@ never trusted from the builders' own bookkeeping.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import warnings
@@ -853,6 +854,17 @@ def test_instance_from_json_round_trip(descriptor):
         assert a.truth.period == b.truth.period
     else:
         assert subgroups_equal(a.truth.subgroup, b.truth.subgroup)
+
+
+@given(st.integers(1, 80), st.integers(0, 1000))
+def test_seeded_period_descriptor_round_trips_through_json(r, relabel_seed):
+    """A period instance that draws its own relabelling keeps it as an
+    array in its descriptor; its JSON is plain lists and rebuilds the same
+    labels."""
+    inst = make_period_instance(r, relabel_seed=relabel_seed)
+    rebuilt = instance_from_json(json.loads(json.dumps(inst.to_json())))
+    assert rebuilt.period_labels.tolist() == inst.period_labels.tolist()
+    assert rebuilt.to_json() == inst.to_json()
 
 
 def test_many_to_one_descriptor_round_trip():
