@@ -8,16 +8,15 @@ to verify within the trial budget raises BudgetExhausted — a probabilistic
 shortfall — while evidence that the function breaks its promise raises
 PromiseViolation.
 
-Order and period finding draw every trial from one stream seeded by the
-master seed, and `solve_hsp_general` draws all its batches and check points
-from one such stream.  `solve_dlog`, `robust_period` and factoring's
-attempts derive per-trial seeds as master seed + trial index.  Either way a
-run is replayable regardless of how a harness schedules trials.
+Every solve draws all of its randomness, circuit samples, check points and
+factoring's bases alike, from one stream, `np.random.default_rng(params.seed)`,
+so a seed replays the whole solve, and solves at distinct seeds draw from
+independent streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from math import gcd, lcm
 from numbers import Integral, Real
 
@@ -48,7 +47,7 @@ class PromiseViolation(RuntimeError):
     """The function contradicted the hidden-subgroup promise."""
 
 
-_OPTIONAL_FIELDS = ("control_bits", "period_bound", "multiplicity")
+_OPTIONAL_FIELDS = ("control_bits", "period_bound")
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class SolverParams:
     Register sizing precedence: `control_bits` (size 2^bits), then a size
     derived from the period bound and `epsilon`.  Order and period finding
     without a `period_bound` take the codomain size as the bound.
-    `multiplicity` overrides the instance's own many-to-1 bound when set.
     `trials` counts single draws in order, period and discrete-log finding,
     batches of d(G) + 2 draws in `solve_hsp_general`, and attempts in
     factoring and `robust_period`.
@@ -69,7 +67,6 @@ class SolverParams:
     epsilon: float = 0.25
     seed: int = 0
     period_bound: int | None = None
-    multiplicity: int | None = None
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
@@ -161,7 +158,9 @@ def _register_size_for(params: SolverParams, bound: int) -> int:
     return choose_register_size(2 * bound * bound, params.epsilon)
 
 
-def _recover_period(instance: OracleInstance, params: SolverParams, bound: int) -> OrderResult:
+def _recover_period(
+    instance: OracleInstance, params: SolverParams, bound: int, rng: np.random.Generator
+) -> OrderResult:
     if bound < 1:
         raise ValueError("period bound must be >= 1")
     n = _register_size_for(params, bound)
@@ -177,7 +176,6 @@ def _recover_period(instance: OracleInstance, params: SolverParams, bound: int) 
 
     acc = 1
     samples: list[PhaseSample] = []
-    rng = np.random.default_rng(params.seed)
     for trial in range(params.trials):
         sample = sample_control(instance, n, 1, seed=rng)[0]
         samples.append(sample)
@@ -202,12 +200,12 @@ def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
     until f(r) = f(0) verifies, then stripped to the least verified period.
     The query circuit and the shift ladder prepare one state, so the sample
     is the same whether or not the instance has shift maps.  Every trial
-    draws from one random stream seeded by `params.seed`, so each sample
-    records that seed, which replays the run.  Without a `period_bound` the
-    bound is the codomain size, since a period's labels are distinct; a
-    draw costs the same at any register size.
+    draws from one random stream seeded by `params.seed`.  Without a
+    `period_bound` the bound is the codomain size, since a period's labels
+    are distinct; a draw costs the same at any register size.
     """
-    return _recover_period(instance, params, params.period_bound or instance.codomain_size)
+    bound = params.period_bound or instance.codomain_size
+    return _recover_period(instance, params, bound, np.random.default_rng(params.seed))
 
 
 def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
@@ -216,7 +214,11 @@ def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
 
 
 def factor_via_order(n: int, params: SolverParams) -> int:
-    """Split an odd composite (not a prime power) via even orders."""
+    """Split an odd composite (not a prime power) via even orders.
+
+    Each attempt draws a base, then finds its order with the bound
+    `params.period_bound`, n by default; the bases and every order-finding
+    sample come from one stream seeded by `params.seed`."""
     n = int(n)
     if n < 9 or n % 2 == 0:
         raise ValueError("need an odd composite")
@@ -224,15 +226,14 @@ def factor_via_order(n: int, params: SolverParams) -> int:
     if len(facts) == 1:
         raise ValueError("prime or prime power; nothing to split quantumly")
     rng = np.random.default_rng(params.seed)
-    sub = replace(params, period_bound=n) if params.period_bound is None else params
-    for attempt in range(params.trials):
+    bound = params.period_bound or n
+    for _ in range(params.trials):
         a = int(rng.integers(2, n))
         g = gcd(a, n)
         if g > 1:
             return g
-        inst = make_order_instance(n, a)
         try:
-            r = find_order(inst, replace(sub, seed=params.seed + attempt)).value
+            r = _recover_period(make_order_instance(n, a), params, bound, rng).value
         except BudgetExhausted:
             continue
         if r % 2:
@@ -335,15 +336,15 @@ def solve_dlog(instance: OracleInstance, params: SolverParams) -> DlogResult:
 
     known_rem, known_mod = 0, 1
     reuses = 0
+    rng = np.random.default_rng(params.seed)
     for trial in range(params.trials):
-        seed = params.seed + trial
-        ((x2, k),) = hsp_sample_batch(instance, 1, seed=seed)
-        samples.append(PhaseSample(k, r, _coset_law_at(instance, (x2, k)), seed))
+        ((x2, k),) = hsp_sample_batch(instance, 1, seed=rng)
+        samples.append(PhaseSample(k, r, _coset_law_at(instance, (x2, k))))
         if k == 0:
             continue  # eigenvalue 1 carries no information about m; redraw
         instance.counter.add(1)  # stage two runs on the collapsed target
         reuses += 1
-        samples.append(PhaseSample(x2, r, 1.0, seed))  # x2 = k·m mod r, exactly
+        samples.append(PhaseSample(x2, r, 1.0))  # x2 = k·m mod r, exactly
         d = gcd(k, r)
         if x2 % d:
             continue  # cannot happen for an honest instance
@@ -362,12 +363,9 @@ def solve_dlog(instance: OracleInstance, params: SolverParams) -> DlogResult:
     )
 
 
-def _multiplicity(instance: OracleInstance, params: SolverParams) -> int:
-    return params.multiplicity if params.multiplicity is not None else instance.multiplicity_bound
-
-
 def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
-    """Period finding tolerant of an m-to-1 collapse of the labels.
+    """Period finding tolerant of an m-to-1 collapse of the labels, m the
+    instance's `multiplicity_bound`.
 
     Infrastructure of the honest solver plus three safeguards: the register
     is sized for failure rate epsilon/m² (collisions dilute the good
@@ -375,14 +373,14 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
     dilation factors to recurse on f(acc·t); a run of five uninformative
     zero outcomes triggers the trailing classical scan over at most m²
     multiples.  Candidate periods must pass ten random consistency
-    evaluations, and the final answer is
-    verified and minimized deterministically over a full window, so a false
-    factor can never survive into the result.
+    evaluations, drawn from the solve's one stream as the samples are, and
+    the final answer is verified and minimized deterministically over a
+    full window, so a false factor can never survive into the result.
     """
     bound = params.period_bound
     if bound is None:
         raise ValueError("period_bound required")
-    m = _multiplicity(instance, params)
+    m = instance.multiplicity_bound
     if m <= 1:
         return find_period(instance, params)
 
@@ -432,14 +430,12 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
         while steps < max_steps:
             steps += 1
             level_bound = bound // acc
-            if level_bound < 1:
-                break
             if level_bound <= m * m:
                 candidate, scan_evals = tail_scan(acc, min(m * m, level_bound))
                 break
             n = choose_register_size(2 * level_bound * level_bound, eps_amp)
             view = dilated_view(instance, acc)
-            sample = sample_control(view, n, 1, seed=params.seed + 5000 * attempt + steps)[0]
+            sample = sample_control(view, n, 1, seed=rng)[0]
             samples.append(sample)
             q = best_denominator_bounded(sample.observed, n, level_bound).denominator
             if q == 1:
@@ -465,7 +461,8 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
 
 
 def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
-    """Hidden-subgroup recovery tolerant of an m-to-1 label collapse.
+    """Hidden-subgroup recovery tolerant of an m-to-1 label collapse, m the
+    instance's `multiplicity_bound`.
 
     Sampler support always lies inside the annihilator of the function's
     true invariance subgroup, so the kernel of one batch of d(G) + 2 draws
@@ -480,7 +477,7 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup solving needs a finite group domain")
-    m = _multiplicity(instance, params)
+    m = instance.multiplicity_bound
     if m <= 1:
         return solve_hsp_general(instance, params)
 

@@ -6,10 +6,12 @@ value against a brute-force classical oracle, and emit one JSON report.
 
 Determinism contract: the same config and seed produce byte-identical
 reports apart from the "timestamp" field, which holds both the start time
-and the wall-clock duration.  Trials run in order, in the calling thread,
-with derived seeds (master seed + trial index).  The brute-force truth is
-the same for every trial, so a run computes it once, at the first trial that
-returns a result; a run whose every trial fails computes none.
+and the wall-clock duration.  Trials run in order, in the calling thread.
+Trial i runs its solver at seed master seed + i, and the solver draws all
+of its randomness from one stream seeded there, so distinct trials draw
+independent streams and each trial's "seed" replays it.  The brute-force
+truth is the same for every trial, so a run computes it once, at the first
+trial that returns a result; a run whose every trial fails computes none.
 
 Exit codes: 0 success and all trials match; 1 solver failure in some trial
 (budget exhausted or promise violated; the report is still emitted, with

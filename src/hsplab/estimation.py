@@ -79,7 +79,6 @@ class PhaseSample:
     observed: int
     register_size: int
     probability: float
-    seed: int
 
     @property
     def estimate(self) -> Fraction:
@@ -90,7 +89,6 @@ class PhaseSample:
             "observed": self.observed,
             "register_size": self.register_size,
             "probability": self.probability,
-            "seed": self.seed,
         }
 
 
@@ -386,15 +384,13 @@ def sample_control(
     2^512 points) raises ValueError before anything is billed.
 
     `seed` is an int or a Generator, as `np.random.default_rng` takes it: a
-    Generator is drawn from and left advanced, so one stream can feed
-    several calls.  Each sample records the seed of its stream, the one
-    that replays the run from its start.
+    Generator is drawn from and left advanced, so a solver's one stream
+    feeds all its calls.
     """
     n = int(register_size)
     _check_float_range(n)
     period, labels, multiplicity = _register_cycle(instance, n)
     rng = np.random.default_rng(seed)
-    stream_seed = int(rng.bit_generator.seed_seq.entropy)
     samples = []
     for _ in range(int(count)):
         while True:
@@ -402,7 +398,7 @@ def sample_control(
             law, mixture = _point_law(x, n, period, labels)
             if rng.random() * multiplicity * mixture < law:
                 break
-        samples.append(PhaseSample(x, n, law, stream_seed))
+        samples.append(PhaseSample(x, n, law))
     instance.counter.add(int(count))
     return samples
 
@@ -574,4 +570,4 @@ def phase_estimate_semiclassical(instance: OracleInstance, n_bits: int, *, seed:
         SemiclassicalStep(s + 1, 1 << (n_bits - 1 - s), Fraction(-(v % (1 << s)), 1 << (s + 1)), v >> s & 1)
         for s in range(n_bits)
     )
-    return SemiclassicalRun(steps, PhaseSample(v, n, _point_law(v, n, period, None)[0], seed), period)
+    return SemiclassicalRun(steps, PhaseSample(v, n, _point_law(v, n, period, None)[0]), period)

@@ -347,10 +347,9 @@ def test_criterion_9_robust_period():
     scan_ok = factors_ok = True
     for (r, m), n_runs in allocation.items():
         inst = _period_preserving_instance(r, m, relabel_seed=r + m)
+        assert inst.multiplicity_bound == m
         for seed in range(n_runs):
-            res = robust_period(
-                inst, SolverParams(seed=seed, period_bound=2 * r, multiplicity=m)
-            )
+            res = robust_period(inst, SolverParams(seed=seed, period_bound=2 * r))
             runs += 1
             exact += res.value == r
             scan_ok &= res.scan_evaluations <= m * m

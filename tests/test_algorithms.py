@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -153,10 +154,9 @@ def test_find_order_draw_i_is_the_ith_draw_of_one_stream(seed, observed):
     """The seed contract: every trial of `find_order` draws from one stream
     seeded by params.seed, so draw i is the i-th `sample_control` call on a
     fresh instance fed one `default_rng(params.seed)`, on the register its
-    bound sizes (2 * 899^2 * (1/epsilon + 1) / 2 = 4,041,005 points), and
-    every sample records params.seed.  The observed values are literals, so
-    a change of register sizing, post-processing or seeding cannot move
-    seeded draws unseen."""
+    bound sizes (2 * 899^2 * (1/epsilon + 1) / 2 = 4,041,005 points).  The
+    observed values are literals, so a change of register sizing,
+    post-processing or seeding cannot move seeded draws unseen."""
     params = SolverParams(seed=seed)
     res = find_order(make_order_instance(899, 2), params)
     assert res.value == classical_order(2, 899)
@@ -164,7 +164,6 @@ def test_find_order_draw_i_is_the_ith_draw_of_one_stream(seed, observed):
     rng = np.random.default_rng(seed)
     for sample in res.samples:
         assert sample.register_size == 4_041_005
-        assert sample.seed == seed
         assert sample == sample_control(make_order_instance(899, 2), 4_041_005, 1, seed=rng)[0]
 
 
@@ -569,25 +568,59 @@ def test_dlog_all_pairs_z7():
             assert 0 <= res.value < r
 
 
+def dlog_expected_queries(r: int) -> float:
+    """Expected `solve_dlog` bill on an honest instance with r > 1:
+    f(0, 0) and the verification, plus E[T] trials of 2 - 1/r queries each
+    (the draw, and stage two unless k = 0).  A trial's k is uniform on Z_r
+    and pins m modulo r / gcd(k, r), so m is known mod r once, for every
+    prime p | r, some k is prime to p:
+    E[T] = 1 + sum over nonempty S of the primes of r of
+    (-1)^(|S| + 1) q_S / (1 - q_S), q_S = 1 / prod(S)."""
+    primes = [p for p in range(2, r + 1) if r % p == 0 and all(p % d for d in range(2, math.isqrt(p) + 1))]
+    trials = 1.0
+    for size in range(1, len(primes) + 1):
+        for subset in itertools.combinations(primes, size):
+            q = 1.0 / math.prod(subset)
+            trials += (-1) ** (size + 1) * q / (1.0 - q)
+    return 2.0 + trials * (2.0 - 1.0 / r)
+
+
+@pytest.mark.parametrize("modulus, base, expected", [(1009, 11, 6.7259), (65_537, 3, 6.0000)])
+def test_dlog_mean_cost_is_the_closed_form(modulus, base, expected):
+    """Over 3,000 seeds, the mean query count lies within |z| < 4 of the
+    closed form, which holds only while trials draw independent outcomes."""
+    r = classical_order(base, modulus)
+    assert dlog_expected_queries(r) == pytest.approx(expected, abs=1e-4)
+    inst = make_dlog_instance(base, pow(base, 500, modulus), modulus=modulus)
+    costs = []
+    for seed in range(3_000):
+        before = inst.query_count
+        assert solve_dlog(inst, SolverParams(seed=seed)).verified
+        costs.append(inst.query_count - before)
+    costs = np.array(costs, dtype=float)
+    z = (costs.mean() - dlog_expected_queries(r)) / (costs.std(ddof=1) / np.sqrt(costs.size))
+    assert abs(z) < 4, (costs.mean(), z)
+
+
 # --- robust (many-to-1) period finding ------------------------------------------------
 
 
 def test_robust_period_multiplicity_one_degenerates():
     inst = make_period_instance(6, relabel_seed=1)
-    res = robust_period(inst, SolverParams(seed=0, period_bound=12, multiplicity=1))
+    res = robust_period(inst, SolverParams(seed=0, period_bound=12))
     assert res.value == 6
 
 
 def test_robust_period_two_to_one():
     inst = merged_period_instance(6, 2, relabel_seed=2, merge_seed=10)
-    res = robust_period(inst, SolverParams(seed=9, period_bound=64, multiplicity=2))
+    res = robust_period(inst, SolverParams(seed=9, period_bound=64))
     assert res.value == 6
     assert res.verified
 
 
 def test_robust_period_three_to_one_scan_bound():
     inst = merged_period_instance(12, 3, relabel_seed=3, merge_seed=20)
-    res = robust_period(inst, SolverParams(seed=10, period_bound=144, multiplicity=3))
+    res = robust_period(inst, SolverParams(seed=10, period_bound=144))
     assert res.value == 12
     assert res.scan_evaluations <= 9  # m^2
 
@@ -602,24 +635,60 @@ def test_robust_period_translation_symmetric_merge_finds_true_period():
         table[vals[i + 3]] = vals[i]
     with pytest.warns(UserWarning):
         merged = wrap_many_to_one(inner, table, 2)
-    res = robust_period(merged, SolverParams(seed=11, period_bound=64, multiplicity=2))
+    res = robust_period(merged, SolverParams(seed=11, period_bound=64))
     assert res.value == classical_least_period(merged, 64) == 3
 
 
 def test_robust_period_result_is_always_the_least_period():
     for seed in range(12):
         inst = merged_period_instance(10, 2, relabel_seed=seed, merge_seed=seed * 31)
-        res = robust_period(inst, SolverParams(seed=seed, period_bound=100, multiplicity=2))
+        res = robust_period(inst, SolverParams(seed=seed, period_bound=100))
         assert res.value == classical_least_period(inst, 100)
         assert all(inst._raw(t + res.value) == inst._raw(t) for t in range(25))
 
 
 def test_robust_period_accepted_factors_divide_answer():
     inst = merged_period_instance(30, 2, relabel_seed=5, merge_seed=77)
-    res = robust_period(inst, SolverParams(seed=12, period_bound=60, multiplicity=2))
+    res = robust_period(inst, SolverParams(seed=12, period_bound=60))
     assert res.value == 30
     for f in res.factors_accepted:
         assert res.value % f == 0 or f % res.value == 0
+
+
+def robust_period_costs(inst, seeds, bound: int) -> np.ndarray:
+    """Queries and attempts of `robust_period` per seed on one instance, one
+    row per seed; a run that exhausts its budget counts its whole budget."""
+    costs = []
+    for seed in seeds:
+        params, before = SolverParams(seed=seed, period_bound=bound), inst.query_count
+        try:
+            trials = robust_period(inst, params).trials_used
+        except BudgetExhausted:
+            trials = params.trials
+        costs.append((inst.query_count - before, trials))
+    return np.array(costs, dtype=float)
+
+
+def test_robust_period_one_stream_keeps_the_cost_law_of_fresh_draws(monkeypatch):
+    """Drawing every step and spot check from one stream changes which
+    outcomes a seed gives, not their law: over 1,000 seeds each side, on a
+    merged (r, m) = (12, 2) instance, the mean queries and attempts agree
+    (|z| < 4) with a reference that takes each draw from a fresh seed, one
+    no other draw shares."""
+    inst = merged_period_instance(12, 2, relabel_seed=1, merge_seed=1)
+    runs = 1_000
+    ours = robust_period_costs(inst, range(runs), 24)
+    fresh_seeds = itertools.count(10 * runs)
+
+    def fresh_draw(instance, register_size, count, *, seed):
+        return sample_control(instance, register_size, count, seed=next(fresh_seeds))
+
+    monkeypatch.setattr(algorithms, "sample_control", fresh_draw)
+    reference = robust_period_costs(inst, range(runs, 2 * runs), 24)
+    spread = np.sqrt((ours.var(0, ddof=1) + reference.var(0, ddof=1)) / runs)
+    gap = ours.mean(0) - reference.mean(0)
+    z = np.divide(gap, spread, out=np.zeros_like(gap), where=spread > 0)
+    assert np.all(gap[spread == 0] == 0) and np.abs(z).max() < 4, (ours.mean(0), reference.mean(0), z)
 
 
 # --- robust (many-to-1) hidden subgroup ------------------------------------------------
@@ -627,7 +696,7 @@ def test_robust_period_accepted_factors_divide_answer():
 
 def test_robust_hsp_multiplicity_one_degenerates():
     inst = make_simon_instance(2, (1, 1))
-    res = robust_hsp(inst, SolverParams(seed=0, multiplicity=1))
+    res = robust_hsp(inst, SolverParams(seed=0))
     assert subgroups_equal(res.value, inst.truth.subgroup)
 
 
@@ -635,7 +704,7 @@ def test_robust_hsp_simon_full_merge_returns_whole_group():
     inner = make_simon_instance(2, (1, 1))
     with pytest.warns(UserWarning):
         merged = wrap_many_to_one(inner, np.zeros(2, dtype=int), 2)
-    res = robust_hsp(merged, SolverParams(seed=1, multiplicity=2))
+    res = robust_hsp(merged, SolverParams(seed=1))
     spec = GroupSpec.of([2, 2])
     assert subgroups_equal(res.value, SubgroupGenerators.of(spec, [(1, 0), (0, 1)]))
 
@@ -649,7 +718,7 @@ def test_robust_hsp_z8_merge_preserving_planted_subgroup():
         merged = wrap_many_to_one(inner, table, 2)
     truth = classical_invariance_subgroup(merged)
     assert subgroups_equal(truth, inner.truth.subgroup)  # merge kept K = <4>
-    res = robust_hsp(merged, SolverParams(seed=2, multiplicity=2))
+    res = robust_hsp(merged, SolverParams(seed=2))
     assert subgroups_equal(res.value, truth)
 
 
@@ -661,7 +730,7 @@ def test_robust_hsp_merge_enlarging_invariance_returns_enlargement():
     table[labels[3]] = labels[1]
     with pytest.warns(UserWarning):
         merged = wrap_many_to_one(inner, table, 2)
-    res = robust_hsp(merged, SolverParams(seed=3, multiplicity=2))
+    res = robust_hsp(merged, SolverParams(seed=3))
     assert subgroups_equal(res.value, classical_invariance_subgroup(merged))
     assert subgroup_enumerate(res.value) == frozenset({(0,), (2,), (4,), (6,)})
 
@@ -676,34 +745,101 @@ def test_robust_hsp_random_merges_match_classical_truth(moduli, gens):
     domain smaller than m² draws nothing."""
     spec = GroupSpec.of(moduli)
     inner = make_hidden_subgroup_instance(spec, gens, relabel_seed=1)
-    import warnings
-
     for seed in range(4):
+        table = merge_table(inner.codomain_size, 2, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            merged = wrap_many_to_one(inner, merge_table(inner.codomain_size, 2, seed), 2)
+            merged = wrap_many_to_one(inner, table, 2)
         truth = classical_invariance_subgroup(merged)
         before = merged.query_count
-        res = robust_hsp(merged, SolverParams(seed=seed, multiplicity=2))
+        res = robust_hsp(merged, SolverParams(seed=seed))
         assert subgroups_equal(res.value, truth)
         assert merged.query_count - before == spec.order + batch_size(moduli)
-        before = merged.query_count
-        res = robust_hsp(merged, SolverParams(seed=seed, multiplicity=spec.order))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            whole = wrap_many_to_one(inner, table, spec.order)
+        before = whole.query_count
+        res = robust_hsp(whole, SolverParams(seed=seed))
         assert res.samples == [] and subgroups_equal(res.value, truth)
-        assert merged.query_count - before == spec.order
+        assert whole.query_count - before == spec.order
 
 
 def test_robust_hsp_scales_past_the_label_one_hot():
     """Z_256 x Z_256 with K = <(1,1)> merged 2-to-1: a labels x points
     one-hot would hold 128 x 65536 amplitudes, twice the default cap."""
     inner = make_hidden_subgroup_instance(GroupSpec.of([256, 256]), [(1, 1)], relabel_seed=1)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         merged = wrap_many_to_one(inner, merge_table(inner.codomain_size, 2, 1), 2)
-    res = robust_hsp(merged, SolverParams(seed=1, multiplicity=2))
+    res = robust_hsp(merged, SolverParams(seed=1))
     assert subgroups_equal(res.value, classical_invariance_subgroup(merged))
+
+
+# --- one random stream per solve ------------------------------------------------------
+
+
+def seeded_streams(monkeypatch) -> list:
+    """Record the argument of every `np.random.default_rng` call that seeds
+    a new stream, rather than passing a Generator through."""
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        if not isinstance(seed, np.random.Generator):
+            seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return seeded
+
+
+ONE_STREAM_SOLVES = {
+    "find_order": (lambda: make_order_instance(899, 2), find_order, {}),
+    "find_period": (lambda: make_period_instance(40, relabel_seed=3), find_period, {}),
+    "solve_hsp_general": (
+        lambda: make_hidden_subgroup_instance(GroupSpec.of([4, 6]), [(2, 3)], relabel_seed=1), solve_hsp_general, {},
+    ),
+    "solve_dlog": (lambda: make_dlog_instance(3, 5, modulus=7), solve_dlog, {}),
+    "robust_period": (
+        lambda: merged_period_instance(12, 2, relabel_seed=1, merge_seed=1), robust_period, {"period_bound": 24},
+    ),
+    "robust_hsp": (
+        lambda: wrap_many_to_one(make_simon_instance(3, (1, 0, 1)), merge_table(4, 2, 1), 2), robust_hsp, {},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_STREAM_SOLVES)
+def test_every_solve_seeds_one_stream(name, monkeypatch):
+    """A solve makes one Generator, from params.seed, and draws everything
+    from it, over trials and steps that draw more than once."""
+    make, solve, extra = ONE_STREAM_SOLVES[name]
+    seeded = seeded_streams(monkeypatch)
+    draws = []
+    for seed in range(8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = make()
+        seeded.clear()
+        draws.append(len(solve(inst, SolverParams(seed=seed, **extra)).samples))
+        assert seeded == [seed]
+    assert max(draws) >= 2
+
+
+@pytest.mark.parametrize("n, seeds", [(21, [3, 10, 39]), (143, [3, 15, 29])])
+def test_factoring_seeds_one_stream_across_attempts(n, seeds, monkeypatch):
+    """The bases and every attempt's order-finding samples come from one
+    stream, at seeds whose solves run order finding two or more times."""
+    bases = []
+    build = algorithms.make_order_instance
+    monkeypatch.setattr(algorithms, "make_order_instance", lambda modulus, a: bases.append(a) or build(modulus, a))
+    seeded = seeded_streams(monkeypatch)
+    for seed in seeds:
+        bases.clear()
+        seeded.clear()
+        g = factor_via_order(n, SolverParams(seed=seed))
+        assert 1 < g < n and n % g == 0
+        assert len(bases) >= 2 and seeded == [seed]
 
 
 # --- serialization ---------------------------------------------------------------------
@@ -728,7 +864,7 @@ def test_params_validation():
     assert SolverParams(seed=np.int64(2), epsilon=np.float64(0.5)).seed == 2  # numpy scalars pass
 
 
-_INTEGER_FIELDS = ("control_bits", "trials", "seed", "period_bound", "multiplicity")
+_INTEGER_FIELDS = ("control_bits", "trials", "seed", "period_bound")
 
 
 @given(field=st.sampled_from(_INTEGER_FIELDS + ("epsilon",)), flag=st.booleans())

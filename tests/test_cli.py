@@ -4,6 +4,7 @@ failure, 2 config error or resource limit, 3 verification mismatch)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -206,6 +207,8 @@ def test_replay_identical_modulo_timestamp(capsys):
     ("dlog", "--base", "3", "--target", "4", "--modulus", "7"),
     ("hsp", "--moduli", "4,2", "--generators", "2,0;0,1"),
     ("simon", "--secret", "101"),
+    ("robust-period", "--period", "12", "--multiplicity", "2"),
+    ("factor", "--n", "21"),
 ])
 def test_report_bytes_replay_identical(capsys, argv):
     """Two runs of one multi-trial config print the same bytes apart from
@@ -217,6 +220,19 @@ def test_report_bytes_replay_identical(capsys, argv):
         out = capsys.readouterr().out
         outputs.append(re.sub(r'"timestamp": \{[^}]*\}', '"timestamp": null', out))
     assert outputs[0] == outputs[1]
+
+
+def test_dlog_trials_replay_no_run_of_another_trials_samples(capsys):
+    """Trial i runs at master seed + i and its solve draws from one stream
+    seeded there, so no trial's samples reappear as a contiguous run of
+    another's, as they would if a solver offset its own seeds by the trial
+    index too."""
+    code, report, _ = run(capsys, "dlog", "--modulus", "29", "--base", "2", "--target", "11",
+                          "--seed", "0", "--trials", "3")
+    assert code == 0
+    runs = [t["result"]["samples"] for t in report["results"]]
+    for a, b in itertools.permutations(runs, 2):
+        assert all(b[i : i + len(a)] != a for i in range(len(b) - len(a) + 1)), (a, b)
 
 
 def _counting_truth(monkeypatch) -> list:
@@ -401,6 +417,14 @@ def test_string_instance_field_is_config_error(capsys, tmp_path):
 def test_unknown_solver_params_are_config_error(capsys, tmp_path):
     err = verify_config_error(capsys, tmp_path, params={"period_bond": 3, "trails": 0})
     assert "period_bond" in err and "trails" in err
+
+
+def test_multiplicity_is_not_a_solver_param(capsys, tmp_path):
+    """A merged instance states its own bound; no solver param overrides it."""
+    merged = {"kind": "many_to_one", "inner": {"kind": "period", "period": 6, "relabel_seed": 0},
+              "merge": [i // 2 for i in range(6)], "multiplicity": 2}
+    err = verify_config_error(capsys, tmp_path, solver="robust-period", instance=merged, params={"multiplicity": 2})
+    assert "unknown solver params: multiplicity" in err
 
 
 def test_budget_exhaustion_is_solver_failure(capsys, tmp_path):

@@ -700,7 +700,11 @@ def test_dlog_stage_probabilities_are_the_dense_chain(inst, seed):
 
 def test_dlog_bills_each_draw_each_stage_two_and_the_checks():
     """f(0, 0), one query per trial's draw, one per stage two run on the
-    collapsed target (only when k != 0), and the one verification."""
+    collapsed target (only when k != 0), and the one verification.  Every
+    trial draws from one stream seeded by params.seed: trial i's draw
+    (t_0, k) is the i-th `hsp_sample_batch` call on a fresh instance fed one
+    `default_rng(params.seed)`, read as stage one's k, then stage two's t_0
+    when k != 0."""
     zero_trials = 0
     for seed in range(40):
         inst = make_dlog_instance(3, 5, modulus=7)  # r = 6, m = 5
@@ -708,7 +712,10 @@ def test_dlog_bills_each_draw_each_stage_two_and_the_checks():
         assert res.verified and res.value == 5
         assert res.collapsed_reuses == len(res.samples) - res.trials_used >= 1
         assert inst.query_count == 1 + res.trials_used + res.collapsed_reuses + 1
-        assert [s.seed for s in res.samples if s.probability != 1.0] == list(range(seed, seed + res.trials_used))
+        rng = np.random.default_rng(seed)
+        fresh = make_dlog_instance(3, 5, modulus=7)
+        draws = [hsp_sample_batch(fresh, 1, seed=rng)[0] for _ in range(res.trials_used)]
+        assert [s.observed for s in res.samples] == [v for t0, k in draws for v in ((k, t0) if k else (k,))]
         zero_trials += res.trials_used - res.collapsed_reuses
     assert zero_trials  # some trial read k = 0 and ran no stage two
 
