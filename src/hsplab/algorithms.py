@@ -6,7 +6,9 @@ exactly (continued fractions or character-kernel solving), verify the
 candidate against the black box, and only return verified answers.  Failure
 to verify within the trial budget raises BudgetExhausted — a probabilistic
 shortfall — while evidence that the function breaks its promise raises
-PromiseViolation.
+PromiseViolation.  Order finding, factoring and robust period finding share
+one recovery loop, `_recover_period`, which lcm-combines continued-fraction
+denominators and strips the first candidate that passes a period test.
 
 Every solve draws all of its randomness, circuit samples, check points and
 factoring's bases alike, from one stream, `np.random.default_rng(params.seed)`,
@@ -16,7 +18,8 @@ independent streams.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, replace
 from math import gcd, lcm
 from numbers import Integral, Real
 
@@ -34,7 +37,7 @@ from .groups import (
     character_kernel,
     generator_count,
 )
-from .oracles import OracleInstance, dilated_view, make_order_instance
+from .oracles import OracleInstance, QueryCounter, make_order_instance
 from .postprocess import best_denominator_bounded
 from .qft import choose_register_size
 
@@ -59,7 +62,8 @@ class SolverParams:
     without a `period_bound` take the codomain size as the bound.
     `trials` counts single draws in order, period and discrete-log finding,
     batches of d(G) + 2 draws in `solve_hsp_general`, and attempts in
-    factoring and `robust_period`.
+    factoring; `robust_period` on an m-to-1 merge allows m² times as many
+    single draws.
     """
 
     control_bits: int | None = None
@@ -104,8 +108,6 @@ class OrderResult:
     trials_used: int
     samples: list[PhaseSample]
     verified: bool
-    scan_evaluations: int = 0
-    factors_accepted: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -113,8 +115,6 @@ class OrderResult:
             "trials_used": self.trials_used,
             "verified": self.verified,
             "samples": [s.to_json() for s in self.samples],
-            "scan_evaluations": self.scan_evaluations,
-            "factors_accepted": list(self.factors_accepted),
         }
 
 
@@ -158,24 +158,31 @@ def _register_size_for(params: SolverParams, bound: int) -> int:
     return choose_register_size(2 * bound * bound, params.epsilon)
 
 
+def _memoised(instance: OracleInstance) -> Callable[[int], int]:
+    """f on the integers, billing each point once."""
+    values: dict[int, int] = {}
+    return lambda t: values[t] if t in values else values.setdefault(t, instance.evaluate(t))
+
+
+def _returns_to_start(instance: OracleInstance) -> Callable[[int], bool]:
+    """The period test f(c) = f(0), exact for honest instances, where
+    f(c) = f(0) iff the period divides c."""
+    f = _memoised(instance)
+    f0 = f(0)
+    return lambda c: f(c) == f0
+
+
 def _recover_period(
-    instance: OracleInstance, params: SolverParams, bound: int, rng: np.random.Generator
+    instance: OracleInstance, params: SolverParams, bound: int, rng: np.random.Generator,
+    is_period: Callable[[int], bool], samples: list[PhaseSample],
 ) -> OrderResult:
+    """Lcm-combine the continued-fraction denominators of up to
+    `params.trials` draws, appended to `samples`, until the accumulator
+    passes `is_period`; return it stripped to the least divisor that passes."""
     if bound < 1:
         raise ValueError("period bound must be >= 1")
     n = _register_size_for(params, bound)
-    f0 = instance.evaluate(0)
-
-    evals: dict[int, int] = {}
-
-    def divides_period(c: int) -> bool:
-        # exact for honest instances: f(c) = f(0) iff the period divides c
-        if c not in evals:
-            evals[c] = instance.evaluate(c)
-        return evals[c] == f0
-
     acc = 1
-    samples: list[PhaseSample] = []
     for trial in range(params.trials):
         sample = sample_control(instance, n, 1, seed=rng)[0]
         samples.append(sample)
@@ -185,8 +192,8 @@ def _recover_period(
         # the bound; an overshoot means one of the two is a stray — keep the
         # fresh reading rather than a possibly poisoned accumulator
         acc = merged if merged <= bound else q
-        if divides_period(acc):
-            return OrderResult(_strip_period(acc, divides_period), trial + 1, samples, True)
+        if is_period(acc):
+            return OrderResult(_strip_period(acc, is_period), trial + 1, samples, True)
     raise BudgetExhausted(
         f"no verified period within {params.trials} trials (register {n}, bound {bound})"
     )
@@ -205,7 +212,8 @@ def find_order(instance: OracleInstance, params: SolverParams) -> OrderResult:
     are distinct; a draw costs the same at any register size.
     """
     bound = params.period_bound or instance.codomain_size
-    return _recover_period(instance, params, bound, np.random.default_rng(params.seed))
+    rng = np.random.default_rng(params.seed)
+    return _recover_period(instance, params, bound, rng, _returns_to_start(instance), [])
 
 
 def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
@@ -213,29 +221,36 @@ def find_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
     return find_order(instance, params)
 
 
-def factor_via_order(n: int, params: SolverParams) -> int:
+def factor_via_order(n: int, params: SolverParams, counter: QueryCounter | None = None) -> OrderResult:
     """Split an odd composite (not a prime power) via even orders.
 
     Each attempt draws a base, then finds its order with the bound
     `params.period_bound`, n by default; the bases and every order-finding
-    sample come from one stream seeded by `params.seed`."""
+    sample come from one stream seeded by `params.seed`.  The result's
+    value is the factor, `trials_used` counts attempts and `samples` holds
+    every order-finding draw; each attempt's order instance bills its own
+    counter, and the queries are added to `counter` as well."""
     n = int(n)
     if n < 9 or n % 2 == 0:
         raise ValueError("need an odd composite")
-    facts = _factorize(n)
-    if len(facts) == 1:
+    if len(_factorize(n)) == 1:
         raise ValueError("prime or prime power; nothing to split quantumly")
     rng = np.random.default_rng(params.seed)
     bound = params.period_bound or n
-    for _ in range(params.trials):
+    samples: list[PhaseSample] = []
+    for attempt in range(params.trials):
         a = int(rng.integers(2, n))
         g = gcd(a, n)
         if g > 1:
-            return g
+            return OrderResult(g, attempt + 1, samples, True)
+        instance = make_order_instance(n, a)
         try:
-            r = _recover_period(make_order_instance(n, a), params, bound, rng).value
+            r = _recover_period(instance, params, bound, rng, _returns_to_start(instance), samples).value
         except BudgetExhausted:
             continue
+        finally:
+            if counter is not None:
+                counter.add(instance.query_count)
         if r % 2:
             continue
         half = pow(a, r // 2, n)
@@ -243,7 +258,7 @@ def factor_via_order(n: int, params: SolverParams) -> int:
             continue
         for g in (gcd(half - 1, n), gcd(half + 1, n)):
             if 1 < g < n:
-                return g
+                return OrderResult(g, attempt + 1, samples, True)
     raise BudgetExhausted(f"no factor of {n} within {params.trials} attempts")
 
 
@@ -365,17 +380,13 @@ def solve_dlog(instance: OracleInstance, params: SolverParams) -> DlogResult:
 
 def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult:
     """Period finding tolerant of an m-to-1 collapse of the labels, m the
-    instance's `multiplicity_bound`.
-
-    Infrastructure of the honest solver plus three safeguards: the register
-    is sized for failure rate epsilon/m² (collisions dilute the good
-    outcomes by at most m²); continued-fraction denominators are treated as
-    dilation factors to recurse on f(acc·t); a run of five uninformative
-    zero outcomes triggers the trailing classical scan over at most m²
-    multiples.  Candidate periods must pass ten random consistency
-    evaluations, drawn from the solve's one stream as the samples are, and
-    the final answer is verified and minimized deterministically over a
-    full window, so a false factor can never survive into the result.
+    instance's `multiplicity_bound`: the merge leaves f r-periodic, so its
+    law still sits on the multiples of 1/r, and `find_order`'s loop
+    recovers r on a register sized for failure rate epsilon/m², allowing
+    `params.trials` · m² draws, since collisions dilute the informative
+    readings by at most m².  The period test is f(x + c) = f(x) over the
+    whole window [0, period_bound), which covers every residue of the true
+    period, so the answer is checked and stripped exactly.
     """
     bound = params.period_bound
     if bound is None:
@@ -383,81 +394,13 @@ def robust_period(instance: OracleInstance, params: SolverParams) -> OrderResult
     m = instance.multiplicity_bound
     if m <= 1:
         return find_period(instance, params)
-
-    zero_run_threshold, spot_checks = 5, 10
-    eps_amp = params.epsilon / (m * m)
-    f0 = instance.evaluate(0)
-    memo: dict[int, int] = {0: f0}
-
-    def fval(t: int) -> int:
-        if t not in memo:
-            memo[t] = instance.evaluate(t)
-        return memo[t]
+    f = _memoised(instance)
 
     def is_period(c: int) -> bool:
-        # deterministic: window [0, bound) covers every residue of the true period
-        return all(fval(x + c) == fval(x) for x in range(bound))
+        return all(f(x + c) == f(x) for x in range(bound))
 
-    rng = np.random.default_rng(params.seed)
-
-    def spot_confirm(candidate: int) -> bool:
-        for i in range(spot_checks):
-            if i % 2 == 0:
-                t = int(rng.integers(1, 2 * bound))
-                if fval(candidate * t) != f0:
-                    return False
-            else:
-                x = int(rng.integers(0, 2 * bound))
-                if fval(x + candidate) != fval(x):
-                    return False
-        return True
-
-    def tail_scan(acc: int, limit: int) -> tuple[int | None, int]:
-        evals = 0
-        for s in range(1, limit + 1):
-            evals += 1
-            if fval(acc * s) == f0 and spot_confirm(acc * s):
-                return acc * s, evals
-        return None, evals
-
-    max_steps = 20 * (zero_run_threshold + 4)
-    for attempt in range(params.trials):
-        acc, zeros, steps = 1, 0, 0
-        scan_evals = 0
-        factors: list[int] = []
-        samples: list[PhaseSample] = []
-        candidate = None
-        while steps < max_steps:
-            steps += 1
-            level_bound = bound // acc
-            if level_bound <= m * m:
-                candidate, scan_evals = tail_scan(acc, min(m * m, level_bound))
-                break
-            n = choose_register_size(2 * level_bound * level_bound, eps_amp)
-            view = dilated_view(instance, acc)
-            sample = sample_control(view, n, 1, seed=rng)[0]
-            samples.append(sample)
-            q = best_denominator_bounded(sample.observed, n, level_bound).denominator
-            if q == 1:
-                zeros += 1
-                if zeros >= zero_run_threshold:
-                    candidate, scan_evals = tail_scan(acc, min(m * m, level_bound))
-                    if candidate is not None:
-                        break
-                    zeros = 0
-                continue
-            zeros = 0
-            if acc * q > bound:
-                continue  # oversized: inconsistent with any true divisor chain
-            factors.append(q)
-            acc *= q
-        if candidate is None or not is_period(candidate):
-            continue
-        return OrderResult(
-            _strip_period(candidate, is_period), attempt + 1, samples, True,
-            scan_evaluations=scan_evals, factors_accepted=tuple(factors),
-        )
-    raise BudgetExhausted(f"no verified period within {params.trials} robust attempts")
+    diluted = replace(params, epsilon=params.epsilon / (m * m), trials=params.trials * m * m)
+    return _recover_period(instance, diluted, bound, np.random.default_rng(params.seed), is_period, [])
 
 
 def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:

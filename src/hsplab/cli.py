@@ -50,6 +50,7 @@ from .algorithms import (
 from .estimation import control_distribution
 from .groups import SubgroupGenerators, subgroups_equal
 from .oracles import (
+    QueryCounter,
     check_merge,
     classical_invariance_subgroup,
     classical_least_period,
@@ -245,14 +246,15 @@ def _run_single_trial(solver: str, config: dict, params: SolverParams, index: in
     trial_params = replace(params, seed=seed)
     if solver == "factor":
         n = config["n"]
-        value = factor_via_order(n, trial_params)
+        counter = QueryCounter()
+        result = factor_via_order(n, trial_params, counter)
         return {
             "trial": index,
             "seed": seed,
-            "recovered": value,
-            "match": bool(n % value == 0 and 1 < value < n),
-            "query_count": None,
-            "samples": [],
+            "recovered": result.value,
+            "match": bool(n % result.value == 0 and 1 < result.value < n),
+            "query_count": counter.count,
+            "result": result.to_json(),
         }
 
     if solver not in SOLVERS:

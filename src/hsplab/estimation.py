@@ -108,8 +108,8 @@ def _reduced_cycle(cycle: np.ndarray) -> tuple:
     # while the labels stay below a small multiple of the row's length, one
     # bincount both tests distinctness, the common case, and ranks a repeated
     # row among its occupied labels; labels in [0, |X|) can lie far above it,
-    # such as a dilated order instance's residues, and a sort ranks those
-    # rather than a bincount as long as their range
+    # such as the merged residues of an order instance loaded from a config,
+    # and a sort ranks those rather than a bincount as long as their range
     if cycle.max() < 32 * cycle.size:
         counts = np.bincount(cycle)
         if counts.max() == 1:

@@ -470,9 +470,12 @@ def wrap_many_to_one(
     `merge` maps each inner label to a new label; at most `multiplicity`
     cosets of the planted subgroup may share an output (`check_merge`).
     When the bound reaches the smallest prime factor of the planted
-    subgroup's order (period, for integer domains), distinct subgroups can
-    become indistinguishable; that is the caller's risk, so the builder
-    warns — or rejects when `strict` is set.
+    subgroup's index (|G/K| on finite domains, the period on the integers),
+    a merge can add invariance, and distinct subgroups can become
+    indistinguishable; that is the caller's risk, so the builder warns — or
+    rejects when `strict` is set.  Below that prime no class of at most m
+    cosets holds a whole orbit of a shift outside K, so f's invariance
+    subgroup stays K.
 
     Merged labels carry no shift structure (two cosets sharing a label may
     shift apart), so the wrapped instance drops the homomorphism flag.
@@ -491,25 +494,25 @@ def check_merge(instance: OracleInstance) -> str | None:
     subgroup share a label, on one point per coset, and raise ValueError
     when more do; an instance without a planted truth passes.  Returns the
     warning of `wrap_many_to_one` when the bound reaches the smallest prime
-    factor of the planted subgroup's order, else None."""
-    reps = k_order = None  # one point per coset, planted subgroup's order
-    if instance.domain is None:
-        k_order = instance.truth.period
-        reps = None if k_order is None else (k_order,)
-    elif instance.truth.subgroup is not None:
-        basis = _hermite_basis(instance.truth.subgroup.generators, instance.domain.moduli)
-        reps = tuple(row[i] for i, row in enumerate(basis))  # the Hermite box
-        k_order = instance.domain.order // prod(reps)
+    factor of the planted subgroup's index, its number of cosets: the
+    period on the integers, the product of its Hermite pivots on a finite
+    domain.  Else None."""
+    truth, spec = instance.truth, instance.domain
+    if spec is None and truth.period is not None:
+        reps = (truth.period,)  # one point per coset: the period, or the Hermite box
+    elif spec is not None and truth.subgroup is not None:
+        reps = tuple(row[i] for i, row in enumerate(_hermite_basis(truth.subgroup.generators, spec.moduli)))
+    else:
+        return None
     bound = instance.multiplicity_bound
-    if reps is not None:
-        worst = int(np.bincount(instance.label_table(reps).reshape(-1)).max())
-        if worst > bound:
-            raise ValueError(f"merge is {worst}-to-1 on cosets, above the stated bound {bound}")
-    spf = min(_factorize(k_order), default=None) if k_order else None
+    worst = int(np.bincount(instance.label_table(reps).reshape(-1)).max())
+    if worst > bound:
+        raise ValueError(f"merge is {worst}-to-1 on cosets, above the stated bound {bound}")
+    spf = min(_factorize(prod(reps)), default=None)
     if spf is not None and bound >= spf:
         return (
             f"multiplicity bound {bound} reaches the smallest prime factor "
-            f"{spf} of the planted subgroup's order; recovery may be ambiguous"
+            f"{spf} of the planted subgroup's index; recovery may be ambiguous"
         )
     return None
 
@@ -544,28 +547,6 @@ def _many_to_one(inner: OracleInstance, merge, multiplicity: int) -> OracleInsta
             "multiplicity": multiplicity,
         },
     )
-
-
-def dilated_view(parent: OracleInstance, acc: int) -> OracleInstance:
-    """The integer-domain function t -> f(acc * t), billing its queries to
-    the parent's counter and keeping its laws in a persistent cache slot of
-    the parent, so later attempts at the same dilation reuse them.  With f's
-    period L, the view's period is L / gcd(acc, L), over which it reads
-    f's labels at acc * k mod L."""
-    cycle = parent.period_labels
-    size = cycle.size
-    steps = np.arange(size // gcd(acc, size), dtype=np.int64)
-    view = OracleInstance(
-        domain=None,
-        codomain_size=parent.codomain_size,
-        period_labels=cycle[steps * (acc % size) % size],
-        multiplicity_bound=parent.multiplicity_bound,
-        truth=parent.truth,
-        descriptor={"kind": "dilated_view", "inner": dict(parent.descriptor)},
-    )
-    view.counter = parent.counter
-    view._dist_cache = parent._dist_cache.setdefault(("dilation", acc), {})
-    return view
 
 
 def instance_from_json(descriptor: dict) -> OracleInstance:

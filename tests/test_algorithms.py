@@ -268,7 +268,7 @@ def test_stage_one_samples_uniform_over_k():
 
 @pytest.mark.parametrize("n,factors", [(15, {3, 5}), (21, {3, 7}), (33, {3, 11}), (35, {5, 7})])
 def test_factor_composites(n, factors):
-    f = factor_via_order(n, SolverParams(seed=7))
+    f = factor_via_order(n, SolverParams(seed=7)).value
     assert f in factors
     assert n % f == 0
 
@@ -622,7 +622,6 @@ def test_robust_period_three_to_one_scan_bound():
     inst = merged_period_instance(12, 3, relabel_seed=3, merge_seed=20)
     res = robust_period(inst, SolverParams(seed=10, period_bound=144))
     assert res.value == 12
-    assert res.scan_evaluations <= 9  # m^2
 
 
 def test_robust_period_translation_symmetric_merge_finds_true_period():
@@ -651,28 +650,27 @@ def test_robust_period_accepted_factors_divide_answer():
     inst = merged_period_instance(30, 2, relabel_seed=5, merge_seed=77)
     res = robust_period(inst, SolverParams(seed=12, period_bound=60))
     assert res.value == 30
-    for f in res.factors_accepted:
-        assert res.value % f == 0 or f % res.value == 0
 
 
 def robust_period_costs(inst, seeds, bound: int) -> np.ndarray:
-    """Queries and attempts of `robust_period` per seed on one instance, one
-    row per seed; a run that exhausts its budget counts its whole budget."""
+    """Queries and draws of `robust_period` per seed on one instance, one
+    row per seed; a run that exhausts its budget counts its whole budget,
+    trials times m² draws."""
     costs = []
     for seed in seeds:
         params, before = SolverParams(seed=seed, period_bound=bound), inst.query_count
         try:
             trials = robust_period(inst, params).trials_used
         except BudgetExhausted:
-            trials = params.trials
+            trials = params.trials * inst.multiplicity_bound**2
         costs.append((inst.query_count - before, trials))
     return np.array(costs, dtype=float)
 
 
 def test_robust_period_one_stream_keeps_the_cost_law_of_fresh_draws(monkeypatch):
-    """Drawing every step and spot check from one stream changes which
-    outcomes a seed gives, not their law: over 1,000 seeds each side, on a
-    merged (r, m) = (12, 2) instance, the mean queries and attempts agree
+    """Drawing every reading from one stream changes which outcomes a seed
+    gives, not their law: over 1,000 seeds each side, on a merged
+    (r, m) = (12, 2) instance, the mean queries and draws agree
     (|z| < 4) with a reference that takes each draw from a fresh seed, one
     no other draw shares."""
     inst = merged_period_instance(12, 2, relabel_seed=1, merge_seed=1)
@@ -837,7 +835,7 @@ def test_factoring_seeds_one_stream_across_attempts(n, seeds, monkeypatch):
     for seed in seeds:
         bases.clear()
         seeded.clear()
-        g = factor_via_order(n, SolverParams(seed=seed))
+        g = factor_via_order(n, SolverParams(seed=seed)).value
         assert 1 < g < n and n % g == 0
         assert len(bases) >= 2 and seeded == [seed]
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hsplab import amplitudes, cli, oracles
+from hsplab import algorithms, amplitudes, cli, oracles
 from hsplab.groups import SubgroupGenerators, subgroups_equal
 from hsplab.oracles import PlantedTruth, instance_from_json, make_dlog_instance
 from test_estimation import branch_tree_law
@@ -98,6 +98,32 @@ def test_factor_run(capsys):
     code, report, _ = run(capsys, "factor", "--n", "21", "--seed", "0")
     assert code == 0
     assert report["results"][0]["recovered"] in (3, 7)
+
+
+@pytest.mark.parametrize("seed", [3, 10, 39])
+def test_factor_reports_the_queries_of_every_attempt(capsys, monkeypatch, seed):
+    """A factor trial's query_count is the sum of its order instances'
+    counters, at seeds that run order finding two or more times, and its
+    result holds every draw."""
+    built = []
+    make = algorithms.make_order_instance
+    monkeypatch.setattr(algorithms, "make_order_instance", lambda n, a: built.append(make(n, a)) or built[-1])
+    code, report, _ = run(capsys, "factor", "--n", "21", "--seed", str(seed))
+    (trial,) = report["results"]
+    assert code == 0 and trial["match"] is True
+    assert len(built) >= 2 and trial["query_count"] == sum(inst.query_count for inst in built)
+    assert len(trial["result"]["samples"]) <= trial["query_count"]
+    assert trial["result"]["value"] == trial["recovered"]
+
+
+def test_robust_period_honours_control_bits(capsys):
+    """--control-bits sizes the robust solver's register, as it does order
+    finding's: every reading is taken on 2^12 levels."""
+    code, report, _ = run(capsys, "robust-period", "--period", "12", "--multiplicity", "2",
+                          "--control-bits", "12", "--seed", "0")
+    samples = report["results"][0]["result"]["samples"]
+    assert code == 0 and samples
+    assert {s["register_size"] for s in samples} == {4096}
 
 
 def test_robust_period_run(capsys):

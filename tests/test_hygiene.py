@@ -19,7 +19,8 @@ takes a `route`, `target`, `generator` or `shift_fn`: the query circuit and
 the shift ladder prepare one state from |f(0)>, so no law or solver chooses
 between them, and shift maps are read off the labels.  A tenth checks that the CLI
 imports no thread machinery, and an eleventh that the brute-force truths
-share no search with the solvers they check.  The law scans also keep the
+share no search with the solvers they check.  A twelfth checks that period
+recovery has one loop, with no dilated view to recurse on.  The law scans also keep the
 |G|-point laws, which are test references now, from coming back into the
 package.
 """
@@ -278,3 +279,24 @@ def test_brute_force_truths_share_no_search_with_the_solvers():
     path = Path(hsplab.__file__).parent / "oracles.py"
     named = _references(ast.parse(path.read_text())) & {"_table_stabiliser", "character_kernel"}
     assert not named, f"oracles.py names solver searches: {sorted(named)}"
+
+
+def test_one_period_recovery_loop():
+    """Order finding, factoring and robust period finding share one loop:
+    `_recover_period` is the one function in `algorithms.py` that reads a
+    reading's continued-fraction denominator, and no module defines or
+    names a dilated view of an instance to recurse on."""
+    path = Path(hsplab.__file__).parent / "algorithms.py"
+    reading = sorted(
+        node.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and "best_denominator_bounded" in _references(node)
+    )
+    assert reading == ["_recover_period"], f"functions that read denominators: {reading}"
+    naming = []
+    for path in MODULES + [Path(hsplab.__file__)]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.alias))}
+        if "dilated_view" in _references(tree) | defined:
+            naming.append(path.name)
+    assert not naming, f"modules that name dilated_view: {naming}"

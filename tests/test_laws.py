@@ -14,7 +14,7 @@ are no subgroup to the dense law.  The closed form for tables that cycle
 through distinct labels is pinned separately over every shape of register
 (shorter than a period, whole periods, a remainder, and registers large
 enough that a float zero test would misfire).  So is the law folded onto
-one period for merged views and repeated tables, including registers that
+one period for merged dilated cycles and repeated tables, including registers that
 hold less than two periods, the least-cyclic-period search against brute
 force, and the one period of labels of every integer-domain instance kind
 against independent definitions of its function.  Every law is checked to
@@ -46,7 +46,6 @@ from hsplab.oracles import (
     OracleInstance,
     classical_invariance_subgroup,
     classical_order,
-    dilated_view,
     instance_from_json,
     make_deutsch_instance,
     make_dlog_instance,
@@ -477,8 +476,9 @@ WIDE_ORDERS = [
 @st.composite
 def merged_views(draw):
     """A period or order instance of period r >= 4 whose orbit labels are
-    merged m-to-1 (m in {2, 3}), seen through `dilated_view` at acc in
-    1..6, with the period r / gcd(r, acc) of the view before the merge."""
+    merged m-to-1 (m in {2, 3}), read at acc·t for acc in 1..6: the
+    function t -> f(acc·t) held as its labels over r / gcd(r, acc) points,
+    the period of the dilated function before the merge."""
     inner = draw(
         st.sampled_from(WIDE_ORDERS).map(lambda pair: make_order_instance(*pair))
         | st.builds(make_period_instance, st.integers(4, 24), relabel_seed=st.integers(0, 1000))
@@ -493,7 +493,8 @@ def merged_views(draw):
         warnings.simplefilter("ignore")
         inst = wrap_many_to_one(inner, merge, m)
     acc = draw(st.integers(1, 6))
-    return dilated_view(inst, acc), r // gcd(r, acc)
+    period = r // gcd(r, acc)
+    return table_instance([inst._raw(acc * k) for k in range(period)]), period
 
 
 repeated_tables = st.lists(st.integers(0, 3), min_size=1, max_size=40).map(
@@ -517,7 +518,7 @@ def folded_register(shape: str, period: int, data) -> int:
 @pytest.mark.parametrize("shape", ["whole", "remainder", "two periods", "large"])
 @given(merged_views() | repeated_tables, st.data())
 def test_periodic_tables_fold_onto_one_period(shape, case, data):
-    """Merged views and repeated tables of few labels fold onto one period,
+    """Merged dilated cycles and repeated tables of few labels fold onto one period,
     whether or not two periods fit in the register."""
     inst, period = case
     n = folded_register(shape, period, data)
@@ -539,27 +540,22 @@ def defined_label(descriptor: dict, t: int) -> int:
 @given(
     order_instances() | period_instances,
     st.booleans(),
-    st.integers(1, 30),
     registers,
     st.lists(st.integers(-(2**62), 2**62), max_size=20),
     st.data(),
 )
-def test_period_labels_match_independent_definitions(inst, merge, acc, n, points, data):
+def test_period_labels_match_independent_definitions(inst, merge, n, points, data):
     """One period of labels reproduces f everywhere: pow for order
-    instances, the relabelling for period instances, the merge of the inner
-    labels for merged ones, and f(acc t) for a dilated view; the label table
-    tiles it over a register."""
+    instances, the relabelling for period instances, and the merge of the
+    inner labels for merged ones; the label table tiles it over a
+    register."""
     if merge:
         inst = merged(inst, data)
     rebuilt = instance_from_json(inst.to_json())
     assert rebuilt.period_labels.tolist() == inst.period_labels.tolist()
     for t in list(range(n)) + points:
         assert inst._raw(t) == defined_label(inst.descriptor, t)
-    view = dilated_view(inst, acc)
-    for t in list(range(n)) + points:
-        assert view._raw(t) == inst._raw(acc * t)
-    for each in (inst, view):
-        assert each.label_table((n,)).tolist() == [each._raw(t) for t in range(n)]
+    assert inst.label_table((n,)).tolist() == [inst._raw(t) for t in range(n)]
 
 
 few_label_cycles = st.integers(1, 4).flatmap(

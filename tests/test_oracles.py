@@ -543,13 +543,36 @@ def test_wrap_strict_mode_rejects_ambiguous_bound():
         wrap_many_to_one(inner, table, multiplicity=2, strict=True)
 
 
-def test_wrap_trivial_subgroup_merge_does_not_warn():
-    # |K| = 1 has no prime factor for the bound to reach
+def test_wrap_trivial_subgroup_merge_reaching_the_index_prime_is_rejected():
+    # K = {0} on Z_2^2 has index 4, whose prime 2 the bound reaches: the
+    # 2-to-1 merge makes f invariant under (1, 1)
     inner = make_hidden_subgroup_instance(GroupSpec.of([2, 2]), [], relabel_seed=0)
+    table = np.arange(4) // 2
+    with pytest.raises(ValueError, match="index"):
+        wrap_many_to_one(inner, table, multiplicity=2, strict=True)
+    with pytest.warns(UserWarning):
+        wrapped = wrap_many_to_one(inner, table, multiplicity=2)
+    assert subgroups_equal(classical_invariance_subgroup(wrapped), SubgroupGenerators.of(GroupSpec.of([2, 2]), [(1, 1)]))
+
+
+def test_wrap_ambiguity_reads_the_index_of_a_finite_subgroup():
+    """On Z_2 x Z_3 the rule reads the smallest prime of |G/K|, not of
+    |K|: merging K = <(0, 1)>'s two cosets makes f constant, so the bound 2
+    warns and `strict` rejects; a 2-to-1 merge of K = <(1, 0)>'s three
+    cosets cannot add invariance, so it passes silently."""
+    spec = GroupSpec.of([2, 3])
+    both = make_hidden_subgroup_instance(spec, [(0, 1)], relabel_seed=0)
+    with pytest.raises(ValueError, match="index"):
+        wrap_many_to_one(both, np.zeros(2, dtype=int), multiplicity=2, strict=True)
+    with pytest.warns(UserWarning, match="smallest prime factor 2"):
+        constant = wrap_many_to_one(both, np.zeros(2, dtype=int), multiplicity=2)
+    assert subgroups_equal(classical_invariance_subgroup(constant), SubgroupGenerators.of(spec, [(1, 0), (0, 1)]))
+
+    three = make_hidden_subgroup_instance(spec, [(1, 0)], relabel_seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        wrapped = wrap_many_to_one(inner, np.arange(4) // 2, multiplicity=2, strict=True)
-    assert wrapped.codomain_size == 2
+        merged = wrap_many_to_one(three, [0, 0, 1], multiplicity=2, strict=True)
+    assert subgroups_equal(classical_invariance_subgroup(merged), SubgroupGenerators.of(spec, [(1, 0)]))
 
 
 def test_wrap_drops_shift_structure():
