@@ -9,6 +9,8 @@ shortfall — while evidence that the function breaks its promise raises
 PromiseViolation.  Order finding, factoring and robust period finding share
 one recovery loop, `_recover_period`, which lcm-combines continued-fraction
 denominators and strips the first candidate that passes a period test.
+Hidden-subgroup solving and its robust variant share `_recover_subgroup`,
+which returns the first character kernel of the draws that passes a check.
 
 Every solve draws all of its randomness, circuit samples, check points and
 factoring's bases alike, from one stream, `np.random.default_rng(params.seed)`,
@@ -30,10 +32,8 @@ from .groups import (
     Element,
     GroupSpec,
     SubgroupGenerators,
-    _annihilated,
     _factorize,
     _strip_period,
-    _table_stabiliser,
     character_kernel,
     generator_count,
 )
@@ -61,9 +61,9 @@ class SolverParams:
     derived from the period bound and `epsilon`.  Order and period finding
     without a `period_bound` take the codomain size as the bound.
     `trials` counts single draws in order, period and discrete-log finding,
-    batches of d(G) + 2 draws in `solve_hsp_general`, and attempts in
-    factoring; `robust_period` on an m-to-1 merge allows m² times as many
-    single draws.
+    batches of d(G) + 2 draws in `solve_hsp_general` and `robust_hsp`, and
+    attempts in factoring; `robust_period` and `robust_hsp` on an m-to-1
+    merge allow m² times as many draws or batches.
     """
 
     control_bits: int | None = None
@@ -272,42 +272,53 @@ def _batch_size(spec: GroupSpec) -> int:
     return generator_count(spec.moduli) + 2
 
 
-def solve_hsp_general(instance: OracleInstance, params: SolverParams) -> HspResult:
-    """Hidden subgroup over any finite Abelian group.
-
-    Batches of d(G) + 2 coset-sampler outcomes over the whole group
-    (`_batch_size`) feed the character-kernel solver, which reads the kernel
-    off the dual of the sampled characters' lattice.  Every generator h of
-    the candidate kernel is then checked against the function at one point
-    x per batch: f(x) is evaluated once, then f(x + h) for each h until one
-    differs.  The batches and the points come from one random stream,
-    seeded by `params.seed`.  The kernel always holds K, and for an honest
-    promise, f constant on K-cosets and distinct across them, f(x + h) =
-    f(x) at any x exactly when h lies in K, so a kernel that passes is K
-    exactly.  A generator that fails means the samples do not yet span
-    K^perp, so another batch of the same size is drawn; `params.trials`
-    counts batches.
-    """
+def _recover_subgroup(
+    instance: OracleInstance, trials: int, rng: np.random.Generator,
+    holds: Callable[[tuple[Element, ...]], bool],
+) -> HspResult:
+    """Draw up to `trials` batches of d(G) + 2 coset-sampler outcomes from
+    `rng` (`_batch_size`), and return the character kernel of all draws so
+    far once its generators pass `holds`.  The draws lie in the annihilator
+    of f's invariance subgroup S, so the kernel always holds S, and a kernel
+    whose generators all leave f unchanged is S exactly; a kernel that fails
+    means the draws do not yet span S^perp, so another batch is drawn."""
     spec = instance.domain
     if spec is None:
         raise ValueError("hidden-subgroup solving needs a finite group domain")
     count = _batch_size(spec)
-    rng = np.random.default_rng(params.seed)
     collected: list[Element] = []
-    for attempt in range(params.trials):
+    for attempt in range(trials):
         collected.extend(hsp_sample_batch(instance, count, seed=rng))
         kernel = character_kernel(collected, spec)
-        failing = None
-        if kernel.generators:
-            x = tuple(int(c) for c in rng.integers(0, spec.moduli))
-            fx = instance.evaluate(x)
-            failing = next((h for h in kernel.generators if instance.evaluate(spec.add(x, h)) != fx), None)
-        if failing is None:
+        if holds(kernel.generators):
             return HspResult(kernel, attempt + 1, collected, True)
     raise PromiseViolation(
-        f"claimed coset shift {failing} changes f at {x}: "
+        f"no kernel of the draws passed the check within {trials} batches: "
         "samples never stabilized on a subgroup the function honors"
     )
+
+
+def solve_hsp_general(instance: OracleInstance, params: SolverParams) -> HspResult:
+    """Hidden subgroup over any finite Abelian group.
+
+    `_recover_subgroup` reads the character kernel of batches of d(G) + 2
+    coset-sampler outcomes, and every generator h of a kernel is checked at
+    one random point x per batch: f(x) is evaluated once, then f(x + h) for
+    each h until one differs.  The batches and the points come from one
+    stream seeded by `params.seed`.  For an honest promise, f constant on
+    K-cosets and distinct across them, f(x + h) = f(x) at any x exactly
+    when h lies in K, so a kernel that passes is K exactly.
+    """
+    spec, rng = instance.domain, np.random.default_rng(params.seed)
+
+    def at_one_point(generators) -> bool:
+        if not generators:
+            return True
+        x = tuple(int(c) for c in rng.integers(0, spec.moduli))
+        fx = instance.evaluate(x)
+        return all(instance.evaluate(spec.add(x, h)) == fx for h in generators)
+
+    return _recover_subgroup(instance, params.trials, rng, at_one_point)
 
 
 def _merge_congruence(a1: int, n1: int, a2: int, n2: int) -> tuple[int, int] | None:
@@ -407,30 +418,24 @@ def robust_hsp(instance: OracleInstance, params: SolverParams) -> HspResult:
     """Hidden-subgroup recovery tolerant of an m-to-1 label collapse, m the
     instance's `multiplicity_bound`.
 
-    Sampler support always lies inside the annihilator of the function's
-    true invariance subgroup, so the kernel of one batch of d(G) + 2 draws
-    (`_batch_size`, as `solve_hsp_general` draws) only ever over-states it.
-    The invariance subgroup is then grown from the kernel elements where f
-    is f(0), by the stabiliser search of the coset law over f's whole
-    table, read once and billed one query per domain point; the kernel
-    only prunes that search, so one batch is drawn.  Any finite Abelian
-    domain works.  Domains smaller than m² skip sampling: the kernel of no
-    characters is all of G.
+    A merge only shrinks the support of the coset law, which stays inside
+    the annihilator of f's invariance subgroup, so `_recover_subgroup`
+    still recovers that subgroup once its check reads the whole group:
+    rolling f's table by each generator of the kernel leaves it unchanged.
+    The table is read once, at the first check, and billed one query per
+    domain point.  `params.trials` · m² batches are allowed, since
+    collisions dilute the informative draws by at most m².
     """
-    spec = instance.domain
-    if spec is None:
-        raise ValueError("hidden-subgroup solving needs a finite group domain")
     m = instance.multiplicity_bound
     if m <= 1:
         return solve_hsp_general(instance, params)
+    table = None
 
-    collected = []
-    if spec.order >= m * m:
-        collected = hsp_sample_batch(instance, _batch_size(spec), seed=params.seed)
-    table = instance.label_table(spec.moduli)
-    instance.counter.add(spec.order)
-    grids = np.indices(spec.moduli, sparse=True)
-    candidates = table == table.flat[0]
-    for t in collected:
-        candidates &= _annihilated(grids, spec.moduli, t)
-    return HspResult(SubgroupGenerators.of(spec, _table_stabiliser(table, candidates)[0]), 1, collected, True)
+    def everywhere(generators) -> bool:
+        nonlocal table
+        if table is None:
+            table = instance.label_table(instance.domain.moduli)
+            instance.counter.add(table.size)
+        return all(np.array_equal(np.roll(table, h, axis=tuple(range(table.ndim))), table) for h in generators)
+
+    return _recover_subgroup(instance, params.trials * m * m, np.random.default_rng(params.seed), everywhere)

@@ -67,6 +67,11 @@ SOLVERS = {  # every solver but factoring takes (instance, params)
 }
 
 
+# the solvers that size a register for a period bound; the rest read only
+# the `trials` param, and none reads `seed`: trial i runs at master seed + i
+REGISTER_SOLVERS = frozenset({"order", "period", "robust-period", "factor"})
+
+
 class ConfigError(ValueError):
     pass
 
@@ -215,12 +220,14 @@ def _load_config(args) -> dict:
     params = dict(params)
     if getattr(args, "control_bits", None) is not None:
         params["control_bits"] = args.control_bits
-    if "period_bound" not in params and "instance" in config:
-        bound = _default_bound(config["instance"])
+    reads = {"trials", "control_bits", "epsilon", "period_bound"} if solver in REGISTER_SOLVERS else {"trials"}
+    unread = sorted(params.keys() & (SolverParams.__dataclass_fields__.keys() - reads))
+    if unread:
+        raise ConfigError(f"{solver} never reads params: {', '.join(unread)}")
+    if solver in REGISTER_SOLVERS and "period_bound" not in params:
+        bound = config["n"] if solver == "factor" else _default_bound(config["instance"])
         if bound is not None:
             params["period_bound"] = bound
-    if "period_bound" not in params and solver == "factor":
-        params["period_bound"] = config["n"]
     config["params"] = params
     return config
 

@@ -20,7 +20,9 @@ compared with a literal simulation of its circuit:
     circuit (`_pre_measurement_state`), and the two constructions of
     sum_x |x>|f(x)> side by side (`verify_main_equality`);
   * the |G|-point law of the coset sampler, read from f's table over the
-    whole group (`hsp_control_distribution`, `level_set_law`);
+    whole group (`hsp_control_distribution`, `level_set_law`), over the
+    stabiliser that a search of that table grows (`_table_stabiliser`,
+    with the annihilator masks of `_annihilated`);
   * a subgroup's elements by closure (`subgroup_enumerate`), the Hermite
     form of a lattice by elimination over all its rows at once
     (`elimination_hermite_basis`), and the check that a character
@@ -45,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,7 +60,6 @@ from hsplab.groups import (
     SubgroupGenerators,
     _factorize,
     _hermite_basis,
-    _table_stabiliser,
     character_phase_numerator,
 )
 from hsplab.oracles import OracleInstance
@@ -408,6 +410,50 @@ def _pre_measurement_state(
         state = apply_fourier(state, 0)
         state = apply_shift(state, 0, 1, instance, generator=generator, step=1)
     return apply_fourier(state, 0, inverse=True)
+
+
+def _annihilated(grids, moduli: tuple[int, ...], element) -> np.ndarray:
+    """Mask of the x of `grids` with sum_j (L/d_j) x_j e_j = 0 mod L, L = lcm(d)."""
+    big = lcm(*moduli)
+    return sum(g * (big // d * c) for g, d, c in zip(grids, moduli, element)) % big == 0
+
+
+def _table_stabiliser(table: np.ndarray, candidates: np.ndarray) -> tuple[list[Element], np.ndarray, int]:
+    """Generators of K = {h : table[x + h] = table[x] for all x}, the mask of
+    K^perp and |K|, searched among a mask of candidates that holds K.  H <= K
+    grows from {0} by candidates h that leave the table unchanged when it is
+    rolled by h.  A candidate that changes it at a point x lies outside K, as
+    does every one that changes it at x, its coset h + H among them: all
+    leave the search.  |H| = N/|H^perp|, each h added at least doubles H, and
+    H = K once |H| is the number of candidates left."""
+    shape = table.shape
+    grids = np.indices(shape, sparse=True)  # points of G, and characters of its dual
+
+    def rolled(arr, h):  # arr[x - h] at every x
+        return arr[tuple((g - c) % d for g, c, d in zip(grids, h, shape))]
+
+    size = int(np.count_nonzero(candidates))
+    inside = np.zeros(shape, dtype=bool)  # H
+    inside.flat[0] = True
+    perp = np.ones(shape, dtype=bool)  # H^perp
+    members, generators = 1, []
+    while members < size and (at := np.argmax(candidates & ~inside)):  # 0 is in H: none left
+        h = [int(c) for c in np.unravel_index(at, shape)]
+        moved = rolled(table, h)  # table[x - h]
+        if not np.array_equal(moved, table):
+            x = np.unravel_index(np.argmax(moved != table), shape)
+            candidates = candidates & (table[tuple((c - g) % d for g, c, d in zip(grids, x, shape))] == table[x])
+            size = int(np.count_nonzero(candidates))
+            continue
+        generators.append(tuple(h))
+        perp &= _annihilated(grids, shape, h)
+        grown = table.size // int(np.count_nonzero(perp))
+        span = 1  # inside holds H + k h for k < span; not needed once H = K
+        while members * span < grown < size:
+            inside |= rolled(inside, [span * c for c in h])
+            span *= 2
+        members = grown
+    return generators, perp, members
 
 
 def _stabiliser_law(table: np.ndarray) -> np.ndarray:

@@ -739,27 +739,97 @@ def test_robust_hsp_merge_enlarging_invariance_returns_enlargement():
 )
 def test_robust_hsp_random_merges_match_classical_truth(moduli, gens):
     """The answer is the brute-force invariance subgroup, and the bill is
-    one query per domain point plus one per draw, one batch of d(G) + 2; a
-    domain smaller than m² draws nothing."""
+    one query per domain point, for the table read once, plus one per draw,
+    d(G) + 2 a batch, under the merge's bound 2 and under a bound of |G|."""
     spec = GroupSpec.of(moduli)
     inner = make_hidden_subgroup_instance(spec, gens, relabel_seed=1)
     for seed in range(4):
         table = merge_table(inner.codomain_size, 2, seed)
+        for bound in (2, spec.order):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                merged = wrap_many_to_one(inner, table, bound)
+            truth = classical_invariance_subgroup(merged)
+            before = merged.query_count
+            res = robust_hsp(merged, SolverParams(seed=seed))
+            assert subgroups_equal(res.value, truth)
+            assert len(res.samples) == batch_size(moduli) * res.trials_used
+            assert merged.query_count - before == spec.order + len(res.samples)
+
+
+# the robust-hsp shapes of the benchmark's CLI mix: moduli, K's generators, m
+CLI_ROBUST_HSP = (((4, 8), [(2, 4)], 2), ((3, 9), [(0, 3)], 3), ((2, 2, 4), [(1, 0, 2)], 2), ((5, 25), [(0, 5)], 3))
+
+
+@pytest.mark.parametrize("moduli, gens, m", CLI_ROBUST_HSP, ids=lambda v: str(v))
+def test_robust_hsp_battery_matches_classical_truth(moduli, gens, m):
+    """Over 200 seeds each, with the merge and the relabelling drawn at the
+    solver's seed as the CLI draws them, every answer is the brute-force
+    invariance subgroup, within 20 · m² batches."""
+    spec = GroupSpec.of(moduli)
+    for seed in range(200):
+        inner = make_hidden_subgroup_instance(spec, gens, relabel_seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            merged = wrap_many_to_one(inner, table, 2)
-        truth = classical_invariance_subgroup(merged)
-        before = merged.query_count
+            merged = wrap_many_to_one(inner, merge_table(inner.codomain_size, m, seed), m)
         res = robust_hsp(merged, SolverParams(seed=seed))
-        assert subgroups_equal(res.value, truth)
-        assert merged.query_count - before == spec.order + batch_size(moduli)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            whole = wrap_many_to_one(inner, table, spec.order)
-        before = whole.query_count
-        res = robust_hsp(whole, SolverParams(seed=seed))
-        assert res.samples == [] and subgroups_equal(res.value, truth)
-        assert whole.query_count - before == spec.order
+        assert subgroups_equal(res.value, classical_invariance_subgroup(merged)), seed
+        assert res.trials_used <= 20 * m * m
+
+
+def near_invariant_hsp(k: int) -> OracleInstance:
+    """Z_2^k with K = {0}, x and x + e_0 merged for every x but two: 0 and
+    e_1 are merged with each other's partner, so f is no longer invariant
+    under e_0, though nearly every draw lies in e_0's annihilator."""
+    spec = GroupSpec.of([2] * k)
+    inner = make_hidden_subgroup_instance(spec, [], relabel_seed=0)
+    table = np.arange(inner.codomain_size)
+    for x in itertools.product((0, 1), repeat=k - 1):
+        table[inner._raw((1, *x))] = inner._raw((0, *x))
+    e1 = (0, 1) + (0,) * (k - 2)
+    table[inner._raw((1, 1) + (0,) * (k - 2))] = inner._raw(spec.identity())
+    table[inner._raw((1,) + (0,) * (k - 1))] = inner._raw(e1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return wrap_many_to_one(inner, table, 2)
+
+
+def near_invariant_period(r: int) -> OracleInstance:
+    """A period-r function with t and t + r/2 merged for every t but two:
+    0 and 1 are merged with each other's partner, so r stays the least
+    period, though nearly every reading is a multiple of 2/r."""
+    inner = make_period_instance(r, relabel_seed=0)
+    labels = [inner._raw(t) for t in range(r)]
+    table = np.arange(r)
+    for t in range(r // 2):
+        table[labels[t + r // 2]] = labels[t]
+    table[labels[r // 2]], table[labels[r // 2 + 1]] = labels[1], labels[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return wrap_many_to_one(inner, table, 2)
+
+
+@pytest.mark.parametrize("solver, size", [("hsp", 16), ("hsp", 64), ("period", 16), ("period", 64)])
+def test_robust_solvers_on_near_invariant_merges_are_exact_or_fail(solver, size):
+    """A merge at m = 2 that is invariant under a shift at all but two
+    points lies outside the promise (m reaches the smallest prime of the
+    index): over 20 seeds, every answer returned is the brute-force truth,
+    and every other run ends in PromiseViolation or BudgetExhausted."""
+    if solver == "hsp":
+        inst = near_invariant_hsp(size.bit_length() - 1)
+        truth = classical_invariance_subgroup(inst)
+        assert truth.order == 1
+    else:
+        inst = near_invariant_period(size)
+        assert classical_least_period(inst, size) == size
+    for seed in range(20):
+        try:
+            if solver == "hsp":
+                assert subgroups_equal(robust_hsp(inst, SolverParams(seed=seed)).value, truth), seed
+            else:
+                assert robust_period(inst, SolverParams(seed=seed, period_bound=size)).value == size, seed
+        except (PromiseViolation, BudgetExhausted):
+            pass
 
 
 def test_robust_hsp_scales_past_the_label_one_hot():

@@ -453,6 +453,36 @@ def test_multiplicity_is_not_a_solver_param(capsys, tmp_path):
     assert "unknown solver params: multiplicity" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hsp", "--moduli", "4,8", "--generators", "2,4"),
+    ("simon", "--secret", "101"),
+    ("deutsch", "--f0", "0", "--f1", "1"),
+    ("robust-hsp", "--moduli", "2,2", "--generators", "1,1"),
+    ("dlog", "--base", "3", "--target", "4", "--modulus", "7"),
+], ids=lambda argv: argv[0])
+def test_control_bits_for_a_solver_without_a_register_is_config_error(capsys, argv):
+    """The hidden-subgroup and discrete-log solvers read registers of
+    exactly d_j levels, so a --control-bits they would ignore exits 2."""
+    code, report, err = run(capsys, *argv, "--seed", "0", "--control-bits", "5")
+    assert code == 2 and report is None
+    assert err.startswith(f"config error: {argv[0]} never reads params: control_bits")
+
+
+@pytest.mark.parametrize("solver, instance, params, unread", [
+    ("hsp", {"kind": "simon", "bits": 2, "secret": [1, 1]}, {"epsilon": 0.1, "period_bound": 4, "trials": 3},
+     "epsilon, period_bound"),
+    ("order", {"kind": "order", "modulus": 15, "base": 2}, {"seed": 3}, "seed"),
+    ("robust-period", {"kind": "many_to_one", "inner": {"kind": "period", "period": 6, "relabel_seed": 0},
+                       "merge": [i // 2 for i in range(6)], "multiplicity": 2}, {"seed": 3, "epsilon": 0.1}, "seed"),
+])
+def test_unread_solver_params_are_config_error(capsys, tmp_path, solver, instance, params, unread):
+    """A config param the solver never reads is a config error: only the
+    period solvers size a register, and every trial runs at its own seed,
+    master seed + i, whatever `params.seed` says."""
+    err = verify_config_error(capsys, tmp_path, solver=solver, instance=instance, params=params)
+    assert f"{solver} never reads params: {unread}" in err
+
+
 def test_budget_exhaustion_is_solver_failure(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -20,9 +20,10 @@ the shift ladder prepare one state from |f(0)>, so no law or solver chooses
 between them, and shift maps are read off the labels.  A tenth checks that the CLI
 imports no thread machinery, and an eleventh that the brute-force truths
 share no search with the solvers they check.  A twelfth checks that period
-recovery has one loop, with no dilated view to recurse on.  The law scans also keep the
-|G|-point laws, which are test references now, from coming back into the
-package.
+recovery has one loop, with no dilated view to recurse on, and a
+thirteenth that hidden-subgroup recovery has one loop, with no stabiliser
+search over f's table.  The law scans also keep the |G|-point laws, which
+are test references now, from coming back into the package.
 """
 
 from __future__ import annotations
@@ -274,11 +275,18 @@ def test_cli_imports_no_thread_machinery():
 
 def test_brute_force_truths_share_no_search_with_the_solvers():
     """`oracles.py`, where the brute-force truths live, names neither the
-    stabiliser search `robust_hsp` grows its answer with nor the character
-    kernel `solve_hsp_general` reads its answer from."""
+    loop both hidden-subgroup solvers recover their answers with nor the
+    character kernel that loop reads its answer from."""
     path = Path(hsplab.__file__).parent / "oracles.py"
-    named = _references(ast.parse(path.read_text())) & {"_table_stabiliser", "character_kernel"}
+    named = _references(ast.parse(path.read_text())) & {"_recover_subgroup", "character_kernel"}
     assert not named, f"oracles.py names solver searches: {sorted(named)}"
+
+
+def _named(path: Path) -> set[str]:
+    """Every name a module references, defines or imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.alias))}
+    return _references(tree) | defined
 
 
 def test_one_period_recovery_loop():
@@ -293,10 +301,23 @@ def test_one_period_recovery_loop():
         if isinstance(node, ast.FunctionDef) and "best_denominator_bounded" in _references(node)
     )
     assert reading == ["_recover_period"], f"functions that read denominators: {reading}"
-    naming = []
-    for path in MODULES + [Path(hsplab.__file__)]:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.alias))}
-        if "dilated_view" in _references(tree) | defined:
-            naming.append(path.name)
+    naming = [path.name for path in MODULES + [Path(hsplab.__file__)] if "dilated_view" in _named(path)]
     assert not naming, f"modules that name dilated_view: {naming}"
+
+
+def test_one_hidden_subgroup_loop():
+    """`solve_hsp_general` and `robust_hsp` share one loop:
+    `_recover_subgroup` is the one function in `algorithms.py` that reads
+    the character kernel of the draws, and no module names the stabiliser
+    search over f's table or its annihilator masks, which the dense
+    reference keeps."""
+    path = Path(hsplab.__file__).parent / "algorithms.py"
+    reading = sorted(
+        node.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and "character_kernel" in _references(node)
+    )
+    assert reading == ["_recover_subgroup"], f"functions that read character kernels: {reading}"
+    search = {"_table_stabiliser", "_annihilated"}
+    naming = [path.name for path in MODULES + [Path(hsplab.__file__)] if _named(path) & search]
+    assert not naming, f"modules that name the table stabiliser search: {naming}"

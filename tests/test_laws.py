@@ -41,7 +41,7 @@ from hsplab.estimation import (
     _reduced_cycle,
     control_distribution,
 )
-from hsplab.groups import GroupSpec, SubgroupGenerators, _table_stabiliser, subgroups_equal
+from hsplab.groups import GroupSpec, SubgroupGenerators, subgroups_equal
 from hsplab.oracles import (
     OracleInstance,
     classical_invariance_subgroup,
@@ -59,6 +59,7 @@ from dense_reference import (
     _hsp_layout,
     _pre_measurement_state,
     _stabiliser_law,
+    _table_stabiliser,
     apply_fourier,
     apply_oracle,
     basis_state,
